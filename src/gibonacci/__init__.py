@@ -30,13 +30,10 @@ from .gcdsum import (
 )
 from .pisano import (
     ParityScanReport,
-    PeriodRecord,
     equivalent_up_to_shift,
     minimal_window_length,
     parity_scan,
-    period_divides_k,
     period_lcm_compose,
-    period_record,
     pisano_period,
 )
 from .sequences import (
@@ -48,6 +45,7 @@ from .sequences import (
     SeedInvariants,
     coprime_seed_grid,
     fib,
+    gib_pair,
     gib_term,
     lucas,
     seed_invariants,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .factor import divisors, trial_division
 from .gcdsum import gcd_sum
 from .pisano import pisano_period
-from .sequences import FIBONACCI, Seed, fib, gib_term, lucas
+from .sequences import FIBONACCI, Seed, fib, gib_pair, lucas
 
 #: Residues mod 20 of primes that can never divide an odd-k value.
 FORBIDDEN_PRIME_RESIDUES = (3, 7, 13, 17)
@@ -146,16 +146,13 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
 def lucas_from_gcd(seed: Seed, j: int) -> int:
     """The odd-indexed Lucas number L_j as a GCD over any coprime seed.
 
-    L_j = gcd(G_{2j+1} - G_1, G_{2j+2} - G_2) whenever j is odd and the
-    seed entries are coprime (the k = 2j window GCD).
+    L_j is the k = 2j window GCD, gcd(G_{2j+1} - G_1, G_{2j+2} - G_2),
+    whenever j is odd and the seed entries are coprime.
     """
     if j % 2 == 0 or j < 1:
         raise ValueError("j must be an odd positive integer")
     seed.require_coprime()
-    return math.gcd(
-        gib_term(seed, 2 * j + 1) - seed.g1,
-        gib_term(seed, 2 * j + 2) - (seed.g0 + seed.g1),
-    )
+    return gcd_sum(seed, 2 * j).value
 
 
 @dataclass(frozen=True)
@@ -190,8 +187,11 @@ def squares_gcd(seed: Seed, k: int, num_windows: int | None = None) -> SquaresGc
         return SquaresGcdRecord(seed, 0, 0, 0, None, None)
     if num_windows < 2:
         raise ValueError("num_windows must be >= 2")
-    terms = [gib_term(seed, n) for n in range(1, num_windows + k + 1)]
-    squares = [t * t for t in terms]
+    squares = []
+    a, b = gib_pair(seed, 1)
+    for _ in range(num_windows + k):  # G_1 .. G_{num_windows + k}, squared
+        squares.append(a * a)
+        a, b = b, a + b
     window = sum(squares[:k])
     value = window
     for n in range(1, num_windows):

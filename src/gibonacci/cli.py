@@ -12,7 +12,7 @@ import argparse
 import enum
 import json
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import applications, gcdsum, pisano, sequences, verify
 from .sequences import Seed
@@ -47,13 +47,6 @@ def jsonable(value: Any) -> Any:
     if hasattr(value, "__dataclass_fields__"):
         return {f: jsonable(getattr(value, f)) for f in value.__dataclass_fields__}
     raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def emit(args: argparse.Namespace, payload: dict[str, Any], text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(jsonable(payload), sort_keys=True))
-    else:
-        print(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,116 +116,141 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gcd_sum(args: argparse.Namespace) -> int:
+# A handler returns the JSON payload, a function building the text output
+# (called in text mode only: printing a huge value is slow) and the exit code.
+Outcome = tuple[dict[str, Any], Callable[[], str], int]
+
+
+def _term(a: argparse.Namespace) -> Outcome:
+    value = sequences.gib_term(a.seed, a.n)
+    return {"seed": a.seed, "n": a.n, "value": value}, lambda: str(value), 0
+
+
+def _sum(a: argparse.Namespace) -> Outcome:
+    value = sequences.window_sum(a.seed, a.n, a.k)
+    return {"seed": a.seed, "n": a.n, "k": a.k, "value": value}, lambda: str(value), 0
+
+
+def _gcd_sum(a: argparse.Namespace) -> Outcome:
     methods = {
-        "closed": lambda: gcdsum.gcd_sum(args.seed, args.k),
-        "brute": lambda: gcdsum.gcd_sum_bruteforce(args.seed, args.k, args.windows),
-        "lcm": lambda: gcdsum.gcd_sum_lcm(
-            args.seed, args.k, mode=gcdsum.LcmMode(args.mode), bound=args.bound
-        ),
+        "closed": lambda: gcdsum.gcd_sum(a.seed, a.k),
+        "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k, a.windows),
+        "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, mode=gcdsum.LcmMode(a.mode), bound=a.bound),
     }
-    chosen = ("closed", "brute", "lcm") if args.method == "all" else (args.method,)
+    chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
     results = [methods[name]() for name in chosen]
-    payload = {"seed": args.seed, "k": args.k, "results": results}
-    lines = [f"{r.method.value}: {r.value}" + (" (partial)" if r.partial else "")
-             for r in results]
-    emit(args, payload, "\n".join(lines))
-    return 0
+    return {"seed": a.seed, "k": a.k, "results": results}, lambda: "\n".join(
+        f"{r.method.value}: {r.value}" + (" (partial)" if r.partial else "") for r in results
+    ), 0
 
 
-def _cmd_identities(args: argparse.Namespace) -> int:
-    idents = ([sequences.Identity(args.id)] if args.id else
+def _pisano(a: argparse.Namespace) -> Outcome:
+    period = pisano.pisano_period(a.seed, a.m)
+    return {"record": {"seed": a.seed, "modulus": a.m, "period": period}}, lambda: str(period), 0
+
+
+def _classify(a: argparse.Namespace) -> Outcome:
+    c = gcdsum.classify(a.seed, a.k)
+    pred = c.predicted if c.table_applies else "table-inapplicable"
+    payload = {"seed": c.seed, "k": c.k, "residue_mod_12": c.residue_mod_12,
+               "case_row": c.case_row.value, "predicted": pred,
+               "footnote": c.footnote.value, "actual": c.actual}
+    return payload, lambda: (f"k={c.k} (mod 12: {c.residue_mod_12}) row={c.case_row.value} "
+                             f"predicted={pred} actual={c.actual} footnote={c.footnote.value}"), 0
+
+
+def _parity_scan(a: argparse.Namespace) -> Outcome:
+    r = pisano.parity_scan(a.seed, a.m_max)
+    return {"report": r}, lambda: "none" if r.empty else " ".join(
+        f"({m},{p})" for m, p in r.odd_period_moduli), 0
+
+
+def _max_modulus(a: argparse.Namespace) -> Outcome:
+    r = applications.max_modulus_for_period(a.k, exhaustive=a.exhaustive)
+    return {"result": r}, lambda: f"m={r.m_f} form={r.predicted_form} period={r.verified_period}", 0
+
+
+def _lucas_odd(a: argparse.Namespace) -> Outcome:
+    value = applications.lucas_from_gcd(a.seed, a.j)
+    return {"seed": a.seed, "j": a.j, "value": value}, lambda: str(value), 0
+
+
+def _primes_check(a: argparse.Namespace) -> Outcome:
+    r = applications.prime_restriction_check(a.seed, a.k, a.bound)
+    return {"report": r}, lambda: (f"value={r.value} offending={list(r.offending_primes)} "
+                                   f"cofactor={r.unfactored_cofactor}"), 0
+
+
+def _squares(a: argparse.Namespace) -> Outcome:
+    r = applications.squares_gcd(a.seed, a.k, a.windows)
+    conj = "" if r.conjectured is None else f" conjectured={r.conjectured} match={r.matches_conjecture}"
+    return {"record": r}, lambda: f"empirical={r.empirical_value} windows={r.windows_used}{conj}", 0
+
+
+def _identities(a: argparse.Namespace) -> Outcome:
+    idents = ([sequences.Identity(a.id)] if a.id else
               [i for i in sequences.Identity if i is not sequences.Identity.PERTURBED])
-    reports = []
-    for ident in idents:
-        ranges = sequences.default_identity_ranges(ident, args.lo, args.hi)
-        reports.append(sequences.verify_identity(ident, ranges))
+    reports = [sequences.verify_identity(i, sequences.default_identity_ranges(i, a.lo, a.hi))
+               for i in idents]
     payload = {"reports": [
         {"identity": r.identity.value, "ranges": r.ranges, "checked": r.checked,
          "failures": [(s, list(pt), lhs, rhs) for s, pt, lhs, rhs in r.failures[:10]]}
         for r in reports
     ]}
-    lines = [f"{r.identity.value}: {'ok' if r.ok else 'FAIL'} ({r.checked} points)"
-             for r in reports]
-    emit(args, payload, "\n".join(lines))
-    return 0 if all(r.ok for r in reports) else 2
+    return payload, lambda: "\n".join(
+        f"{r.identity.value}: {'ok' if r.ok else 'FAIL'} ({r.checked} points)" for r in reports
+    ), 0 if all(r.ok for r in reports) else 2
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _verify(a: argparse.Namespace) -> Outcome:
     results = verify.run_all()
-    total = sum(r.elapsed for r in results)
+    passed = sum(r.passed for r in results)
     payload = {
-        "checks": [
-            {"criterion": r.criterion, "name": r.name, "passed": r.passed,
-             "detail": r.detail}
-            for r in results
-        ],
-        "passed": sum(r.passed for r in results),
-        "failed": sum(not r.passed for r in results),
+        "checks": [{"criterion": r.criterion, "name": r.name, "passed": r.passed,
+                    "detail": r.detail} for r in results],
+        "passed": passed,
+        "failed": len(results) - passed,
     }
-    lines = [
+    return payload, lambda: "\n".join([
         f"[{'PASS' if r.passed else 'FAIL'}] {r.criterion:2d} {r.name:28s} "
-        f"{r.elapsed:6.2f}s  {r.detail}"
-        for r in results
-    ] + [f"{payload['passed']}/{len(results)} checks passed in {total:.1f}s"]
-    emit(args, payload, "\n".join(lines))
-    return 0 if payload["failed"] == 0 else 2
+        f"{r.elapsed:6.2f}s  {r.detail}" for r in results
+    ] + [f"{passed}/{len(results)} checks passed in {sum(r.elapsed for r in results):.1f}s"]
+    ), 0 if passed == len(results) else 2
+
+
+COMMANDS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
+    "term": _term, "sum": _sum, "gcd-sum": _gcd_sum, "pisano": _pisano,
+    "classify": _classify, "parity-scan": _parity_scan, "max-modulus": _max_modulus,
+    "lucas-odd": _lucas_odd, "primes-check": _primes_check, "squares": _squares,
+    "identities": _identities, "verify": _verify,
+}
+
+
+def _bind_seed_values(argv: list[str]) -> list[str]:
+    """``--seed -1,2`` as ``--seed=-1,2``: argparse takes a word starting
+    with '-' that is not a plain negative number for an option name."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] == "--seed" and word[:1] == "-" and word[1:2].isdigit():
+            out[-1] = f"--seed={word}"
+        else:
+            out.append(word)
+    return out
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cmd = args.command
-    if cmd == "term":
-        value = sequences.gib_term(args.seed, args.n)
-        emit(args, {"seed": args.seed, "n": args.n, "value": value}, str(value))
-    elif cmd == "sum":
-        value = sequences.window_sum(args.seed, args.n, args.k)
-        emit(args, {"seed": args.seed, "n": args.n, "k": args.k, "value": value}, str(value))
-    elif cmd == "gcd-sum":
-        return _cmd_gcd_sum(args)
-    elif cmd == "pisano":
-        record = pisano.period_record(args.seed, args.m)
-        emit(args, {"record": record}, str(record.period))
-    elif cmd == "classify":
-        c = gcdsum.classify(args.seed, args.k)
-        payload = {
-            "seed": c.seed, "k": c.k, "residue_mod_12": c.residue_mod_12,
-            "case_row": c.case_row.value,
-            "predicted": c.predicted if c.table_applies else "table-inapplicable",
-            "footnote": c.footnote.value, "actual": c.actual,
-        }
-        pred = c.predicted if c.table_applies else "table-inapplicable"
-        emit(args, payload,
-             f"k={c.k} (mod 12: {c.residue_mod_12}) row={c.case_row.value} "
-             f"predicted={pred} actual={c.actual} footnote={c.footnote.value}")
-    elif cmd == "parity-scan":
-        report = pisano.parity_scan(args.seed, args.m_max)
-        text = ("none" if report.empty else
-                " ".join(f"({m},{p})" for m, p in report.odd_period_moduli))
-        emit(args, {"report": report}, text)
-    elif cmd == "max-modulus":
-        result = applications.max_modulus_for_period(args.k, exhaustive=args.exhaustive)
-        emit(args, {"result": result},
-             f"m={result.m_f} form={result.predicted_form} period={result.verified_period}")
-    elif cmd == "lucas-odd":
-        value = applications.lucas_from_gcd(args.seed, args.j)
-        emit(args, {"seed": args.seed, "j": args.j, "value": value}, str(value))
-    elif cmd == "primes-check":
-        report = applications.prime_restriction_check(args.seed, args.k, args.bound)
-        emit(args, {"report": report},
-             f"value={report.value} offending={list(report.offending_primes)} "
-             f"cofactor={report.unfactored_cofactor}")
-    elif cmd == "squares":
-        rec = applications.squares_gcd(args.seed, args.k, args.windows)
-        conj = "" if rec.conjectured is None else (
-            f" conjectured={rec.conjectured} match={rec.matches_conjecture}")
-        emit(args, {"record": rec},
-             f"empirical={rec.empirical_value} windows={rec.windows_used}{conj}")
-    elif cmd == "identities":
-        return _cmd_identities(args)
-    elif cmd == "verify":
-        return _cmd_verify(args)
-    return 0
+    # Parsed under CPython's int/str digit limit, so an oversized --n stays a
+    # usage error; lifted for the command itself, whose exact values may run
+    # to hundreds of thousands of digits, and restored for the caller.
+    args = build_parser().parse_args(_bind_seed_values(sys.argv[1:] if argv is None else argv))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        payload, render, code = COMMANDS[args.command](args)
+        print(json.dumps(jsonable(payload), sort_keys=True) if args.format == "json" else render())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return code
 
 
 def main() -> None:
@@ -241,6 +259,9 @@ def main() -> None:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)
+    except AssertionError as exc:  # an internal consistency check failed
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant)."""
+    """A nontrivial factor of odd composite n (Floyd's cycle finding)."""
     if n % 2 == 0:
         return 2
     for c in range(1, n):

@@ -19,7 +19,7 @@ from enum import Enum
 
 from .factor import divisors
 from .pisano import _residue_period
-from .sequences import Seed, fib, gib_term, lucas, seed_invariants, window_sum
+from .sequences import Seed, fib, gib_pair, lucas, seed_invariants, window_sum
 
 
 class Method(Enum):
@@ -49,10 +49,8 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
     Valid for any nonzero integer seed, coprime or not.
     """
     _check_args(seed, k)
-    value = math.gcd(
-        gib_term(seed, k + 1) - seed.g1,
-        gib_term(seed, k + 2) - (seed.g0 + seed.g1),
-    )
+    g_k1, g_k2 = gib_pair(seed, k + 1)
+    value = math.gcd(g_k1 - seed.g1, g_k2 - (seed.g0 + seed.g1))
     return GcdSumResult(seed, k, value, Method.CLOSED_GCD)
 
 

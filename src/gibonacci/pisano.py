@@ -43,8 +43,8 @@ def _residue_period(a: int, b: int, m: int) -> int:
         r += 1
         if x == a and y == b:
             break
-        # pair space has m^2 states and the map is a bijection
-        assert r <= cap, "residue pair failed to cycle within m^2 steps"
+        if r > cap:  # pair space has m^2 states and the map is a bijection
+            raise AssertionError("residue pair failed to cycle within m^2 steps")
     _period_cache[key] = r
     return r
 
@@ -63,24 +63,6 @@ def pisano_period(seed: Seed, m: int) -> int:
     if a == 0 and b == 0:
         raise ValueError(f"seed {seed} is congruent to (0, 0) mod {m}; period undefined")
     return _residue_period(a, b, m)
-
-
-@dataclass(frozen=True)
-class PeriodRecord:
-    seed: Seed
-    modulus: int
-    period: int
-
-
-def period_record(seed: Seed, m: int) -> PeriodRecord:
-    return PeriodRecord(seed, m, pisano_period(seed, m))
-
-
-def period_divides_k(seed: Seed, m: int, k: int) -> bool:
-    """Whether the period of the seed mod m divides k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k % pisano_period(seed, m) == 0
 
 
 def minimal_window_length(seed: Seed, m: int, cap: int | None = None) -> int:

@@ -45,42 +45,40 @@ FIBONACCI = Seed(0, 1)
 LUCAS = Seed(2, 1)
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    """Return (F_n, F_{n+1}) for n >= 0 via fast doubling."""
-    if n == 0:
-        return 0, 1
-    a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
-    if n & 1:
-        return d, c + d
-    return c, d
+def gib_pair(seed: Seed, n: int) -> tuple[int, int]:
+    """The adjacent terms (G_n, G_{n+1}) of the seed's sequence, for any integer n.
+
+    The package's one term kernel: iterative fast doubling over the bits
+    of |n| gives (F_m, F_{m+1}) with m = |n|, and G_n = G_0 F_{n-1} + G_1 F_n
+    holds over all of Z once F is extended by F_{-m} = (-1)^{m+1} F_m.
+    """
+    m = abs(n)
+    a, b = 0, 1  # (F_i, F_{i+1}) for the prefix i of m's bits read so far
+    for bit in range(m.bit_length() - 1, -1, -1):
+        c = a * (2 * b - a)  # F_{2i}
+        d = a * a + b * b    # F_{2i+1}
+        a, b = (d, c + d) if m >> bit & 1 else (c, d)
+    if n >= 0:
+        f_prev, f, f_next = b - a, a, b
+    else:
+        sign = -1 if m & 1 else 1  # (-1)^m
+        f_prev, f, f_next = sign * b, -sign * a, sign * (b - a)
+    return seed.g0 * f_prev + seed.g1 * f, seed.g0 * f + seed.g1 * f_next
 
 
 def fib(n: int) -> int:
-    """The n-th Fibonacci number, for any integer n.
-
-    Negative indices follow the negafibonacci extension
-    F_{-n} = (-1)^{n+1} F_n.
-    """
-    if n >= 0:
-        return _fib_pair(n)[0]
-    f = _fib_pair(-n)[0]
-    return f if n & 1 else -f
+    """The n-th Fibonacci number, for any integer n (F_{-n} = (-1)^{n+1} F_n)."""
+    return gib_pair(FIBONACCI, n)[0]
 
 
 def lucas(n: int) -> int:
     """The n-th Lucas number (L_0 = 2, L_1 = 1), for any integer n."""
-    return fib(n + 1) + fib(n - 1)
+    return gib_pair(LUCAS, n)[0]
 
 
 def gib_term(seed: Seed, n: int) -> int:
-    """The n-th term of the Gibonacci sequence with the given seed.
-
-    Valid for any integer n: G_n = G_0 F_{n-1} + G_1 F_n holds over all
-    of Z once F is extended to negative indices.
-    """
-    return seed.g0 * fib(n - 1) + seed.g1 * fib(n)
+    """The n-th term of the Gibonacci sequence with the given seed, for any integer n."""
+    return gib_pair(seed, n)[0]
 
 
 def window_sum(seed: Seed, n: int, k: int) -> int:
@@ -162,12 +160,12 @@ class _TermTable:
     def __init__(self, seed: Seed, lo: int, hi: int):
         # L needs F at lo-1 and hi+1
         self._flo = lo - 1
-        f = [fib(lo - 1), fib(lo)]
+        f = list(gib_pair(FIBONACCI, lo - 1))
         for _ in range(lo + 1, hi + 2):
             f.append(f[-1] + f[-2])
         self._f = f
         self._glo = lo
-        g = [gib_term(seed, lo), gib_term(seed, lo + 1)]
+        g = list(gib_pair(seed, lo))
         for _ in range(lo + 2, hi + 1):
             g.append(g[-1] + g[-2])
         self._g = g

@@ -231,19 +231,18 @@ CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
+def _timed(criterion: int, name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
+    start = time.perf_counter()
+    passed, detail = fn()
+    return CheckResult(criterion, name, passed, detail, time.perf_counter() - start)
+
+
 def run_check(criterion: int) -> CheckResult:
-    for crit, name, fn in CHECKS:
-        if crit == criterion:
-            start = time.perf_counter()
-            passed, detail = fn()
-            return CheckResult(crit, name, passed, detail, time.perf_counter() - start)
+    for check in CHECKS:
+        if check[0] == criterion:
+            return _timed(*check)
     raise ValueError(f"no check numbered {criterion}")
 
 
 def run_all() -> list[CheckResult]:
-    results = []
-    for crit, name, fn in CHECKS:
-        start = time.perf_counter()
-        passed, detail = fn()
-        results.append(CheckResult(crit, name, passed, detail, time.perf_counter() - start))
-    return results
+    return [_timed(*check) for check in CHECKS]

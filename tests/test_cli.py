@@ -1,10 +1,14 @@
 import json
+import sys
 
 import pytest
 
-from gibonacci.cli import build_parser, jsonable, parse_seed, run
+from gibonacci import gcdsum
+from gibonacci.cli import build_parser, jsonable, main, parse_seed, run
 from gibonacci.gcdsum import classify
 from gibonacci.sequences import Seed
+
+from conftest import naive_fib
 
 
 def invoke(capsys, *argv):
@@ -89,6 +93,46 @@ def test_identities_single(capsys):
 def test_domain_error_exit_code():
     with pytest.raises(ValueError):
         run(["gcd-sum", "--k", "0"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_term_beyond_the_int_str_digit_limit(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    code, out = invoke(capsys, "term", "--n", "100000", "--format", fmt)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # restored for the caller
+    sys.set_int_max_str_digits(0)
+    try:
+        value = int(json.loads(out)["value"] if fmt == "json" else out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert value == naive_fib(100000)
+
+
+def test_oversized_argument_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["term", "--n", "9" * 5000])
+    assert exc.value.code == 1
+
+
+def test_negative_seed_after_a_space(capsys):
+    code, out = invoke(capsys, "term", "--seed", "-1,2", "--n", "3")
+    assert code == 0 and out.strip() == "3"
+
+
+def test_verification_failure_exits_2(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise AssertionError("lcm over divisor periods gave 1, closed formula gave 11")
+
+    monkeypatch.setattr(gcdsum, "gcd_sum_lcm", failing)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--seed", "1,4", "--k", "5",
+                                      "--method", "lcm"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,9 +5,7 @@ from gibonacci.pisano import (
     equivalent_up_to_shift,
     minimal_window_length,
     parity_scan,
-    period_divides_k,
     period_lcm_compose,
-    period_record,
     pisano_period,
 )
 from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid
@@ -65,17 +63,6 @@ class TestPisanoPeriod:
 
     def test_period_depends_only_on_residues(self):
         assert pisano_period(Seed(12, 4), 11) == pisano_period(Seed(1, 4), 11)
-
-    def test_record(self):
-        rec = period_record(FIBONACCI, 10)
-        assert (rec.seed, rec.modulus, rec.period) == (FIBONACCI, 10, 60)
-
-
-class TestPeriodDividesK:
-    def test_examples(self):
-        assert period_divides_k(FIBONACCI, 2, 9) is True
-        assert period_divides_k(FIBONACCI, 2, 8) is False
-        assert period_divides_k(SEED_14, 11, 5) is True
 
 
 class TestMinimalWindowLength:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from gibonacci.gcdsum import gcd_sum, gcd_sum_bruteforce, reduce_seed
 from gibonacci.pisano import pisano_period
-from gibonacci.sequences import Seed, fib, gib_term, lucas, window_sum
+from gibonacci.sequences import Seed, fib, gib_pair, gib_term, lucas, window_sum
 
-from conftest import naive_fib
+from conftest import naive_fib, naive_gib_terms
 
 coprime_seeds = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50)
@@ -23,6 +23,12 @@ nonzero_seeds = st.tuples(
 @given(st.integers(-3000, 3000))
 def test_fast_doubling_matches_iteration(n):
     assert fib(n) == naive_fib(n)
+
+
+@given(nonzero_seeds, st.integers(-3000, 3000))
+def test_gib_pair_matches_iteration(seed, n):
+    terms = naive_gib_terms(seed, min(n, 0), max(n + 1, 1))
+    assert gib_pair(seed, n) == (terms[n], terms[n + 1])
 
 
 @given(st.integers(-500, 500))

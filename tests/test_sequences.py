@@ -10,6 +10,7 @@ from gibonacci.sequences import (
     coprime_seed_grid,
     default_identity_ranges,
     fib,
+    gib_pair,
     gib_term,
     lucas,
     seed_invariants,
@@ -63,9 +64,10 @@ class TestGibTerm:
 
     def test_recurrence_over_grid(self, grid25):
         for seed in grid25:
-            want = naive_gib_terms(seed, -100, 100)
+            want = naive_gib_terms(seed, -100, 101)
             for n in range(-100, 101):
                 assert gib_term(seed, n) == want[n], (seed, n)
+                assert gib_pair(seed, n) == (want[n], want[n + 1]), (seed, n)
 
 
 class TestWindowSum:
