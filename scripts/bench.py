@@ -1,0 +1,89 @@
+"""Per-kernel timings of gibonacci, best of 3 runs, written to a JSON file.
+
+    python scripts/bench.py --label after --out BENCH_3.json
+
+Imports the gibonacci under ``src/`` next to this script, so a copy of the
+script placed in another checkout times that checkout.  Each case clears
+the period cache before every run (a fresh process starts cold) and keeps
+the best wall time from ``time.perf_counter``.  The results go under
+``runs[label]`` of the output file; other labels already in the file are
+kept, so before and after numbers can sit side by side.  Timings are for
+reading, not for gating: nothing in the test suite reads this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+from typing import Any, Callable
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from gibonacci import (  # noqa: E402
+    FIBONACCI,
+    Seed,
+    gcd_sum,
+    gcd_sum_lcm,
+    max_modulus_for_period,
+    pisano_period,
+)
+from gibonacci.factor import factorize  # noqa: E402
+from gibonacci.pisano import clear_period_cache  # noqa: E402
+
+REPEAT = 3  # runs per case; the best is kept
+
+
+def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Any]]]:
+    """Name -> (params, zero-argument call).  Inputs are built here, outside
+    the timed call."""
+    rho_input = gcd_sum(FIBONACCI, 262).value
+    return {
+        "gcd_sum_lcm_fib_360": (
+            {"seed": [0, 1], "k": 360}, lambda: gcd_sum_lcm(FIBONACCI, 360)),
+        "gcd_sum_lcm_1_4_240": (
+            {"seed": [1, 4], "k": 240}, lambda: gcd_sum_lcm(Seed(1, 4), 240)),
+        "max_modulus_exhaustive_300": (
+            {"k": 300, "exhaustive": True}, lambda: max_modulus_for_period(300, exhaustive=True)),
+        "factorize_gcd_sum_fib_262": (
+            {"n": "gcd_sum(F, 262).value", "digits": len(str(rho_input))},
+            lambda: factorize(rho_input)),
+        "pisano_fib_1e6": (
+            {"seed": [0, 1], "m": 10**6}, lambda: pisano_period(FIBONACCI, 10**6)),
+    }
+
+
+def best_ms(call: Callable[[], Any]) -> float:
+    best = float("inf")
+    for _ in range(REPEAT):
+        clear_period_cache()
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1e3, 3)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="key under runs, e.g. before or after")
+    parser.add_argument("--out", type=Path, default=Path("BENCH_3.json"))
+    args = parser.parse_args()
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["python"] = platform.python_version()
+    doc["machine"] = {"platform": platform.platform(), "cpus": os.cpu_count()}
+    doc["repeat"] = REPEAT
+    results = {}
+    for name, (params, call) in cases().items():
+        results[name] = {"ms": best_ms(call), "params": params}
+        print(f"{name:28s} {results[name]['ms']:12.3f} ms", flush=True)
+    doc.setdefault("runs", {})[args.label] = results
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .factor import divisors, trial_division
+from .factor import trial_division
 from .gcdsum import gcd_sum
 from .pisano import pisano_period
 from .sequences import FIBONACCI, Seed, fib, gib_pair, lucas
@@ -109,7 +109,8 @@ class MaxModulusResult:
     m_f: int
     predicted_form: str      # "fib_half" (k = 0 mod 4) or "lucas_half" (k = 2 mod 4)
     verified_period: int
-    exhaustive_check: bool   # True when every divisor candidate was enumerated
+    exhaustive_check: bool   # True when m_f was checked to equal the k-window GCD value,
+                             # which every modulus with period dividing k divides
 
 
 def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult:
@@ -117,9 +118,10 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
 
     The value is F_{k/2} when k = 0 (mod 4) and L_{k/2} when k = 2
     (mod 4); its period is verified directly.  With exhaustive=True,
-    every divisor m of the k-window GCD value (the only candidates,
-    since the period of m divides k iff m divides that value) is checked
-    and none with period exactly k may exceed the result.
+    the result must also equal the k-window GCD value.  The period of m
+    divides k iff m divides that value, so no modulus with period exactly
+    k exceeds it, and the check rules out every larger candidate without
+    a walk.
     """
     if k % 2 != 0 or k < 6:
         raise ValueError("k must be an even integer >= 6")
@@ -131,14 +133,10 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     if period != k:
         raise AssertionError(f"period of modulus {m_f} is {period}, expected {k}")
     if exhaustive:
-        candidates = gcd_sum(FIBONACCI, k).value
-        best = max(
-            (m for m in divisors(candidates) if m >= 2 and pisano_period(FIBONACCI, m) == k),
-            default=0,
-        )
-        if best != m_f:
+        bound = gcd_sum(FIBONACCI, k).value
+        if bound != m_f:
             raise AssertionError(
-                f"exhaustive divisor scan found max modulus {best}, expected {m_f}"
+                f"every modulus with period dividing {k} divides {bound}, expected {m_f}"
             )
     return MaxModulusResult(k, m_f, form, period, exhaustive)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import re
 import sys
 from typing import Any, Callable
 
@@ -52,6 +53,8 @@ def jsonable(value: Any) -> Any:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # usage problems are domain errors
         self.print_usage(sys.stderr)
+        # argparse quotes a rejected value whole; a digit run that long says nothing
+        message = re.sub(r"\d{51,}", lambda m: f"<{len(m[0])} digits>", message)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .factor import divisors
+from .factor import factorize
 from .pisano import _residue_period
 from .sequences import Seed, fib, gib_pair, lucas, seed_invariants, window_sum
 
@@ -96,7 +96,14 @@ def gcd_sum_lcm(
     divisor_verified: take the closed-formula candidate v, form the lcm
     of its divisors whose period divides k, and insist the lcm equals v.
     Requires a coprime seed (the biconditional behind the divisor
-    restriction is stated under that convention).
+    restriction is stated under that convention).  Only prime powers are
+    walked: for each prime p of v, test p, p^2, ... and stop at the first
+    power whose period does not divide k.  The period of p^i divides
+    that of p^(i+1), and periods of coprime moduli combine by lcm, so a
+    divisor counts exactly when each of its prime-power parts does, and
+    the lcm over the counted divisors is the product of the largest
+    counted power of each p.  The candidate only chooses which moduli
+    are walked; the value is built from periods alone.
 
     bounded_scan: lcm over all m <= bound with period dividing k; any
     seed is allowed.  This is a genuinely independent route but only a
@@ -108,9 +115,13 @@ def gcd_sum_lcm(
     if mode is LcmMode.DIVISOR_VERIFIED:
         seed.require_coprime()
         value = 1
-        for d in divisors(candidate):
-            if _modulus_counts(seed, d, k):
-                value = math.lcm(value, d)
+        for p, e in factorize(candidate).items():
+            power = 1
+            for _ in range(e):
+                if not _modulus_counts(seed, power * p, k):
+                    break
+                power *= p
+            value *= power
         if value != candidate:
             raise AssertionError(
                 f"lcm over divisor periods gave {value}, closed formula gave {candidate}"

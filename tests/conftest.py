@@ -2,7 +2,11 @@ import math
 
 import pytest
 
-from gibonacci.sequences import Seed
+from gibonacci.applications import MaxModulusResult
+from gibonacci.factor import divisors
+from gibonacci.gcdsum import gcd_sum
+from gibonacci.pisano import pisano_period
+from gibonacci.sequences import FIBONACCI, Seed
 
 
 def naive_fib(n: int) -> int:
@@ -25,6 +29,28 @@ def naive_gib_terms(seed: Seed, lo: int, hi: int) -> dict[int, int]:
     for n in range(-1, lo - 1, -1):
         terms[n] = terms[n + 2] - terms[n + 1]
     return {n: v for n, v in terms.items() if lo <= n <= hi}
+
+
+def lcm_over_all_divisors(seed: Seed, k: int) -> int:
+    """The lcm route over every divisor of the closed-formula value, not
+    just its prime powers: one period walk per divisor."""
+    value = 1
+    for d in divisors(gcd_sum(seed, k).value):
+        if k % pisano_period(seed, d) == 0:
+            value = math.lcm(value, d)
+    return value
+
+
+def max_modulus_full_scan(k: int) -> MaxModulusResult:
+    """Largest modulus with Fibonacci period exactly k (even k >= 6), found
+    by walking the period of every divisor of the k-window GCD value."""
+    best = max(
+        (m for m in divisors(gcd_sum(FIBONACCI, k).value)
+         if m >= 2 and pisano_period(FIBONACCI, m) == k),
+        default=0,
+    )
+    form = "fib_half" if k % 4 == 0 else "lucas_half"
+    return MaxModulusResult(k, best, form, pisano_period(FIBONACCI, best), True)
 
 
 @pytest.fixture(scope="session")

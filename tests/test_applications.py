@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+from gibonacci import applications
 from gibonacci.applications import (
     lucas_from_gcd,
     max_modulus_for_period,
@@ -9,6 +12,8 @@ from gibonacci.applications import (
 )
 from gibonacci.pisano import pisano_period
 from gibonacci.sequences import FIBONACCI, LUCAS, Seed, fib, lucas
+
+from conftest import max_modulus_full_scan
 
 
 class TestPrimeRestriction:
@@ -59,9 +64,18 @@ class TestMaxModulus:
         assert (result.m_f, result.predicted_form, result.verified_period) == (m_f, form, k)
 
     def test_exhaustive_scan(self):
-        for k in range(6, 42, 2):
+        for k in range(6, 122, 2):
             result = max_modulus_for_period(k, exhaustive=True)
+            assert result == max_modulus_full_scan(k), k
             assert result.exhaustive_check
+
+    def test_exhaustive_check_fails_on_a_larger_window_gcd(self, monkeypatch):
+        monkeypatch.setattr(
+            applications, "gcd_sum", lambda seed, k: types.SimpleNamespace(value=2 * 832040)
+        )
+        assert max_modulus_for_period(60).m_f == 832040
+        with pytest.raises(AssertionError, match="divides 1664080, expected 832040"):
+            max_modulus_for_period(60, exhaustive=True)
 
     def test_rejects_odd_and_small_k(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,8 @@ def test_oversized_argument_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["term", "--n", "9" * 5000])
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "<5000 digits>" in err and len(err.encode()) < 300
 
 
 def test_negative_seed_after_a_space(capsys):
@@ -121,12 +123,15 @@ def test_negative_seed_after_a_space(capsys):
 
 
 def test_verification_failure_exits_2(capsys, monkeypatch):
-    def failing(*args, **kwargs):
-        raise AssertionError("lcm over divisor periods gave 1, closed formula gave 11")
+    real = gcdsum._residue_period
 
-    monkeypatch.setattr(gcdsum, "gcd_sum_lcm", failing)
-    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--seed", "1,4", "--k", "5",
-                                      "--method", "lcm"])
+    def misreporting(a, b, m):  # period of F mod 5 is 20; report 40
+        return 2 * real(a, b, m) if m == 5 else real(a, b, m)
+
+    monkeypatch.setattr(gcdsum, "_residue_period", misreporting)
+    with pytest.raises(AssertionError, match="gave 11, closed formula gave 55"):
+        gcdsum.gcd_sum_lcm(Seed(0, 1), 20)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", "lcm"])
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2

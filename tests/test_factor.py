@@ -50,3 +50,16 @@ def test_is_probable_prime_against_sieve():
 def test_rejects_nonpositive():
     with pytest.raises(ValueError):
         trial_division(0, 10)
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from gibonacci.gcdsum import gcd_sum
+    from gibonacci.sequences import FIBONACCI
+
+    values = [gcd_sum(FIBONACCI, k).value for k in range(1, 151)]
+    # both factors above the trial-division bound, so rho has to split them
+    semiprimes = [10007 * 10009, 100003 * 1000003, (10**9 + 7) * (10**9 + 9),
+                  1000003**2, 10007**3 * 1000033]
+    for n in values + semiprimes:
+        assert factorize(n) == sympy.factorint(n), n

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from gibonacci import gcdsum
+from gibonacci.factor import factorize
 from gibonacci.gcdsum import (
     CaseRow,
     Footnote,
@@ -13,7 +15,7 @@ from gibonacci.gcdsum import (
     gcd_sum_lcm,
     reduce_seed,
 )
-from gibonacci.pisano import pisano_period
+from gibonacci.pisano import _residue_period, pisano_period
 from gibonacci.sequences import (
     FIBONACCI,
     LUCAS,
@@ -22,7 +24,7 @@ from gibonacci.sequences import (
     seed_invariants,
 )
 
-from conftest import naive_gib_terms
+from conftest import lcm_over_all_divisors, naive_gib_terms
 
 SEED_14 = Seed(1, 4)
 
@@ -115,6 +117,24 @@ class TestLcmCharacterization:
         for seed in (FIBONACCI, LUCAS, SEED_14):
             for k in range(1, 25):
                 assert gcd_sum_lcm(seed, k).value == gcd_sum(seed, k).value
+
+    def test_matches_the_all_divisors_route(self):
+        for seed in (FIBONACCI, LUCAS, SEED_14):
+            for k in range(1, 121):
+                assert gcd_sum_lcm(seed, k).value == lcm_over_all_divisors(seed, k), (seed, k)
+
+    def test_walks_only_prime_powers(self, monkeypatch):
+        walked = []
+
+        def spy(a, b, m):
+            walked.append(m)
+            return _residue_period(a, b, m)
+
+        monkeypatch.setattr(gcdsum, "_residue_period", spy)
+        assert gcd_sum_lcm(FIBONACCI, 240).value == fib(120)
+        assert all(len(factorize(m)) == 1 for m in walked)
+        # every divisor of the value counts, so each power p^i is walked once
+        assert len(walked) == sum(factorize(fib(120)).values())
 
 
 class TestReduceSeed:

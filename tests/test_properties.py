@@ -5,14 +5,18 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibonacci.gcdsum import gcd_sum, gcd_sum_bruteforce, reduce_seed
+from gibonacci.gcdsum import gcd_sum, gcd_sum_bruteforce, gcd_sum_lcm, reduce_seed
 from gibonacci.pisano import pisano_period
 from gibonacci.sequences import Seed, fib, gib_pair, gib_term, lucas, window_sum
 
-from conftest import naive_fib, naive_gib_terms
+from conftest import lcm_over_all_divisors, naive_fib, naive_gib_terms
 
 coprime_seeds = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50)
+).filter(lambda t: math.gcd(t[0], t[1]) == 1).map(lambda t: Seed(*t))
+
+small_coprime_seeds = st.tuples(
+    st.integers(-10, 10), st.integers(-10, 10)
 ).filter(lambda t: math.gcd(t[0], t[1]) == 1).map(lambda t: Seed(*t))
 
 nonzero_seeds = st.tuples(
@@ -71,3 +75,9 @@ def test_period_window_sums_vanish(seed, m):
 def test_divisibility_biconditional(seed, m, k):
     divides = k % pisano_period(seed, m) == 0
     assert divides == (gcd_sum(seed, k).value % m == 0)
+
+
+@given(small_coprime_seeds, st.integers(1, 150))
+@settings(max_examples=60, deadline=None)
+def test_lcm_route_matches_the_all_divisors_route(seed, k):
+    assert gcd_sum_lcm(seed, k).value == lcm_over_all_divisors(seed, k)
