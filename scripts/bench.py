@@ -1,6 +1,6 @@
 """Per-kernel timings of gibonacci, best of 3 runs, written to a JSON file.
 
-    python scripts/bench.py --label after --out BENCH_3.json
+    python scripts/bench.py --label after --out BENCH_4.json
 
 Imports the gibonacci under ``src/`` next to this script, so a copy of the
 script placed in another checkout times that checkout.  Each case clears
@@ -31,6 +31,7 @@ from gibonacci import (  # noqa: E402
     gcd_sum_lcm,
     max_modulus_for_period,
     pisano_period,
+    verify,
 )
 from gibonacci.factor import factorize  # noqa: E402
 from gibonacci.pisano import clear_period_cache  # noqa: E402
@@ -54,6 +55,10 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Any]]]:
             lambda: factorize(rho_input)),
         "pisano_fib_1e6": (
             {"seed": [0, 1], "m": 10**6}, lambda: pisano_period(FIBONACCI, 10**6)),
+        "identity_suite": (
+            {"call": "verify.check_identity_suite()"}, verify.check_identity_suite),
+        "verify_run_all": (
+            {"call": "verify.run_all()", "checks": len(verify.CHECKS)}, verify.run_all),
     }
 
 

@@ -63,10 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gibonacci", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, seeded: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--seed", type=parse_seed, default=Seed(0, 1),
-                       help="initial pair g0,g1 (default 0,1 = Fibonacci)")
+        if seeded:  # a command that does not read the seed rejects --seed
+            p.add_argument("--seed", type=parse_seed, default=Seed(0, 1),
+                           help="initial pair g0,g1 (default 0,1 = Fibonacci)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("parity-scan", "moduli in (2, m-max] with odd period")
     p.add_argument("--m-max", type=int, required=True)
 
-    p = add("max-modulus", "largest modulus with Fibonacci period k")
+    p = add("max-modulus", "largest modulus with Fibonacci period k", seeded=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
 
@@ -109,13 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--windows", type=int, default=None)
 
-    p = add("identities", "run one or all identity families")
-    p.add_argument("--id", choices=[i.value for i in sequences.Identity
-                                    if i is not sequences.Identity.PERTURBED])
+    p = add("identities", "run one or all identity families", seeded=False)
+    p.add_argument("--id", choices=[i.value for i in sequences.Identity])
     p.add_argument("--lo", type=int, default=0)
     p.add_argument("--hi", type=int, default=200)
 
-    p = add("verify", "run the full verification suite")
+    add("verify", "run the full verification suite", seeded=False)
     return parser
 
 
@@ -191,8 +191,7 @@ def _squares(a: argparse.Namespace) -> Outcome:
 
 
 def _identities(a: argparse.Namespace) -> Outcome:
-    idents = ([sequences.Identity(a.id)] if a.id else
-              [i for i in sequences.Identity if i is not sequences.Identity.PERTURBED])
+    idents = [sequences.Identity(a.id)] if a.id else list(sequences.Identity)
     reports = [sequences.verify_identity(i, sequences.default_identity_ranges(i, a.lo, a.hi))
                for i in idents]
     payload = {"reports": [

@@ -85,11 +85,3 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return factors
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)

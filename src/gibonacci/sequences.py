@@ -8,10 +8,11 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -150,25 +151,18 @@ SMALL_SEED_GRID: tuple[Seed, ...] = (
 
 
 class _TermTable:
-    """Dense lookup tables for F_n, L_n, and G_n over an index range.
+    """F_n, L_n and G_n read from dense lists (L_n = F_{n-1} + F_{n+1}).
 
     The identity suite evaluates both sides of every identity at up to a
-    million grid points; per-point fast doubling would dominate, so each
-    sequence is tabulated once over [lo, hi].
+    million grid points; per-point fast doubling would dominate, so
+    `verify_identity` tabulates F once per call and G once per seed, each
+    over exactly the indices the identity's sides read.  An index outside
+    those spans would wrap round or raise instead of reading its term.
     """
 
-    def __init__(self, seed: Seed, lo: int, hi: int):
-        # L needs F at lo-1 and hi+1
-        self._flo = lo - 1
-        f = list(gib_pair(FIBONACCI, lo - 1))
-        for _ in range(lo + 1, hi + 2):
-            f.append(f[-1] + f[-2])
-        self._f = f
-        self._glo = lo
-        g = list(gib_pair(seed, lo))
-        for _ in range(lo + 2, hi + 1):
-            g.append(g[-1] + g[-2])
-        self._g = g
+    def __init__(self, f: tuple[int, list[int]], g: tuple[int, list[int]]):
+        self._flo, self._f = f
+        self._glo, self._g = g
 
     def F(self, n: int) -> int:
         return self._f[n - self._flo]
@@ -178,6 +172,36 @@ class _TermTable:
 
     def G(self, n: int) -> int:
         return self._g[n - self._glo]
+
+
+class _IndexRecorder:
+    """Stands in for a _TermTable: answers 0 and records each index read."""
+
+    def __init__(self) -> None:
+        self.f: list[int] = []  # the F indices, those L reads included
+        self.g: list[int] = []
+
+    def F(self, n: int) -> int:
+        self.f.append(n)
+        return 0
+
+    def L(self, n: int) -> int:
+        return self.F(n - 1) + self.F(n + 1)
+
+    def G(self, n: int) -> int:
+        self.g.append(n)
+        return 0
+
+
+def _tabulate(seed: Seed, indices: list[int]) -> tuple[int, list[int]]:
+    """(lo, [G_lo, G_{lo+1}, ...]) covering min(indices) .. max(indices)."""
+    if not indices:
+        return 0, []
+    lo, hi = min(indices), max(indices)
+    g = list(gib_pair(seed, lo))
+    for _ in range(lo + 2, hi + 1):
+        g.append(g[-1] + g[-2])
+    return lo, g
 
 
 class Identity(Enum):
@@ -202,108 +226,80 @@ class Identity(Enum):
     GIB_4J2 = "gib_4j_plus_2"                  # G_{4j+2} - G_2 = F_{2j}(G_{2j+1} + G_{2j+3})
     GIB_4J3 = "gib_4j_plus_3"                  # G_{4j+3} - G_1 = L_{2j+1} G_{2j+2}
     GIB_4J4 = "gib_4j_plus_4"                  # G_{4j+4} - G_2 = L_{2j+1} G_{2j+3}
-    PERTURBED = "perturbed_fixture"            # deliberately false; harness sanity check
 
 
-@dataclass
+@dataclass(frozen=True)
 class _IdentitySpec:
-    params: tuple[str, ...]
-    lower: dict[str, int]           # hard lower bound per parameter, if any
+    params: dict[str, int | None]          # name -> domain floor (None: any integer), in call order
     seed_dependent: bool
-    extent: Callable[[int, int], tuple[int, int]]   # (min param, max param) -> index span
-    sides: Callable[..., tuple[int, int]]           # (table, seed, *params) -> (lhs, rhs)
-
-
-def _spec_1param(lower: int | None, seed_dependent: bool, extent, sides) -> _IdentitySpec:
-    lo = {} if lower is None else {"n": lower}
-    return _IdentitySpec(("n",), lo, seed_dependent, extent, sides)
+    sides: Callable[..., tuple[int, int]]  # (table, seed, *params) -> (lhs, rhs)
 
 
 _IDENTITY_SPECS: dict[Identity, _IdentitySpec] = {
-    Identity.LUCAS_FROM_FIB: _spec_1param(
-        None, False,
-        lambda lo, hi: (lo - 1, hi + 1),
+    Identity.LUCAS_FROM_FIB: _IdentitySpec(
+        {"n": None}, False,
         lambda t, s, n: (t.L(n), t.F(n + 1) + t.F(n - 1)),
     ),
-    Identity.FIB_DOUBLE: _spec_1param(
-        None, False,
-        lambda lo, hi: (2 * min(lo, 0) - 1, 2 * max(hi, 0) + 1),
+    Identity.FIB_DOUBLE: _IdentitySpec(
+        {"n": None}, False,
         lambda t, s, n: (t.F(2 * n), t.F(n) * t.L(n)),
     ),
     Identity.GIB_ADDITION: _IdentitySpec(
-        ("m", "n"), {"m": 1, "n": 1}, True,
-        lambda lo, hi: (lo - 1, 2 * hi + 1),
+        {"m": 1, "n": 1}, True,
         lambda t, s, m, n: (t.G(m + n), t.F(m - 1) * t.G(n) + t.F(m) * t.G(n + 1)),
     ),
-    Identity.GIB_FROM_SEED: _spec_1param(
-        1, True,
-        lambda lo, hi: (lo - 1, hi + 1),
+    Identity.GIB_FROM_SEED: _IdentitySpec(
+        {"n": 1}, True,
         lambda t, s, n: (t.G(n), s.g0 * t.F(n - 1) + s.g1 * t.F(n)),
     ),
-    Identity.GIB_PARTIAL_SUM: _spec_1param(
-        1, True,
-        lambda lo, hi: (1, hi + 2),
+    Identity.GIB_PARTIAL_SUM: _IdentitySpec(
+        {"n": 1}, True,
         # lhs by direct summation, on purpose: the telescoped rhs is what
         # window_sum uses, so the two sides must stay independent here.
         lambda t, s, n: (sum(t.G(i) for i in range(1, n + 1)), t.G(n + 2) - t.G(2)),
     ),
-    Identity.CASSINI: _spec_1param(
-        0, True,
-        lambda lo, hi: (lo - 1, hi + 1),
+    Identity.CASSINI: _IdentitySpec(
+        {"n": 0}, True,
         lambda t, s, n: (
             t.G(n + 1) * t.G(n - 1) - t.G(n) ** 2,
             (-1) ** n * (s.g1 * s.g1 - s.g0 * s.g1 - s.g0 * s.g0),
         ),
     ),
-    Identity.GAP_TWO_SUM: _spec_1param(
-        1, True,
-        lambda lo, hi: (lo - 2, hi + 2),
+    Identity.GAP_TWO_SUM: _IdentitySpec(
+        {"n": 1}, True,
         lambda t, s, n: (t.G(n - 1) + t.G(n + 1), s.g0 * t.L(n - 1) + s.g1 * t.L(n)),
     ),
-    Identity.FIB_4J1: _spec_1param(
-        0, False,
-        lambda lo, hi: (min(2 * lo, 0), 4 * hi + 2),
+    Identity.FIB_4J1: _IdentitySpec(
+        {"n": 0}, False,
         lambda t, s, n: (t.F(4 * n + 1) - 1, t.F(2 * n) * t.L(2 * n + 1)),
     ),
-    Identity.FIB_4J3: _spec_1param(
-        0, False,
-        lambda lo, hi: (min(2 * lo, 0), 4 * hi + 4),
+    Identity.FIB_4J3: _IdentitySpec(
+        {"n": 0}, False,
         lambda t, s, n: (t.F(4 * n + 3) - 1, t.F(2 * n + 2) * t.L(2 * n + 1)),
     ),
-    Identity.FIB_4J4: _spec_1param(
-        0, False,
-        lambda lo, hi: (min(2 * lo, 0), 4 * hi + 5),
+    Identity.FIB_4J4: _IdentitySpec(
+        {"n": 0}, False,
         lambda t, s, n: (t.F(4 * n + 4) - 1, t.F(2 * n + 3) * t.L(2 * n + 1)),
     ),
     Identity.FIB_SHIFT_FAMILY: _IdentitySpec(
-        ("r", "j"), {}, False,
-        lambda lo, hi: (5 * lo - 3, 5 * hi + 3),
+        {"r": None, "j": None}, False,
         lambda t, s, r, j: (t.F(4 * j + r + 1) - t.F(r - 1), t.F(2 * j + r) * t.L(2 * j + 1)),
     ),
-    Identity.GIB_4J1: _spec_1param(
-        0, True,
-        lambda lo, hi: (0, 4 * hi + 2),
+    Identity.GIB_4J1: _IdentitySpec(
+        {"n": 0}, True,
         lambda t, s, n: (t.G(4 * n + 1) - t.G(1), t.F(2 * n) * (t.G(2 * n) + t.G(2 * n + 2))),
     ),
-    Identity.GIB_4J2: _spec_1param(
-        0, True,
-        lambda lo, hi: (0, 4 * hi + 3),
+    Identity.GIB_4J2: _IdentitySpec(
+        {"n": 0}, True,
         lambda t, s, n: (t.G(4 * n + 2) - t.G(2), t.F(2 * n) * (t.G(2 * n + 1) + t.G(2 * n + 3))),
     ),
-    Identity.GIB_4J3: _spec_1param(
-        0, True,
-        lambda lo, hi: (0, 4 * hi + 3),
+    Identity.GIB_4J3: _IdentitySpec(
+        {"n": 0}, True,
         lambda t, s, n: (t.G(4 * n + 3) - t.G(1), t.L(2 * n + 1) * t.G(2 * n + 2)),
     ),
-    Identity.GIB_4J4: _spec_1param(
-        0, True,
-        lambda lo, hi: (0, 4 * hi + 4),
+    Identity.GIB_4J4: _IdentitySpec(
+        {"n": 0}, True,
         lambda t, s, n: (t.G(4 * n + 4) - t.G(2), t.L(2 * n + 1) * t.G(2 * n + 3)),
-    ),
-    Identity.PERTURBED: _spec_1param(
-        None, False,
-        lambda lo, hi: (lo - 1, hi + 1),
-        lambda t, s, n: (t.F(n + 1), t.F(n) + t.F(n - 1) + 1),
     ),
 }
 
@@ -331,59 +327,50 @@ def verify_identity(
     """Evaluate both sides of an identity exactly over a parameter grid.
 
     `ranges` maps each parameter name of the identity to an inclusive
-    (lo, hi) pair.  Seed-independent identities are checked once; the
-    others once per seed.  Every failing point is recorded with both
-    sides' values.
+    (lo, hi) pair; any range at or above the identity's domain floors is
+    valid, negative indices included.  The term tables span exactly the
+    indices the identity's own sides read.  Seed-independent identities
+    are checked once; the others once per seed.  Every failing point is
+    recorded with both sides' values.
     """
     spec = _IDENTITY_SPECS.get(identity)
     if spec is None:
         raise ValueError(f"unknown identity {identity!r}")
-    for p in spec.params:
+    for p, floor in spec.params.items():
         if p not in ranges:
             raise ValueError(f"identity {identity.value} needs a range for {p!r}")
         lo, hi = ranges[p]
         if lo > hi:
             raise ValueError(f"empty range for {p!r}")
-        floor = spec.lower.get(p)
         if floor is not None and lo < floor:
             raise ValueError(f"identity {identity.value} requires {p} >= {floor}")
 
     seed_tuple = tuple(seeds) if spec.seed_dependent else (FIBONACCI,)
-    all_lo = min(ranges[p][0] for p in spec.params)
-    all_hi = max(ranges[p][1] for p in spec.params)
-    tlo, thi = spec.extent(all_lo, all_hi)
-
-    def points() -> Iterator[tuple[int, ...]]:
-        if len(spec.params) == 1:
-            lo, hi = ranges[spec.params[0]]
-            for a in range(lo, hi + 1):
-                yield (a,)
-        else:
-            (alo, ahi) = ranges[spec.params[0]]
-            (blo, bhi) = ranges[spec.params[1]]
-            for a in range(alo, ahi + 1):
-                for b in range(blo, bhi + 1):
-                    yield (a, b)
+    box = [ranges[p] for p in spec.params]
+    # Reading the sides at the box's corners finds the exact spans, because
+    # every index a side reads is affine in the parameters (a sum's bounds
+    # too) and never depends on a term's value: its extremes lie at corners.
+    reads = _IndexRecorder()
+    for corner in itertools.product(*box):
+        spec.sides(reads, FIBONACCI, *corner)
+    f = _tabulate(FIBONACCI, reads.f)
+    axes = [range(lo, hi + 1) for lo, hi in box]
 
     report = IdentityReport(identity, dict(ranges), seed_tuple, checked=0)
     for seed in seed_tuple:
-        table = _TermTable(seed, tlo, thi)
-        for pt in points():
+        table = _TermTable(f, _tabulate(seed, reads.g))
+        for pt in itertools.product(*axes):
             lhs, rhs = spec.sides(table, seed, *pt)
-            report.checked += 1
             if lhs != rhs:
                 report.failures.append((seed, pt, lhs, rhs))
+        report.checked += math.prod(map(len, axes))
     return report
 
 
 def default_identity_ranges(identity: Identity, lo: int = 0, hi: int = 200) -> dict[str, tuple[int, int]]:
     """The standard suite ranges: [lo, hi] per parameter, lifted to each
     identity's domain floor; the two-sided shift family runs [-10, 10]."""
-    spec = _IDENTITY_SPECS[identity]
     if identity is Identity.FIB_SHIFT_FAMILY:
         return {"r": (-10, 10), "j": (-10, 10)}
-    out = {}
-    for p in spec.params:
-        floor = spec.lower.get(p)
-        out[p] = (max(lo, floor) if floor is not None else lo, hi)
-    return out
+    return {p: (lo if floor is None else max(lo, floor), hi)
+            for p, floor in _IDENTITY_SPECS[identity].params.items()}

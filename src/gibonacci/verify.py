@@ -119,8 +119,6 @@ def check_identity_suite() -> tuple[bool, str]:
     failing = []
     checked = 0
     for ident in sequences.Identity:
-        if ident is sequences.Identity.PERTURBED:
-            continue
         ranges = sequences.default_identity_ranges(ident)
         report = sequences.verify_identity(ident, ranges)
         checked += report.checked

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from gibonacci.applications import MaxModulusResult
-from gibonacci.factor import divisors
+from gibonacci.factor import factorize
 from gibonacci.gcdsum import gcd_sum
 from gibonacci.pisano import pisano_period
 from gibonacci.sequences import FIBONACCI, Seed
@@ -29,6 +29,14 @@ def naive_gib_terms(seed: Seed, lo: int, hi: int) -> dict[int, int]:
     for n in range(-1, lo - 1, -1):
         terms[n] = terms[n + 2] - terms[n + 1]
     return {n: v for n, v in terms.items() if lo <= n <= hi}
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 def lcm_over_all_divisors(seed: Seed, k: int) -> int:

@@ -140,6 +140,18 @@ def test_verification_failure_exits_2(capsys, monkeypatch):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["max-modulus", "--k", "60"],
+    ["identities", "--id", "cassini", "--hi", "5"],
+    ["verify"],
+])
+def test_seed_is_a_usage_error_where_it_is_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", "7,3"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])

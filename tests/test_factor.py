@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from gibonacci.factor import divisors, factorize, is_probable_prime, trial_division
+from gibonacci.factor import factorize, is_probable_prime, trial_division
+
+from conftest import divisors
 
 
 def test_trial_division_complete():

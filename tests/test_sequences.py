@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from gibonacci.sequences import (
+    _IDENTITY_SPECS,
     FIBONACCI,
     LUCAS,
     Identity,
@@ -144,14 +146,38 @@ class TestVerifyIdentity:
         )
         assert report.ok and report.checked == 441
 
-    def test_perturbed_fixture_fails_everywhere(self):
-        report = verify_identity(Identity.PERTURBED, {"n": (0, 99)})
+    def test_perturbed_fixture_fails_everywhere(self, monkeypatch):
+        # a deliberately false identity, F_{n+1} = F_n + F_{n-1} + 1
+        false = dataclasses.replace(
+            _IDENTITY_SPECS[Identity.LUCAS_FROM_FIB],
+            sides=lambda t, s, n: (t.F(n + 1), t.F(n) + t.F(n - 1) + 1),
+        )
+        monkeypatch.setitem(_IDENTITY_SPECS, Identity.LUCAS_FROM_FIB, false)
+        report = verify_identity(Identity.LUCAS_FROM_FIB, {"n": (0, 99)})
         assert len(report.failures) == report.checked == 100
+
+    @pytest.mark.parametrize("ranges", [
+        {"r": (1, 5), "j": (1, 5)},
+        {"r": (-12, -5), "j": (-12, -5)},
+    ], ids=["r-j-1-to-5", "r-j-minus-12-to-minus-5"])
+    def test_shift_family_off_the_suite_ranges(self, ranges):
+        report = verify_identity(Identity.FIB_SHIFT_FAMILY, ranges)
+        size = ranges["r"][1] - ranges["r"][0] + 1
+        assert report.ok and report.checked == size * size, report.failures[:3]
+
+    def test_every_family_clean_on_shifted_ranges(self):
+        seeds = [FIBONACCI, Seed(-3, 7)]
+        for ident in Identity:
+            floors = _IDENTITY_SPECS[ident].params
+            for lo in range(-12, 13):
+                for hi in (lo, lo + 7):
+                    ranges = {p: (lo, hi) if f is None else (max(lo, f), max(hi, f))
+                              for p, f in floors.items()}
+                    report = verify_identity(ident, ranges, seeds)
+                    assert report.ok, (ident, ranges, report.failures[:3])
 
     def test_all_families_clean_on_suite_ranges(self, grid25):
         for ident in Identity:
-            if ident is Identity.PERTURBED:
-                continue
             ranges = default_identity_ranges(ident, 0, 40)
             report = verify_identity(ident, ranges, grid25)
             assert report.ok, (ident, report.failures[:3])
