@@ -1,6 +1,6 @@
 """Per-kernel timings of gibonacci, best of 3 runs, written to a JSON file.
 
-    python scripts/bench.py --label after --out BENCH_4.json
+    python scripts/bench.py --label after --out BENCH_5.json
 
 Imports the gibonacci under ``src/`` next to this script, so a copy of the
 script placed in another checkout times that checkout.  Each case clears
@@ -30,10 +30,10 @@ from gibonacci import (  # noqa: E402
     gcd_sum,
     gcd_sum_lcm,
     max_modulus_for_period,
+    parity_scan,
     pisano_period,
     verify,
 )
-from gibonacci.factor import factorize  # noqa: E402
 from gibonacci.pisano import clear_period_cache  # noqa: E402
 
 REPEAT = 3  # runs per case; the best is kept
@@ -42,17 +42,19 @@ REPEAT = 3  # runs per case; the best is kept
 def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Any]]]:
     """Name -> (params, zero-argument call).  Inputs are built here, outside
     the timed call."""
-    rho_input = gcd_sum(FIBONACCI, 262).value
     return {
         "gcd_sum_lcm_fib_360": (
             {"seed": [0, 1], "k": 360}, lambda: gcd_sum_lcm(FIBONACCI, 360)),
+        "gcd_sum_lcm_fib_840": (
+            {"seed": [0, 1], "k": 840}, lambda: gcd_sum_lcm(FIBONACCI, 840)),
         "gcd_sum_lcm_1_4_240": (
             {"seed": [1, 4], "k": 240}, lambda: gcd_sum_lcm(Seed(1, 4), 240)),
         "max_modulus_exhaustive_300": (
             {"k": 300, "exhaustive": True}, lambda: max_modulus_for_period(300, exhaustive=True)),
-        "factorize_gcd_sum_fib_262": (
-            {"n": "gcd_sum(F, 262).value", "digits": len(str(rho_input))},
-            lambda: factorize(rho_input)),
+        "gcd_sum_fib_1e6": (
+            {"seed": [0, 1], "k": 10**6}, lambda: gcd_sum(FIBONACCI, 10**6)),
+        "parity_scan_1_4_3000": (
+            {"seed": [1, 4], "m_max": 3000}, lambda: parity_scan(Seed(1, 4), 3000)),
         "pisano_fib_1e6": (
             {"seed": [0, 1], "m": 10**6}, lambda: pisano_period(FIBONACCI, 10**6)),
         "identity_suite": (

@@ -112,8 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("identities", "run one or all identity families", seeded=False)
     p.add_argument("--id", choices=[i.value for i in sequences.Identity])
-    p.add_argument("--lo", type=int, default=0)
-    p.add_argument("--hi", type=int, default=200)
+    p.add_argument("--lo", type=int, default=None,
+                   help="low end of every range (default 0; -10 for fib_shift_family)")
+    p.add_argument("--hi", type=int, default=None,
+                   help="high end of every range (default 200; 10 for fib_shift_family)")
 
     add("verify", "run the full verification suite", seeded=False)
     return parser

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .factor import factorize
 from .pisano import _residue_period
 from .sequences import Seed, fib, gib_pair, lucas, seed_invariants, window_sum
 
@@ -93,17 +92,17 @@ def gcd_sum_lcm(
 ) -> GcdSumResult:
     """LCM-over-periods characterization of the GCD of window sums.
 
-    divisor_verified: take the closed-formula candidate v, form the lcm
-    of its divisors whose period divides k, and insist the lcm equals v.
-    Requires a coprime seed (the biconditional behind the divisor
-    restriction is stated under that convention).  Only prime powers are
-    walked: for each prime p of v, test p, p^2, ... and stop at the first
-    power whose period does not divide k.  The period of p^i divides
-    that of p^(i+1), and periods of coprime moduli combine by lcm, so a
-    divisor counts exactly when each of its prime-power parts does, and
-    the lcm over the counted divisors is the product of the largest
-    counted power of each p.  The candidate only chooses which moduli
-    are walked; the value is built from periods alone.
+    divisor_verified: take the closed-formula candidate v and walk one
+    period, that of the seed mod v.  Requires a coprime seed: under that
+    convention the biconditional "period mod m divides k <=> m divides v"
+    holds, so every counted modulus divides v.  The counted set
+    { m : period mod m divides k } is closed under lcm, because the
+    period mod lcm(a, b) is the lcm of the periods mod a and mod b, so
+    its lcm is itself a member.  Hence the lcm over the counted divisors
+    of v equals v exactly when the period mod v divides k, and a failure
+    raises AssertionError.  The walk takes at most k steps when v is
+    right: v divides G_{k+1} - G_1 and G_{k+2} - G_2, so the residue
+    pair (G_1, G_2) mod v recurs after k steps.
 
     bounded_scan: lcm over all m <= bound with period dividing k; any
     seed is allowed.  This is a genuinely independent route but only a
@@ -114,19 +113,12 @@ def gcd_sum_lcm(
     candidate = gcd_sum(seed, k).value
     if mode is LcmMode.DIVISOR_VERIFIED:
         seed.require_coprime()
-        value = 1
-        for p, e in factorize(candidate).items():
-            power = 1
-            for _ in range(e):
-                if not _modulus_counts(seed, power * p, k):
-                    break
-                power *= p
-            value *= power
-        if value != candidate:
+        if not _modulus_counts(seed, candidate, k):
             raise AssertionError(
-                f"lcm over divisor periods gave {value}, closed formula gave {candidate}"
+                f"lcm over periods is not the closed-formula value {candidate}: "
+                f"the period mod {candidate} does not divide k = {k}"
             )
-        return GcdSumResult(seed, k, value, Method.LCM_PERIODS)
+        return GcdSumResult(seed, k, candidate, Method.LCM_PERIODS)
     if bound is None or bound < 1:
         raise ValueError("bounded_scan requires bound >= 1")
     value = 1

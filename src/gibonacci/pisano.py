@@ -65,33 +65,18 @@ def pisano_period(seed: Seed, m: int) -> int:
     return _residue_period(a, b, m)
 
 
-def minimal_window_length(seed: Seed, m: int, cap: int | None = None) -> int:
+def minimal_window_length(seed: Seed, m: int) -> int:
     """Least s >= 1 such that m divides every sum of s consecutive terms.
 
-    Certified exactly: a window sum starting at n is G_{n+s+1} - G_{n+1},
-    so it suffices to check starts over one full period of the residue
-    sequence.  `cap` bounds the starts examined; it must cover a full
-    period or the claim cannot be certified (default: exactly one period).
+    This is the period mod m.  A window sum starting at n >= 1 is
+    G_{n+s+1} - G_{n+1}, so s qualifies exactly when G_{j+s} = G_j (mod m)
+    for every j >= 2, that is when the residue pair (G_2, G_3) returns
+    after s steps.  That pair lies on the seed's own orbit (the step map
+    is a bijection), so the least such s is the seed's period.
     """
     if m < 2:
         raise ValueError("modulus m must be >= 2")
-    pi = pisano_period(seed, m)
-    if cap is None:
-        cap = pi
-    if cap < pi:
-        raise ValueError(
-            f"search cap {cap} is below the period {pi}; cannot certify every window start"
-        )
-    # residues G_1 .. G_{2*pi+2}
-    res = [None, seed.g1 % m]  # index 1
-    a, b = seed.g1 % m, (seed.g0 + seed.g1) % m
-    for _ in range(2, 2 * pi + 3):
-        res.append(b)
-        a, b = b, (a + b) % m
-    for s in range(1, pi + 1):
-        if all((res[n + s + 1] - res[n + 1]) % m == 0 for n in range(1, pi + 1)):
-            return s
-    raise AssertionError("period-length windows must always be divisible by m")
+    return pisano_period(seed, m)
 
 
 @dataclass

@@ -341,7 +341,8 @@ def verify_identity(
             raise ValueError(f"identity {identity.value} needs a range for {p!r}")
         lo, hi = ranges[p]
         if lo > hi:
-            raise ValueError(f"empty range for {p!r}")
+            raise ValueError(
+                f"identity {identity.value} has an empty range for {p!r}: [{lo}, {hi}]")
         if floor is not None and lo < floor:
             raise ValueError(f"identity {identity.value} requires {p} >= {floor}")
 
@@ -367,10 +368,14 @@ def verify_identity(
     return report
 
 
-def default_identity_ranges(identity: Identity, lo: int = 0, hi: int = 200) -> dict[str, tuple[int, int]]:
-    """The standard suite ranges: [lo, hi] per parameter, lifted to each
-    identity's domain floor; the two-sided shift family runs [-10, 10]."""
-    if identity is Identity.FIB_SHIFT_FAMILY:
-        return {"r": (-10, 10), "j": (-10, 10)}
+def default_identity_ranges(
+    identity: Identity, lo: int | None = None, hi: int | None = None
+) -> dict[str, tuple[int, int]]:
+    """The standard suite ranges: [0, 200] per parameter, and [-10, 10]
+    for the two-sided shift family.  A given lo or hi replaces that bound
+    for every family; lo is then lifted to each parameter's domain floor."""
+    base_lo, base_hi = (-10, 10) if identity is Identity.FIB_SHIFT_FAMILY else (0, 200)
+    lo = base_lo if lo is None else lo
+    hi = base_hi if hi is None else hi
     return {p: (lo if floor is None else max(lo, floor), hi)
             for p, floor in _IDENTITY_SPECS[identity].params.items()}

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from gibonacci.applications import MaxModulusResult
-from gibonacci.factor import factorize
+from gibonacci.factor import trial_division
 from gibonacci.gcdsum import gcd_sum
 from gibonacci.pisano import pisano_period
 from gibonacci.sequences import FIBONACCI, Seed
@@ -31,6 +31,65 @@ def naive_gib_terms(seed: Seed, lo: int, hi: int) -> dict[int, int]:
     return {n: v for n, v in terms.items() if lo <= n <= hi}
 
 
+def is_probable_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of odd composite n (Floyd's cycle finding)."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, n):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return d
+    raise AssertionError(f"pollard rho found no factor of {n}")
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Complete prime factorization of n >= 1."""
+    factors, cofactor = trial_division(n, 10_000)
+    stack = [cofactor] if cofactor > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        d = _pollard_rho(m)
+        stack.append(d)
+        stack.append(m // d)
+    return factors
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
@@ -41,7 +100,7 @@ def divisors(n: int) -> list[int]:
 
 def lcm_over_all_divisors(seed: Seed, k: int) -> int:
     """The lcm route over every divisor of the closed-formula value, not
-    just its prime powers: one period walk per divisor."""
+    just the value itself: one period walk per divisor."""
     value = 1
     for d in divisors(gcd_sum(seed, k).value):
         if k % pisano_period(seed, d) == 0:
@@ -59,6 +118,23 @@ def max_modulus_full_scan(k: int) -> MaxModulusResult:
     )
     form = "fib_half" if k % 4 == 0 else "lucas_half"
     return MaxModulusResult(k, best, form, pisano_period(FIBONACCI, best), True)
+
+
+def minimal_window_length_scan(seed: Seed, m: int) -> int:
+    """Least s >= 1 such that m divides every s-term window sum, found by
+    testing each s against every window start over one full period (the
+    residue sequence is periodic, so those starts cover all of them)."""
+    pi = pisano_period(seed, m)
+    # residues G_1 .. G_{2*pi+2}
+    res = [None, seed.g1 % m]  # index 1
+    a, b = seed.g1 % m, (seed.g0 + seed.g1) % m
+    for _ in range(2, 2 * pi + 3):
+        res.append(b)
+        a, b = b, (a + b) % m
+    for s in range(1, pi + 1):
+        if all((res[n + s + 1] - res[n + 1]) % m == 0 for n in range(1, pi + 1)):
+            return s
+    raise AssertionError("period-length windows must always be divisible by m")
 
 
 @pytest.fixture(scope="session")

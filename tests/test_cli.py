@@ -90,6 +90,19 @@ def test_identities_single(capsys):
     assert code == 0 and "cassini: ok" in out
 
 
+@pytest.mark.parametrize("bounds,points", [
+    (("--lo", "-3"), 196), (("--hi", "2"), 169), (("--lo", "-3", "--hi", "2"), 36),
+])
+def test_identities_bounds_reach_the_shift_family(capsys, bounds, points):
+    code, out = invoke(capsys, "identities", "--id", "fib_shift_family", *bounds)
+    assert code == 0 and out.strip() == f"fib_shift_family: ok ({points} points)"
+
+
+def test_identities_empty_range_names_the_family():
+    with pytest.raises(ValueError, match=r"identity gib_addition .* 'm': \[1, 0\]"):
+        run(["identities", "--hi", "0"])
+
+
 def test_domain_error_exit_code():
     with pytest.raises(ValueError):
         run(["gcd-sum", "--k", "0"])
@@ -125,11 +138,11 @@ def test_negative_seed_after_a_space(capsys):
 def test_verification_failure_exits_2(capsys, monkeypatch):
     real = gcdsum._residue_period
 
-    def misreporting(a, b, m):  # period of F mod 5 is 20; report 40
-        return 2 * real(a, b, m) if m == 5 else real(a, b, m)
+    def misreporting(a, b, m):  # period of F mod 55 is 20; report 40
+        return 2 * real(a, b, m) if m == 55 else real(a, b, m)
 
     monkeypatch.setattr(gcdsum, "_residue_period", misreporting)
-    with pytest.raises(AssertionError, match="gave 11, closed formula gave 55"):
+    with pytest.raises(AssertionError, match="closed-formula value 55"):
         gcdsum.gcd_sum_lcm(Seed(0, 1), 20)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", "lcm"])
     with pytest.raises(SystemExit) as exc:
@@ -138,6 +151,15 @@ def test_verification_failure_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lcm_method_at_k1000_equals_the_closed_value(capsys, fmt):
+    code, out = invoke(capsys, "gcd-sum", "--k", "1000", "--method", "lcm", "--format", fmt)
+    assert code == 0
+    value = int(json.loads(out)["results"][0]["value"] if fmt == "json"
+                else out.removeprefix("lcm_periods: "))
+    assert value == gcdsum.gcd_sum(Seed(0, 1), 1000).value == naive_fib(500)
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from gibonacci.factor import factorize, is_probable_prime, trial_division
+from gibonacci.factor import trial_division
 
-from conftest import divisors
+from conftest import divisors, factorize, is_probable_prime
 
 
 def test_trial_division_complete():

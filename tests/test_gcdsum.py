@@ -3,7 +3,6 @@ import math
 import pytest
 
 from gibonacci import gcdsum
-from gibonacci.factor import factorize
 from gibonacci.gcdsum import (
     CaseRow,
     Footnote,
@@ -123,7 +122,7 @@ class TestLcmCharacterization:
             for k in range(1, 121):
                 assert gcd_sum_lcm(seed, k).value == lcm_over_all_divisors(seed, k), (seed, k)
 
-    def test_walks_only_prime_powers(self, monkeypatch):
+    def test_walks_one_modulus_the_value(self, monkeypatch):
         walked = []
 
         def spy(a, b, m):
@@ -132,9 +131,11 @@ class TestLcmCharacterization:
 
         monkeypatch.setattr(gcdsum, "_residue_period", spy)
         assert gcd_sum_lcm(FIBONACCI, 240).value == fib(120)
-        assert all(len(factorize(m)) == 1 for m in walked)
-        # every divisor of the value counts, so each power p^i is walked once
-        assert len(walked) == sum(factorize(fib(120)).values())
+        assert walked == [fib(120)]
+
+    def test_k1000_equals_the_closed_value(self):
+        # 209 digits: the route must not factor the value
+        assert gcd_sum_lcm(FIBONACCI, 1000).value == gcd_sum(FIBONACCI, 1000).value == fib(500)
 
 
 class TestReduceSeed:

@@ -10,7 +10,7 @@ from gibonacci.pisano import (
 )
 from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid
 
-from conftest import naive_gib_terms
+from conftest import minimal_window_length_scan, naive_gib_terms
 
 SEED_14 = Seed(1, 4)
 
@@ -74,13 +74,13 @@ class TestMinimalWindowLength:
         assert minimal_window_length(seed, m) == expected
 
     def test_matches_period_over_grid(self, grid25):
-        for seed in grid25:
+        # non-coprime seeds too, skipping the moduli that divide both entries
+        for seed in [*grid25, Seed(2, 4), Seed(3, 9), Seed(6, -4)]:
             for m in range(2, 51):
-                assert minimal_window_length(seed, m) == pisano_period(seed, m), (seed, m)
-
-    def test_cap_too_small_reported(self):
-        with pytest.raises(ValueError, match="cap"):
-            minimal_window_length(FIBONACCI, 10, cap=10)
+                if seed.g0 % m == 0 and seed.g1 % m == 0:
+                    continue
+                expected = minimal_window_length_scan(seed, m)
+                assert minimal_window_length(seed, m) == expected, (seed, m)
 
     def test_period_windows_always_divisible(self, grid25):
         # m divides every period-length window sum, starts 1 .. 2 * period
