@@ -31,9 +31,7 @@ from .gcdsum import (
 from .pisano import (
     ParityScanReport,
     equivalent_up_to_shift,
-    minimal_window_length,
     parity_scan,
-    period_lcm_compose,
     pisano_period,
 )
 from .sequences import (

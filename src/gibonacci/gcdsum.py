@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .pisano import _residue_period
+from .pisano import pisano_period
 from .sequences import Seed, fib, gib_pair, lucas, seed_invariants, window_sum
 
 
@@ -80,8 +80,7 @@ def _modulus_counts(seed: Seed, m: int, k: int) -> bool:
     A modulus dividing both seed entries divides every term difference,
     hence every window sum; it always belongs.
     """
-    a, b = seed.g0 % m, seed.g1 % m
-    return k % _residue_period(a, b, m) == 0
+    return seed.g0 % m == 0 and seed.g1 % m == 0 or k % pisano_period(seed, m) == 0
 
 
 def gcd_sum_lcm(

@@ -3,12 +3,15 @@
 The period of seed (g0, g1) modulo m is the least r >= 1 with
 G_r = g0 and G_{r+1} = g1 (mod m).  The step map on residue pairs is
 invertible, so the residue sequence is purely periodic and the search
-always terminates within m^2 steps.
+always terminates within m^2 steps.  ``pisano_period`` is the only way
+in to that walk; the parity scan and the lcm route call it.  The period
+is also the least window length whose sums m always divides.  Shift
+equivalence needs no period: two sequences agree mod m up to a shift
+exactly when their residue pairs lie on one orbit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .sequences import Seed
@@ -26,11 +29,9 @@ def clear_period_cache() -> None:
 def _residue_period(a: int, b: int, m: int) -> int:
     """Least r >= 1 returning the residue pair (a, b) to itself mod m.
 
-    Accepts the all-zero pair (constant-zero residue sequence, period 1);
-    callers that must reject it do so before calling.
+    Requires m >= 2, 0 <= a, b < m and (a, b) != (0, 0); only
+    ``pisano_period`` calls it, after checking exactly that.
     """
-    if m == 1 or (a == 0 and b == 0):
-        return 1
     key = (a, b, m)
     cached = _period_cache.get(key)
     if cached is not None:
@@ -52,9 +53,18 @@ def _residue_period(a: int, b: int, m: int) -> int:
 def pisano_period(seed: Seed, m: int) -> int:
     """Period of the seed's Gibonacci sequence modulo m.
 
-    m = 1 returns 1 by convention.  Errors if the seed reduces to
-    (0, 0) mod m: the constant-zero residue sequence is excluded.
+    m = 1 returns 1 by convention.  Errors on the seed (0, 0), and if
+    the seed reduces to (0, 0) mod m: the constant-zero residue sequence
+    is excluded.
+
+    The period is also the least s >= 1 such that m divides every sum of
+    s consecutive terms.  A window sum starting at n >= 1 is
+    G_{n+s+1} - G_{n+1}, so s qualifies exactly when G_{j+s} = G_j
+    (mod m) for every j >= 2, that is when the residue pair (G_2, G_3)
+    returns after s steps.  That pair lies on the seed's own orbit (the
+    step map is a bijection), so the least such s is the period.
     """
+    seed.require_nondegenerate()
     if m < 1:
         raise ValueError("modulus m must be >= 1")
     if m == 1:
@@ -63,20 +73,6 @@ def pisano_period(seed: Seed, m: int) -> int:
     if a == 0 and b == 0:
         raise ValueError(f"seed {seed} is congruent to (0, 0) mod {m}; period undefined")
     return _residue_period(a, b, m)
-
-
-def minimal_window_length(seed: Seed, m: int) -> int:
-    """Least s >= 1 such that m divides every sum of s consecutive terms.
-
-    This is the period mod m.  A window sum starting at n >= 1 is
-    G_{n+s+1} - G_{n+1}, so s qualifies exactly when G_{j+s} = G_j (mod m)
-    for every j >= 2, that is when the residue pair (G_2, G_3) returns
-    after s steps.  That pair lies on the seed's own orbit (the step map
-    is a bijection), so the least such s is the seed's period.
-    """
-    if m < 2:
-        raise ValueError("modulus m must be >= 2")
-    return pisano_period(seed, m)
 
 
 @dataclass
@@ -94,7 +90,12 @@ class ParityScanReport:
 
 
 def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
-    """Scan m in (2, m_max] and report every modulus with an odd period."""
+    """Scan m in (2, m_max] and report every modulus with an odd period.
+
+    Moduli dividing both seed entries have no period; they are listed
+    as skipped.
+    """
+    seed.require_nondegenerate()
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
     report = ParityScanReport(seed, m_max)
@@ -102,7 +103,7 @@ def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
         if seed.g0 % m == 0 and seed.g1 % m == 0:
             report.skipped_degenerate.append(m)
             continue
-        p = _residue_period(seed.g0 % m, seed.g1 % m, m)
+        p = pisano_period(seed, m)
         if p % 2 == 1:
             report.odd_period_moduli.append((m, p))
     return report
@@ -111,41 +112,24 @@ def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
 def equivalent_up_to_shift(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, int | None]:
     """Whether the two sequences mod m agree after some index shift.
 
-    True requires equal periods and some r in [0, period) with
-    A_{r+n} = B_n (mod m) for all n; the least such r is the witness.
-    A residue pair determines the whole sequence, so matching the pair
-    (A_r, A_{r+1}) against (B_0, B_1) suffices.
+    (True, r) with the least r >= 0 such that A_{r+n} = B_n (mod m) for
+    all n, else (False, None).  A residue pair determines the whole
+    sequence, so it suffices to walk A's orbit once, from (A_0, A_1)
+    until it returns, looking for B's pair (B_0, B_1).  Equal periods
+    follow: the two sequences then share one orbit.
     """
     if m < 2:
         raise ValueError("modulus m must be >= 2")
     for s in (seed_a, seed_b):
         if s.g0 % m == 0 and s.g1 % m == 0:
             raise ValueError(f"seed {s} is degenerate mod {m}")
-    pa = _residue_period(seed_a.g0 % m, seed_a.g1 % m, m)
-    pb = _residue_period(seed_b.g0 % m, seed_b.g1 % m, m)
-    if pa != pb:
-        return False, None
+    start = (seed_a.g0 % m, seed_a.g1 % m)
     target = (seed_b.g0 % m, seed_b.g1 % m)
-    x, y = seed_a.g0 % m, seed_a.g1 % m
-    for r in range(pa):
-        if (x, y) == target:
-            return True, r
+    x, y = start
+    r = 0
+    while (x, y) != target:
         x, y = y, (x + y) % m
-    return False, None
-
-
-def period_lcm_compose(seed: Seed, m1: int, m2: int) -> int:
-    """Period mod m1*m2 from coprime parts: lcm of the two periods.
-
-    Asserts that the composition actually equals the directly computed
-    period of the product modulus.
-    """
-    if math.gcd(m1, m2) != 1:
-        raise ValueError(f"moduli {m1} and {m2} must be coprime")
-    composed = math.lcm(pisano_period(seed, m1), pisano_period(seed, m2))
-    direct = pisano_period(seed, m1 * m2)
-    if composed != direct:
-        raise AssertionError(
-            f"lcm composition {composed} != direct period {direct} for {seed} mod {m1}*{m2}"
-        )
-    return composed
+        r += 1
+        if (x, y) == start:
+            return False, None
+    return True, r

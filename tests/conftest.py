@@ -137,6 +137,23 @@ def minimal_window_length_scan(seed: Seed, m: int) -> int:
     raise AssertionError("period-length windows must always be divisible by m")
 
 
+def naive_shift_equivalence(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, int | None]:
+    """Least shift r with A_{r+n} = B_n (mod m), found by comparing the two
+    residue sequences term by term over 2 m^2 terms for each r < m^2 (no
+    period of a residue pair exceeds m^2, the number of pairs)."""
+    span = m * m
+    a = [seed_a.g0 % m, seed_a.g1 % m]
+    b = [seed_b.g0 % m, seed_b.g1 % m]
+    while len(a) < 3 * span:
+        a.append((a[-2] + a[-1]) % m)
+    while len(b) < 2 * span:
+        b.append((b[-2] + b[-1]) % m)
+    for r in range(span):
+        if all(a[r + n] == b[n] for n in range(2 * span)):
+            return True, r
+    return False, None
+
+
 @pytest.fixture(scope="session")
 def grid25():
     from gibonacci.sequences import SMALL_SEED_GRID

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from gibonacci import gcdsum
+from gibonacci import gcdsum, pisano
 from gibonacci.cli import build_parser, jsonable, main, parse_seed, run
 from gibonacci.gcdsum import classify
 from gibonacci.sequences import Seed
@@ -108,6 +108,21 @@ def test_domain_error_exit_code():
         run(["gcd-sum", "--k", "0"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["parity-scan", "--seed", "0,0", "--m-max", "10"],
+    ["pisano", "--seed", "0,0", "--m", "1"],
+    ["pisano", "--seed", "0,0", "--m", "5"],
+])
+def test_degenerate_seed_has_no_period(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["gibonacci", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed (0, 0) is degenerate\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_term_beyond_the_int_str_digit_limit(capsys, fmt):
     limit = sys.get_int_max_str_digits()
@@ -136,12 +151,12 @@ def test_negative_seed_after_a_space(capsys):
 
 
 def test_verification_failure_exits_2(capsys, monkeypatch):
-    real = gcdsum._residue_period
+    real = pisano._residue_period
 
     def misreporting(a, b, m):  # period of F mod 55 is 20; report 40
         return 2 * real(a, b, m) if m == 55 else real(a, b, m)
 
-    monkeypatch.setattr(gcdsum, "_residue_period", misreporting)
+    monkeypatch.setattr(pisano, "_residue_period", misreporting)
     with pytest.raises(AssertionError, match="closed-formula value 55"):
         gcdsum.gcd_sum_lcm(Seed(0, 1), 20)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", "lcm"])

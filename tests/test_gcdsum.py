@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gibonacci import gcdsum
+from gibonacci import pisano
 from gibonacci.gcdsum import (
     CaseRow,
     Footnote,
@@ -14,7 +14,7 @@ from gibonacci.gcdsum import (
     gcd_sum_lcm,
     reduce_seed,
 )
-from gibonacci.pisano import _residue_period, pisano_period
+from gibonacci.pisano import pisano_period
 from gibonacci.sequences import (
     FIBONACCI,
     LUCAS,
@@ -108,6 +108,20 @@ class TestLcmCharacterization:
         base = gcd_sum(Seed(1, 4), 5).value
         assert scaled.value == 2 * base
 
+    def test_bounded_scan_over_all_small_seeds(self):
+        # non-coprime seeds too: a modulus dividing both entries always counts
+        for g0 in range(-4, 5):
+            for g1 in range(-4, 5):
+                seed = Seed(g0, g1)
+                if seed.is_degenerate:
+                    continue
+                for k in range(1, 17):
+                    v = gcd_sum(seed, k).value
+                    if v > 1000:
+                        continue
+                    result = gcd_sum_lcm(seed, k, mode=LcmMode.BOUNDED_SCAN, bound=v)
+                    assert (result.value, result.partial) == (v, False), (seed, k)
+
     def test_divisor_verified_needs_coprime_seed(self):
         with pytest.raises(ValueError):
             gcd_sum_lcm(Seed(2, 4), 6)
@@ -124,12 +138,13 @@ class TestLcmCharacterization:
 
     def test_walks_one_modulus_the_value(self, monkeypatch):
         walked = []
+        real = pisano._residue_period
 
         def spy(a, b, m):
             walked.append(m)
-            return _residue_period(a, b, m)
+            return real(a, b, m)
 
-        monkeypatch.setattr(gcdsum, "_residue_period", spy)
+        monkeypatch.setattr(pisano, "_residue_period", spy)
         assert gcd_sum_lcm(FIBONACCI, 240).value == fib(120)
         assert walked == [fib(120)]
 

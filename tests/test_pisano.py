@@ -1,16 +1,16 @@
+import math
+
 import pytest
 
 from gibonacci.pisano import (
     clear_period_cache,
     equivalent_up_to_shift,
-    minimal_window_length,
     parity_scan,
-    period_lcm_compose,
     pisano_period,
 )
 from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid
 
-from conftest import minimal_window_length_scan, naive_gib_terms
+from conftest import minimal_window_length_scan, naive_gib_terms, naive_shift_equivalence
 
 SEED_14 = Seed(1, 4)
 
@@ -41,6 +41,11 @@ class TestPisanoPeriod:
         with pytest.raises(ValueError):
             pisano_period(Seed(4, 6), 2)
 
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_rejects_degenerate_seed(self, m):
+        with pytest.raises(ValueError, match="degenerate"):
+            pisano_period(Seed(0, 0), m)
+
     def test_periodicity_and_minimality(self, grid25):
         # G_{n+p} = G_n (mod m) over 3 periods, and no smaller r works
         for seed in grid25:
@@ -66,12 +71,13 @@ class TestPisanoPeriod:
 
 
 class TestMinimalWindowLength:
+    # the period is also the least window length whose sums m always divides
     @pytest.mark.parametrize(
         "seed,m,expected",
         [(FIBONACCI, 2, 3), (LUCAS, 5, 4), (FIBONACCI, 10, 60)],
     )
     def test_equals_period(self, seed, m, expected):
-        assert minimal_window_length(seed, m) == expected
+        assert minimal_window_length_scan(seed, m) == pisano_period(seed, m) == expected
 
     def test_matches_period_over_grid(self, grid25):
         # non-coprime seeds too, skipping the moduli that divide both entries
@@ -80,7 +86,7 @@ class TestMinimalWindowLength:
                 if seed.g0 % m == 0 and seed.g1 % m == 0:
                     continue
                 expected = minimal_window_length_scan(seed, m)
-                assert minimal_window_length(seed, m) == expected, (seed, m)
+                assert pisano_period(seed, m) == expected, (seed, m)
 
     def test_period_windows_always_divisible(self, grid25):
         # m divides every period-length window sum, starts 1 .. 2 * period
@@ -111,6 +117,11 @@ class TestParityScan:
         with pytest.raises(ValueError):
             parity_scan(FIBONACCI, 2)
 
+    def test_rejects_degenerate_seed(self):
+        # every modulus divides both entries: no scan has anything to report
+        with pytest.raises(ValueError, match="degenerate"):
+            parity_scan(Seed(0, 0), 10)
+
 
 class TestShiftEquivalence:
     def test_reflexive(self):
@@ -136,26 +147,41 @@ class TestShiftEquivalence:
         for n in range(20):
             assert (a[r + n] - b[n]) % 5 == 0
 
+    def test_matches_termwise_oracle_over_all_residue_seeds(self):
+        # every ordered pair of nonzero residue-pair seeds for m <= 8,
+        # including the pairs with equal periods and disjoint orbits
+        equal_periods_not_equivalent = 0
+        for m in range(2, 9):
+            seeds = [Seed(a, b) for a in range(m) for b in range(m) if (a, b) != (0, 0)]
+            for sa in seeds:
+                for sb in seeds:
+                    want = naive_shift_equivalence(sa, sb, m)
+                    assert equivalent_up_to_shift(sa, sb, m) == want, (sa, sb, m)
+                    if not want[0] and pisano_period(sa, m) == pisano_period(sb, m):
+                        equal_periods_not_equivalent += 1
+        assert equal_periods_not_equivalent == 3408
+
+
+def lcm_of_periods(seed, m1, m2):
+    return math.lcm(pisano_period(seed, m1), pisano_period(seed, m2))
+
 
 class TestLcmCompose:
+    # CRT: the period mod m1*m2 (coprime) is the lcm of the two periods
     def test_fibonacci_10(self):
-        assert period_lcm_compose(FIBONACCI, 2, 5) == 60 == pisano_period(FIBONACCI, 10)
+        assert lcm_of_periods(FIBONACCI, 2, 5) == 60 == pisano_period(FIBONACCI, 10)
 
     def test_lucas_15(self):
-        assert period_lcm_compose(LUCAS, 5, 3) == pisano_period(LUCAS, 15)
+        assert lcm_of_periods(LUCAS, 5, 3) == pisano_period(LUCAS, 15)
 
     def test_unit_modulus(self):
-        assert period_lcm_compose(FIBONACCI, 1, 7) == pisano_period(FIBONACCI, 7)
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(ValueError):
-            period_lcm_compose(FIBONACCI, 4, 6)
+        assert lcm_of_periods(FIBONACCI, 1, 7) == pisano_period(FIBONACCI, 7)
 
     def test_composition_over_coprime_pairs(self, grid25):
         pairs = [(2, 3), (2, 5), (3, 5), (4, 9), (5, 8), (7, 9), (8, 25)]
         for seed in grid25:
             for m1, m2 in pairs:
-                period_lcm_compose(seed, m1, m2)  # raises on any mismatch
+                assert lcm_of_periods(seed, m1, m2) == pisano_period(seed, m1 * m2), (seed, m1, m2)
 
 
 class TestKnownPeriodFacts:
