@@ -77,7 +77,7 @@ def best_ms(call: Callable[[], Any]) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key under runs, e.g. before or after")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_3.json"))
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to merge into")
     args = parser.parse_args()
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -19,7 +19,6 @@ from .gcdsum import (
     Classification,
     Footnote,
     GcdSumResult,
-    LcmMode,
     Method,
     ReducedSeed,
     classify,

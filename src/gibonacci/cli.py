@@ -82,9 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("closed", "brute", "lcm", "all"), default="closed")
     p.add_argument("--windows", type=int, default=10, help="windows for the brute method")
-    p.add_argument("--mode", choices=("divisor_verified", "bounded_scan"),
-                   default="divisor_verified", help="lcm method variant")
-    p.add_argument("--bound", type=int, default=None, help="bounded_scan modulus cap")
+    p.add_argument("--bound", type=int, default=None,
+                   help="lcm method: scan every modulus up to this cap")
 
     p = add("pisano", "period of the sequence modulo m")
     p.add_argument("--m", type=int, required=True)
@@ -137,10 +136,12 @@ def _sum(a: argparse.Namespace) -> Outcome:
 
 
 def _gcd_sum(a: argparse.Namespace) -> Outcome:
+    if a.bound is not None and a.method not in ("lcm", "all"):
+        raise ValueError(f"--bound is read by --method lcm or all only, not {a.method}")
     methods = {
         "closed": lambda: gcdsum.gcd_sum(a.seed, a.k),
         "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k, a.windows),
-        "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, mode=gcdsum.LcmMode(a.mode), bound=a.bound),
+        "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, a.bound),
     }
     chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
     results = [methods[name]() for name in chosen]

@@ -5,7 +5,9 @@ Three independent routes to the same value:
 * ``gcd_sum`` -- the closed formula gcd(G_{k+1} - G_1, G_{k+2} - G_2);
 * ``gcd_sum_bruteforce`` -- the gcd of finitely many actual window sums
   (two windows already pin the value down);
-* ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k.
+* ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k: one
+  period walk at the closed-formula value, or, given a bound, a scan of
+  every modulus up to it.
 
 ``classify`` predicts the value from k mod 12 and the seed parameters
 and always carries the closed-formula value alongside for comparison.
@@ -69,11 +71,6 @@ def gcd_sum_bruteforce(seed: Seed, k: int, num_windows: int = 10) -> GcdSumResul
     return GcdSumResult(seed, k, value, Method.BRUTE_FORCE)
 
 
-class LcmMode(Enum):
-    DIVISOR_VERIFIED = "divisor_verified"
-    BOUNDED_SCAN = "bounded_scan"
-
-
 def _modulus_counts(seed: Seed, m: int, k: int) -> bool:
     """Whether m belongs to { m : period of seed mod m divides k }.
 
@@ -83,15 +80,10 @@ def _modulus_counts(seed: Seed, m: int, k: int) -> bool:
     return seed.g0 % m == 0 and seed.g1 % m == 0 or k % pisano_period(seed, m) == 0
 
 
-def gcd_sum_lcm(
-    seed: Seed,
-    k: int,
-    mode: LcmMode = LcmMode.DIVISOR_VERIFIED,
-    bound: int | None = None,
-) -> GcdSumResult:
+def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     """LCM-over-periods characterization of the GCD of window sums.
 
-    divisor_verified: take the closed-formula candidate v and walk one
+    Without a bound: take the closed-formula candidate v and walk one
     period, that of the seed mod v.  Requires a coprime seed: under that
     convention the biconditional "period mod m divides k <=> m divides v"
     holds, so every counted modulus divides v.  The counted set
@@ -103,14 +95,14 @@ def gcd_sum_lcm(
     right: v divides G_{k+1} - G_1 and G_{k+2} - G_2, so the residue
     pair (G_1, G_2) mod v recurs after k steps.
 
-    bounded_scan: lcm over all m <= bound with period dividing k; any
-    seed is allowed.  This is a genuinely independent route but only a
-    lower bound when bound < v, in which case the result is flagged
-    partial.
+    With a bound: lcm over all m <= bound with period dividing k; any
+    nondegenerate seed is allowed.  This is a genuinely independent
+    route but only a lower bound when bound < v, in which case the
+    result is flagged partial.
     """
     _check_args(seed, k)
     candidate = gcd_sum(seed, k).value
-    if mode is LcmMode.DIVISOR_VERIFIED:
+    if bound is None:
         seed.require_coprime()
         if not _modulus_counts(seed, candidate, k):
             raise AssertionError(
@@ -118,8 +110,8 @@ def gcd_sum_lcm(
                 f"the period mod {candidate} does not divide k = {k}"
             )
         return GcdSumResult(seed, k, candidate, Method.LCM_PERIODS)
-    if bound is None or bound < 1:
-        raise ValueError("bounded_scan requires bound >= 1")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     value = 1
     for m in range(1, bound + 1):
         if _modulus_counts(seed, m, k):

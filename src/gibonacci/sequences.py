@@ -207,101 +207,71 @@ def _tabulate(seed: Seed, indices: list[int]) -> tuple[int, list[int]]:
 class Identity(Enum):
     """Executable identity families.
 
-    Each member names what the identity relates; both sides are always
+    Each member carries its own row: ``params`` maps each parameter, in
+    call order, to its domain floor (None: any integer), and ``sides``
+    maps (table, seed, *params) to (lhs, rhs).  Both sides are always
     evaluated independently, never rewritten into each other.
     """
 
-    LUCAS_FROM_FIB = "lucas_from_fib"          # L_n = F_{n+1} + F_{n-1}
-    FIB_DOUBLE = "fib_double"                  # F_{2n} = F_n L_n
-    GIB_ADDITION = "gib_addition"              # G_{m+n} = F_{m-1} G_n + F_m G_{n+1}
-    GIB_FROM_SEED = "gib_from_seed"            # G_i = G_0 F_{i-1} + G_1 F_i
-    GIB_PARTIAL_SUM = "gib_partial_sum"        # sum_{i=1..n} G_i = G_{n+2} - G_2
-    CASSINI = "cassini"                        # G_{n+1} G_{n-1} - G_n^2 = (-1)^n d
-    GAP_TWO_SUM = "gap_two_sum"                # G_{j-1} + G_{j+1} = G_0 L_{j-1} + G_1 L_j
-    FIB_4J1 = "fib_4j_plus_1"                  # F_{4j+1} - 1 = F_{2j} L_{2j+1}
-    FIB_4J3 = "fib_4j_plus_3"                  # F_{4j+3} - 1 = F_{2j+2} L_{2j+1}
-    FIB_4J4 = "fib_4j_plus_4"                  # F_{4j+4} - 1 = F_{2j+3} L_{2j+1}
-    FIB_SHIFT_FAMILY = "fib_shift_family"      # F_{4j+r+1} - F_{r-1} = F_{2j+r} L_{2j+1}
-    GIB_4J1 = "gib_4j_plus_1"                  # G_{4j+1} - G_1 = F_{2j}(G_{2j} + G_{2j+2})
-    GIB_4J2 = "gib_4j_plus_2"                  # G_{4j+2} - G_2 = F_{2j}(G_{2j+1} + G_{2j+3})
-    GIB_4J3 = "gib_4j_plus_3"                  # G_{4j+3} - G_1 = L_{2j+1} G_{2j+2}
-    GIB_4J4 = "gib_4j_plus_4"                  # G_{4j+4} - G_2 = L_{2j+1} G_{2j+3}
+    params: dict[str, int | None]
+    sides: Callable[..., tuple[int, int]]
 
+    def __new__(cls, value: str, params: dict[str, int | None],
+                sides: Callable[..., tuple[int, int]]) -> Identity:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.params = params
+        member.sides = sides
+        return member
 
-@dataclass(frozen=True)
-class _IdentitySpec:
-    params: dict[str, int | None]          # name -> domain floor (None: any integer), in call order
-    seed_dependent: bool
-    sides: Callable[..., tuple[int, int]]  # (table, seed, *params) -> (lhs, rhs)
-
-
-_IDENTITY_SPECS: dict[Identity, _IdentitySpec] = {
-    Identity.LUCAS_FROM_FIB: _IdentitySpec(
-        {"n": None}, False,
-        lambda t, s, n: (t.L(n), t.F(n + 1) + t.F(n - 1)),
-    ),
-    Identity.FIB_DOUBLE: _IdentitySpec(
-        {"n": None}, False,
-        lambda t, s, n: (t.F(2 * n), t.F(n) * t.L(n)),
-    ),
-    Identity.GIB_ADDITION: _IdentitySpec(
-        {"m": 1, "n": 1}, True,
-        lambda t, s, m, n: (t.G(m + n), t.F(m - 1) * t.G(n) + t.F(m) * t.G(n + 1)),
-    ),
-    Identity.GIB_FROM_SEED: _IdentitySpec(
-        {"n": 1}, True,
-        lambda t, s, n: (t.G(n), s.g0 * t.F(n - 1) + s.g1 * t.F(n)),
-    ),
-    Identity.GIB_PARTIAL_SUM: _IdentitySpec(
-        {"n": 1}, True,
-        # lhs by direct summation, on purpose: the telescoped rhs is what
-        # window_sum uses, so the two sides must stay independent here.
-        lambda t, s, n: (sum(t.G(i) for i in range(1, n + 1)), t.G(n + 2) - t.G(2)),
-    ),
-    Identity.CASSINI: _IdentitySpec(
-        {"n": 0}, True,
-        lambda t, s, n: (
-            t.G(n + 1) * t.G(n - 1) - t.G(n) ** 2,
-            (-1) ** n * (s.g1 * s.g1 - s.g0 * s.g1 - s.g0 * s.g0),
-        ),
-    ),
-    Identity.GAP_TWO_SUM: _IdentitySpec(
-        {"n": 1}, True,
-        lambda t, s, n: (t.G(n - 1) + t.G(n + 1), s.g0 * t.L(n - 1) + s.g1 * t.L(n)),
-    ),
-    Identity.FIB_4J1: _IdentitySpec(
-        {"n": 0}, False,
-        lambda t, s, n: (t.F(4 * n + 1) - 1, t.F(2 * n) * t.L(2 * n + 1)),
-    ),
-    Identity.FIB_4J3: _IdentitySpec(
-        {"n": 0}, False,
-        lambda t, s, n: (t.F(4 * n + 3) - 1, t.F(2 * n + 2) * t.L(2 * n + 1)),
-    ),
-    Identity.FIB_4J4: _IdentitySpec(
-        {"n": 0}, False,
-        lambda t, s, n: (t.F(4 * n + 4) - 1, t.F(2 * n + 3) * t.L(2 * n + 1)),
-    ),
-    Identity.FIB_SHIFT_FAMILY: _IdentitySpec(
-        {"r": None, "j": None}, False,
-        lambda t, s, r, j: (t.F(4 * j + r + 1) - t.F(r - 1), t.F(2 * j + r) * t.L(2 * j + 1)),
-    ),
-    Identity.GIB_4J1: _IdentitySpec(
-        {"n": 0}, True,
-        lambda t, s, n: (t.G(4 * n + 1) - t.G(1), t.F(2 * n) * (t.G(2 * n) + t.G(2 * n + 2))),
-    ),
-    Identity.GIB_4J2: _IdentitySpec(
-        {"n": 0}, True,
-        lambda t, s, n: (t.G(4 * n + 2) - t.G(2), t.F(2 * n) * (t.G(2 * n + 1) + t.G(2 * n + 3))),
-    ),
-    Identity.GIB_4J3: _IdentitySpec(
-        {"n": 0}, True,
-        lambda t, s, n: (t.G(4 * n + 3) - t.G(1), t.L(2 * n + 1) * t.G(2 * n + 2)),
-    ),
-    Identity.GIB_4J4: _IdentitySpec(
-        {"n": 0}, True,
-        lambda t, s, n: (t.G(4 * n + 4) - t.G(2), t.L(2 * n + 1) * t.G(2 * n + 3)),
-    ),
-}
+    LUCAS_FROM_FIB = (  # L_n = F_{n+1} + F_{n-1}
+        "lucas_from_fib", {"n": None},
+        lambda t, s, n: (t.L(n), t.F(n + 1) + t.F(n - 1)))
+    FIB_DOUBLE = (  # F_{2n} = F_n L_n
+        "fib_double", {"n": None},
+        lambda t, s, n: (t.F(2 * n), t.F(n) * t.L(n)))
+    GIB_ADDITION = (  # G_{m+n} = F_{m-1} G_n + F_m G_{n+1}
+        "gib_addition", {"m": 1, "n": 1},
+        lambda t, s, m, n: (t.G(m + n), t.F(m - 1) * t.G(n) + t.F(m) * t.G(n + 1)))
+    GIB_FROM_SEED = (  # G_i = G_0 F_{i-1} + G_1 F_i
+        "gib_from_seed", {"n": 1},
+        lambda t, s, n: (t.G(n), s.g0 * t.F(n - 1) + s.g1 * t.F(n)))
+    # lhs by direct summation, on purpose: the telescoped rhs is what
+    # window_sum uses, so the two sides must stay independent here.
+    GIB_PARTIAL_SUM = (  # sum_{i=1..n} G_i = G_{n+2} - G_2
+        "gib_partial_sum", {"n": 1},
+        lambda t, s, n: (sum(t.G(i) for i in range(1, n + 1)), t.G(n + 2) - t.G(2)))
+    CASSINI = (  # G_{n+1} G_{n-1} - G_n^2 = (-1)^n d
+        "cassini", {"n": 0},
+        lambda t, s, n: (t.G(n + 1) * t.G(n - 1) - t.G(n) ** 2,
+                         (-1) ** n * (s.g1 * s.g1 - s.g0 * s.g1 - s.g0 * s.g0)))
+    GAP_TWO_SUM = (  # G_{j-1} + G_{j+1} = G_0 L_{j-1} + G_1 L_j
+        "gap_two_sum", {"n": 1},
+        lambda t, s, n: (t.G(n - 1) + t.G(n + 1), s.g0 * t.L(n - 1) + s.g1 * t.L(n)))
+    FIB_4J1 = (  # F_{4j+1} - 1 = F_{2j} L_{2j+1}
+        "fib_4j_plus_1", {"n": 0},
+        lambda t, s, n: (t.F(4 * n + 1) - 1, t.F(2 * n) * t.L(2 * n + 1)))
+    FIB_4J3 = (  # F_{4j+3} - 1 = F_{2j+2} L_{2j+1}
+        "fib_4j_plus_3", {"n": 0},
+        lambda t, s, n: (t.F(4 * n + 3) - 1, t.F(2 * n + 2) * t.L(2 * n + 1)))
+    FIB_4J4 = (  # F_{4j+4} - 1 = F_{2j+3} L_{2j+1}
+        "fib_4j_plus_4", {"n": 0},
+        lambda t, s, n: (t.F(4 * n + 4) - 1, t.F(2 * n + 3) * t.L(2 * n + 1)))
+    FIB_SHIFT_FAMILY = (  # F_{4j+r+1} - F_{r-1} = F_{2j+r} L_{2j+1}
+        "fib_shift_family", {"r": None, "j": None},
+        lambda t, s, r, j: (t.F(4 * j + r + 1) - t.F(r - 1), t.F(2 * j + r) * t.L(2 * j + 1)))
+    GIB_4J1 = (  # G_{4j+1} - G_1 = F_{2j}(G_{2j} + G_{2j+2})
+        "gib_4j_plus_1", {"n": 0},
+        lambda t, s, n: (t.G(4 * n + 1) - t.G(1), t.F(2 * n) * (t.G(2 * n) + t.G(2 * n + 2))))
+    GIB_4J2 = (  # G_{4j+2} - G_2 = F_{2j}(G_{2j+1} + G_{2j+3})
+        "gib_4j_plus_2", {"n": 0},
+        lambda t, s, n: (t.G(4 * n + 2) - t.G(2), t.F(2 * n) * (t.G(2 * n + 1) + t.G(2 * n + 3))))
+    GIB_4J3 = (  # G_{4j+3} - G_1 = L_{2j+1} G_{2j+2}
+        "gib_4j_plus_3", {"n": 0},
+        lambda t, s, n: (t.G(4 * n + 3) - t.G(1), t.L(2 * n + 1) * t.G(2 * n + 2)))
+    GIB_4J4 = (  # G_{4j+4} - G_2 = L_{2j+1} G_{2j+3}
+        "gib_4j_plus_4", {"n": 0},
+        lambda t, s, n: (t.G(4 * n + 4) - t.G(2), t.L(2 * n + 1) * t.G(2 * n + 3)))
 
 
 @dataclass
@@ -329,14 +299,13 @@ def verify_identity(
     `ranges` maps each parameter name of the identity to an inclusive
     (lo, hi) pair; any range at or above the identity's domain floors is
     valid, negative indices included.  The term tables span exactly the
-    indices the identity's own sides read.  Seed-independent identities
-    are checked once; the others once per seed.  Every failing point is
-    recorded with both sides' values.
+    indices the identity's own sides read.  An identity whose sides read
+    no G term is checked once, for the Fibonacci seed; the others once
+    per seed.  Every failing point is recorded with both sides' values.
     """
-    spec = _IDENTITY_SPECS.get(identity)
-    if spec is None:
+    if not isinstance(identity, Identity):
         raise ValueError(f"unknown identity {identity!r}")
-    for p, floor in spec.params.items():
+    for p, floor in identity.params.items():
         if p not in ranges:
             raise ValueError(f"identity {identity.value} needs a range for {p!r}")
         lo, hi = ranges[p]
@@ -346,14 +315,16 @@ def verify_identity(
         if floor is not None and lo < floor:
             raise ValueError(f"identity {identity.value} requires {p} >= {floor}")
 
-    seed_tuple = tuple(seeds) if spec.seed_dependent else (FIBONACCI,)
-    box = [ranges[p] for p in spec.params]
+    box = [ranges[p] for p in identity.params]
     # Reading the sides at the box's corners finds the exact spans, because
     # every index a side reads is affine in the parameters (a sum's bounds
     # too) and never depends on a term's value: its extremes lie at corners.
+    # A side reads the seed's entries only next to G terms, so a G read is
+    # what makes the identity depend on the seed.
     reads = _IndexRecorder()
     for corner in itertools.product(*box):
-        spec.sides(reads, FIBONACCI, *corner)
+        identity.sides(reads, FIBONACCI, *corner)
+    seed_tuple = tuple(seeds) if reads.g else (FIBONACCI,)
     f = _tabulate(FIBONACCI, reads.f)
     axes = [range(lo, hi + 1) for lo, hi in box]
 
@@ -361,7 +332,7 @@ def verify_identity(
     for seed in seed_tuple:
         table = _TermTable(f, _tabulate(seed, reads.g))
         for pt in itertools.product(*axes):
-            lhs, rhs = spec.sides(table, seed, *pt)
+            lhs, rhs = identity.sides(table, seed, *pt)
             if lhs != rhs:
                 report.failures.append((seed, pt, lhs, rhs))
         report.checked += math.prod(map(len, axes))
@@ -378,4 +349,4 @@ def default_identity_ranges(
     lo = base_lo if lo is None else lo
     hi = base_hi if hi is None else hi
     return {p: (lo if floor is None else max(lo, floor), hi)
-            for p, floor in _IDENTITY_SPECS[identity].params.items()}
+            for p, floor in identity.params.items()}

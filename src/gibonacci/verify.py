@@ -95,9 +95,7 @@ def check_method_agreement() -> tuple[bool, str]:
     for seed in (FIBONACCI, LUCAS, SEED_14):
         for k in range(1, 25):
             closed = gcdsum.gcd_sum(seed, k).value
-            scan = gcdsum.gcd_sum_lcm(
-                seed, k, mode=gcdsum.LcmMode.BOUNDED_SCAN, bound=max(closed, 1)
-            )
+            scan = gcdsum.gcd_sum_lcm(seed, k, bound=closed)
             if scan.value != closed or scan.partial:
                 bad.append(("lcm", seed, k, scan.value, closed))
     return not bad, f"mismatches={bad[:3]}"

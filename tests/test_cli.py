@@ -37,6 +37,45 @@ def test_gcd_sum_all_methods(capsys):
     assert out.count("11") == 3
 
 
+@pytest.mark.parametrize("bound,value,partial", [("10", "5", True), ("55", "55", False)])
+def test_gcd_sum_lcm_bound_runs_the_scan(capsys, bound, value, partial):
+    argv = ["gcd-sum", "--k", "20", "--method", "lcm", "--bound", bound]
+    code, out = invoke(capsys, *argv)
+    assert code == 0 and out == f"lcm_periods: {value}{' (partial)' if partial else ''}\n"
+    code, out = invoke(capsys, *argv, "--format", "json")
+    (result,) = json.loads(out)["results"]
+    assert code == 0 and (result["value"], result["partial"]) == (value, partial)
+
+
+def test_gcd_sum_bound_below_one_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", "lcm",
+                                      "--bound", "0"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: bound must be >= 1\n"
+
+
+@pytest.mark.parametrize("method", ["closed", "brute"])
+def test_gcd_sum_bound_is_rejected_where_no_lcm_route_runs(capsys, monkeypatch, method):
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", method,
+                                      "--bound", "10"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--bound" in captured.err
+
+
+def test_gcd_sum_mode_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gcd-sum", "--k", "20", "--method", "lcm", "--mode", "bounded_scan", "--bound", "55"])
+    assert exc.value.code == 1
+
+
 def test_pisano(capsys):
     code, out = invoke(capsys, "pisano", "--m", "10")
     assert code == 0 and out.strip() == "60"

@@ -6,7 +6,6 @@ from gibonacci import pisano
 from gibonacci.gcdsum import (
     CaseRow,
     Footnote,
-    LcmMode,
     Method,
     classify,
     gcd_sum,
@@ -93,18 +92,18 @@ class TestLcmCharacterization:
 
     def test_bounded_scan_k1(self, grid25):
         for seed in grid25:
-            result = gcd_sum_lcm(seed, 1, mode=LcmMode.BOUNDED_SCAN, bound=100)
+            result = gcd_sum_lcm(seed, 1, bound=100)
             assert result.value == 1 and not result.partial, seed
 
     def test_bounded_scan_partial_flag(self):
-        result = gcd_sum_lcm(FIBONACCI, 20, mode=LcmMode.BOUNDED_SCAN, bound=10)
+        result = gcd_sum_lcm(FIBONACCI, 20, bound=10)
         assert result.partial and result.value < 55
-        full = gcd_sum_lcm(FIBONACCI, 20, mode=LcmMode.BOUNDED_SCAN, bound=55)
+        full = gcd_sum_lcm(FIBONACCI, 20, bound=55)
         assert full.value == 55 and not full.partial
 
     def test_bounded_scan_allows_noncoprime_seed(self):
         # value scales by the common factor; the scan must see that
-        scaled = gcd_sum_lcm(Seed(2, 8), 5, mode=LcmMode.BOUNDED_SCAN, bound=50)
+        scaled = gcd_sum_lcm(Seed(2, 8), 5, bound=50)
         base = gcd_sum(Seed(1, 4), 5).value
         assert scaled.value == 2 * base
 
@@ -119,7 +118,7 @@ class TestLcmCharacterization:
                     v = gcd_sum(seed, k).value
                     if v > 1000:
                         continue
-                    result = gcd_sum_lcm(seed, k, mode=LcmMode.BOUNDED_SCAN, bound=v)
+                    result = gcd_sum_lcm(seed, k, bound=v)
                     assert (result.value, result.partial) == (v, False), (seed, k)
 
     def test_divisor_verified_needs_coprime_seed(self):

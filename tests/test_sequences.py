@@ -1,12 +1,12 @@
-import dataclasses
+import inspect
 import math
 
 import pytest
 
 from gibonacci.sequences import (
-    _IDENTITY_SPECS,
     FIBONACCI,
     LUCAS,
+    SMALL_SEED_GRID,
     Identity,
     Seed,
     coprime_seed_grid,
@@ -148,13 +148,23 @@ class TestVerifyIdentity:
 
     def test_perturbed_fixture_fails_everywhere(self, monkeypatch):
         # a deliberately false identity, F_{n+1} = F_n + F_{n-1} + 1
-        false = dataclasses.replace(
-            _IDENTITY_SPECS[Identity.LUCAS_FROM_FIB],
-            sides=lambda t, s, n: (t.F(n + 1), t.F(n) + t.F(n - 1) + 1),
-        )
-        monkeypatch.setitem(_IDENTITY_SPECS, Identity.LUCAS_FROM_FIB, false)
+        monkeypatch.setattr(Identity.LUCAS_FROM_FIB, "sides",
+                            lambda t, s, n: (t.F(n + 1), t.F(n) + t.F(n - 1) + 1))
         report = verify_identity(Identity.LUCAS_FROM_FIB, {"n": (0, 99)})
         assert len(report.failures) == report.checked == 100
+
+    def test_seed_dependence_is_read_from_the_sides(self, monkeypatch):
+        # G_n = F_n holds for the Fibonacci seed only: every other seed must run
+        monkeypatch.setattr(Identity.LUCAS_FROM_FIB, "sides",
+                            lambda t, s, n: (t.G(n), t.F(n)))
+        report = verify_identity(Identity.LUCAS_FROM_FIB, {"n": (0, 99)}, SMALL_SEED_GRID)
+        assert (report.checked, len(report.seeds), len(report.failures)) == (2500, 25, 2392)
+
+    def test_sides_take_the_params_in_order(self):
+        # verify_identity binds the ranges by position
+        for ident in Identity:
+            names = list(inspect.signature(ident.sides).parameters)
+            assert names == ["t", "s", *ident.params], ident
 
     @pytest.mark.parametrize("ranges", [
         {"r": (1, 5), "j": (1, 5)},
@@ -168,7 +178,7 @@ class TestVerifyIdentity:
     def test_every_family_clean_on_shifted_ranges(self):
         seeds = [FIBONACCI, Seed(-3, 7)]
         for ident in Identity:
-            floors = _IDENTITY_SPECS[ident].params
+            floors = ident.params
             for lo in range(-12, 13):
                 for hi in (lo, lo + 7):
                     ranges = {p: (lo, hi) if f is None else (max(lo, f), max(hi, f))
