@@ -1,6 +1,6 @@
 """Per-kernel timings of gibonacci, best of 3 runs, written to a JSON file.
 
-    python scripts/bench.py --label after --out BENCH_5.json
+    python scripts/bench.py --label after --out BENCH_8.json
 
 Imports the gibonacci under ``src/`` next to this script, so a copy of the
 script placed in another checkout times that checkout.  Each case clears
@@ -53,6 +53,10 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Any]]]:
             {"k": 300, "exhaustive": True}, lambda: max_modulus_for_period(300, exhaustive=True)),
         "gcd_sum_fib_1e6": (
             {"seed": [0, 1], "k": 10**6}, lambda: gcd_sum(FIBONACCI, 10**6)),
+        "gcd_sum_fib_1e6_plus_1": (  # odd k: the value is 1 or 2 and the gcd dominates
+            {"seed": [0, 1], "k": 10**6 + 1}, lambda: gcd_sum(FIBONACCI, 10**6 + 1)),
+        "gcd_sum_fib_4e6": (
+            {"seed": [0, 1], "k": 4 * 10**6}, lambda: gcd_sum(FIBONACCI, 4 * 10**6)),
         "parity_scan_1_4_3000": (
             {"seed": [1, 4], "m_max": 3000}, lambda: parity_scan(Seed(1, 4), 3000)),
         "pisano_fib_1e6": (

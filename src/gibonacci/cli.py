@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gcd-sum", "GCD of all sums of k consecutive terms")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("closed", "brute", "lcm", "all"), default="closed")
-    p.add_argument("--windows", type=int, default=10, help="windows for the brute method")
+    p.add_argument("--windows", type=int, default=None,
+                   help="brute method: windows to sum (default 10)")
     p.add_argument("--bound", type=int, default=None,
                    help="lcm method: scan every modulus up to this cap")
 
@@ -136,11 +137,13 @@ def _sum(a: argparse.Namespace) -> Outcome:
 
 
 def _gcd_sum(a: argparse.Namespace) -> Outcome:
-    if a.bound is not None and a.method not in ("lcm", "all"):
-        raise ValueError(f"--bound is read by --method lcm or all only, not {a.method}")
+    for option, route in (("bound", "lcm"), ("windows", "brute")):
+        if getattr(a, option) is not None and a.method not in (route, "all"):
+            raise ValueError(f"--{option} is read by --method {route} or all only, not {a.method}")
     methods = {
         "closed": lambda: gcdsum.gcd_sum(a.seed, a.k),
-        "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k, a.windows),
+        "brute": lambda: gcdsum.gcd_sum_bruteforce(
+            a.seed, a.k, 10 if a.windows is None else a.windows),
         "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, a.bound),
     }
     chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)

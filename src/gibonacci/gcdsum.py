@@ -2,7 +2,8 @@
 
 Three independent routes to the same value:
 
-* ``gcd_sum`` -- the closed formula gcd(G_{k+1} - G_1, G_{k+2} - G_2);
+* ``gcd_sum`` -- the closed formula gcd(G_{k+1} - G_1, G_{k+2} - G_2),
+  evaluated at the balanced index where both differences are half-size;
 * ``gcd_sum_bruteforce`` -- the gcd of finitely many actual window sums
   (two windows already pin the value down);
 * ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k: one
@@ -45,13 +46,21 @@ def _check_args(seed: Seed, k: int) -> None:
 
 
 def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
-    """Closed formula: gcd(G_{k+1} - G_1, G_{k+2} - G_2).
+    """Closed formula: gcd(G_{k+1} - G_1, G_{k+2} - G_2), read at n = -(k // 2).
+
+    The differences D_n = G_{n+k} - G_n obey the Gibonacci recurrence for
+    every integer n, and gcd(a, b) = gcd(b, a + b), so gcd(D_n, D_{n+1})
+    is the same at every n.  At n = 1 it is the formula above.  At the
+    balanced index n = -(k // 2) both differences have about half the bits
+    of those at n = 1, which makes the gcd far cheaper for large k.
 
     Valid for any nonzero integer seed, coprime or not.
     """
     _check_args(seed, k)
-    g_k1, g_k2 = gib_pair(seed, k + 1)
-    value = math.gcd(g_k1 - seed.g1, g_k2 - (seed.g0 + seed.g1))
+    n = -(k // 2)
+    g_lo, g_lo1 = gib_pair(seed, n)
+    g_hi, g_hi1 = gib_pair(seed, n + k)
+    value = math.gcd(g_hi - g_lo, g_hi1 - g_lo1)
     return GcdSumResult(seed, k, value, Method.CLOSED_GCD)
 
 

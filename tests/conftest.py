@@ -6,7 +6,7 @@ from gibonacci.applications import MaxModulusResult
 from gibonacci.factor import trial_division
 from gibonacci.gcdsum import gcd_sum
 from gibonacci.pisano import pisano_period
-from gibonacci.sequences import FIBONACCI, Seed
+from gibonacci.sequences import FIBONACCI, Seed, gib_pair
 
 
 def naive_fib(n: int) -> int:
@@ -29,6 +29,13 @@ def naive_gib_terms(seed: Seed, lo: int, hi: int) -> dict[int, int]:
     for n in range(-1, lo - 1, -1):
         terms[n] = terms[n + 2] - terms[n + 1]
     return {n: v for n, v in terms.items() if lo <= n <= hi}
+
+
+def gcd_sum_at_index_one(seed: Seed, k: int) -> int:
+    """The paper's closed formula as written, gcd(G_{k+1} - G_1, G_{k+2} - G_2):
+    its operands have about twice the bits of the balanced-index ones."""
+    g_k1, g_k2 = gib_pair(seed, k + 1)
+    return math.gcd(g_k1 - seed.g1, g_k2 - (seed.g0 + seed.g1))
 
 
 def is_probable_prime(n: int) -> bool:

@@ -94,7 +94,7 @@ class TestLucasFromGcd:
 
     def test_matches_lucas_over_grid(self, grid25):
         for seed in grid25:
-            for j in range(1, 42, 2):
+            for j in (*range(1, 42, 2), 10_001, 10_003):
                 assert lucas_from_gcd(seed, j) == lucas(j), (seed, j)
 
     def test_rejects_even_j_and_noncoprime_seed(self):

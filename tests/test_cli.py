@@ -70,6 +70,25 @@ def test_gcd_sum_bound_is_rejected_where_no_lcm_route_runs(capsys, monkeypatch, 
     assert "--bound" in captured.err
 
 
+@pytest.mark.parametrize("method", ["closed", "lcm"])
+def test_gcd_sum_windows_is_rejected_where_no_brute_route_runs(capsys, monkeypatch, method):
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", method,
+                                      "--windows", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--windows" in captured.err
+
+
+def test_gcd_sum_brute_without_windows_reads_ten(capsys):
+    code, out = invoke(capsys, "gcd-sum", "--k", "20", "--method", "brute")
+    assert code == 0 and out == "brute_force: 55\n"
+    assert invoke(capsys, "gcd-sum", "--k", "20", "--method", "brute", "--windows", "10") == (0, out)
+
+
 def test_gcd_sum_mode_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["gcd-sum", "--k", "20", "--method", "lcm", "--mode", "bounded_scan", "--bound", "55"])

@@ -22,7 +22,7 @@ from gibonacci.sequences import (
     seed_invariants,
 )
 
-from conftest import lcm_over_all_divisors, naive_gib_terms
+from conftest import gcd_sum_at_index_one, lcm_over_all_divisors, naive_gib_terms
 
 SEED_14 = Seed(1, 4)
 
@@ -51,6 +51,42 @@ class TestClosedFormula:
             gcd_sum(FIBONACCI, 0)
         with pytest.raises(ValueError):
             gcd_sum(Seed(0, 0), 5)
+
+    def test_matches_index_one_over_small_seeds(self):
+        # every nondegenerate seed with |g| <= 6, coprime or not
+        for g0 in range(-6, 7):
+            for g1 in range(-6, 7):
+                seed = Seed(g0, g1)
+                if seed.is_degenerate:
+                    continue
+                for k in range(1, 400):
+                    assert gcd_sum(seed, k).value == gcd_sum_at_index_one(seed, k), (seed, k)
+
+    def test_difference_gcd_is_the_same_at_every_index(self, grid25):
+        # gcd(D_n, D_{n+1}) with D_n = G_{n+k} - G_n does not depend on n
+        for seed in grid25:
+            for k in range(1, 41):
+                g = naive_gib_terms(seed, -k - 2, 2 * k + 3)
+                values = {math.gcd(g[n + k] - g[n], g[n + k + 1] - g[n + 1])
+                          for n in range(-k - 2, k + 3)}
+                assert values == {gcd_sum(seed, k).value}, (seed, k)
+
+
+LARGE_K_SEEDS = (FIBONACCI, LUCAS, SEED_14, Seed(-3, 7), Seed(6, -4))
+
+
+class TestLargeIndex:
+    @pytest.mark.parametrize("seed", LARGE_K_SEEDS)
+    def test_every_residue_mod_12_matches_index_one(self, seed):
+        for k in range(20_000, 20_012):
+            assert gcd_sum(seed, k).value == gcd_sum_at_index_one(seed, k), k
+
+    @pytest.mark.parametrize("seed", [s for s in LARGE_K_SEEDS if math.gcd(s.g0, s.g1) == 1])
+    def test_classify_predictions_hold(self, seed):
+        for k in range(20_000, 20_012):
+            c = classify(seed, k)
+            if c.table_applies:
+                assert c.predicted == c.actual, k
 
 
 class TestBruteForce:

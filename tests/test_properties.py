@@ -9,7 +9,7 @@ from gibonacci.gcdsum import gcd_sum, gcd_sum_bruteforce, gcd_sum_lcm, reduce_se
 from gibonacci.pisano import pisano_period
 from gibonacci.sequences import Seed, fib, gib_pair, gib_term, lucas, window_sum
 
-from conftest import lcm_over_all_divisors, naive_fib, naive_gib_terms
+from conftest import gcd_sum_at_index_one, lcm_over_all_divisors, naive_fib, naive_gib_terms
 
 coprime_seeds = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50)
@@ -54,6 +54,11 @@ def test_window_sum_is_a_sum(seed, n, k):
 @settings(max_examples=60)
 def test_closed_formula_matches_brute_force(seed, k):
     assert gcd_sum(seed, k).value == gcd_sum_bruteforce(seed, k, 4).value
+
+
+@given(nonzero_seeds, st.integers(1, 3000))
+def test_closed_formula_matches_index_one(seed, k):
+    assert gcd_sum(seed, k).value == gcd_sum_at_index_one(seed, k)
 
 
 @given(nonzero_seeds, st.integers(1, 48))
