@@ -14,6 +14,8 @@ reading, not for gating: nothing in the test suite reads this file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -27,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gibonacci import (  # noqa: E402
     FIBONACCI,
     Seed,
+    cli,
     gcd_sum,
     gcd_sum_lcm,
     max_modulus_for_period,
@@ -35,13 +38,21 @@ from gibonacci import (  # noqa: E402
     verify,
 )
 from gibonacci.pisano import clear_period_cache  # noqa: E402
+from gibonacci.sequences import Identity, default_identity_ranges, verify_identity  # noqa: E402
 
 REPEAT = 3  # runs per case; the best is kept
+
+
+def verify_cli_json() -> None:
+    """`gibonacci verify --format json` in-process, its stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(["verify", "--format", "json"])
 
 
 def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Any]]]:
     """Name -> (params, zero-argument call).  Inputs are built here, outside
     the timed call."""
+    addition = default_identity_ranges(Identity.GIB_ADDITION)
     return {
         "gcd_sum_lcm_fib_360": (
             {"seed": [0, 1], "k": 360}, lambda: gcd_sum_lcm(FIBONACCI, 360)),
@@ -63,8 +74,13 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Any]]]:
             {"seed": [0, 1], "m": 10**6}, lambda: pisano_period(FIBONACCI, 10**6)),
         "identity_suite": (
             {"call": "verify.check_identity_suite()"}, verify.check_identity_suite),
+        "gib_addition": (
+            {"ranges": addition, "seeds": 25},
+            lambda: verify_identity(Identity.GIB_ADDITION, addition)),
         "verify_run_all": (
             {"call": "verify.run_all()", "checks": len(verify.CHECKS)}, verify.run_all),
+        "verify_cli_json": (
+            {"argv": ["verify", "--format", "json"]}, verify_cli_json),
     }
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -150,47 +151,137 @@ SMALL_SEED_GRID: tuple[Seed, ...] = (
 )
 
 
+class _Progression:
+    """The last parameter's whole range, passed to `sides` as one value.
+
+    Adding, subtracting or multiplying by an int gives the progression of
+    the shifted or scaled indices, so an index written ``2 * n + 1`` for a
+    single n reads a whole row; ``(-1) ** n`` gives the row of signs.
+    """
+
+    __slots__ = ("indices",)
+
+    def __init__(self, indices: range):
+        self.indices = indices
+
+    def __add__(self, k: int) -> _Progression:
+        r = self.indices
+        return _Progression(range(r.start + k, r.stop + k, r.step))
+
+    __radd__ = __add__
+
+    def __sub__(self, k: int) -> _Progression:
+        return self + -k
+
+    def __mul__(self, k: int) -> _Progression:
+        r = self.indices
+        return _Progression(range(r.start * k, r.stop * k, r.step * k))
+
+    __rmul__ = __mul__
+
+    def __rpow__(self, base: int) -> _Row:
+        return _Row(base ** i for i in self.indices)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.indices)
+
+
+class _Row(list):
+    """One side's values along a progression: a list whose ``+ - * **``
+    act elementwise, with an int broadcast to every entry (on either side
+    of ``+ * **``).  Rows compare as lists."""
+
+    def _apply(self, op: Callable[[int, int], int], other: int | list[int]) -> _Row:
+        if isinstance(other, list):
+            return _Row(map(op, self, other))
+        return _Row(map(op, self, itertools.repeat(other)))
+
+    def __add__(self, other: int | list[int]) -> _Row:
+        return self._apply(operator.add, other)
+
+    def __sub__(self, other: int | list[int]) -> _Row:
+        return self._apply(operator.sub, other)
+
+    def __mul__(self, other: int | list[int]) -> _Row:
+        return self._apply(operator.mul, other)
+
+    def __pow__(self, other: int | list[int]) -> _Row:
+        return self._apply(operator.pow, other)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rpow__(self, other: int) -> _Row:
+        return _Row(other ** x for x in self)
+
+
 class _TermTable:
     """F_n, L_n and G_n read from dense lists (L_n = F_{n-1} + F_{n+1}).
 
     The identity suite evaluates both sides of every identity at up to a
     million grid points; per-point fast doubling would dominate, so
     `verify_identity` tabulates F once per call and G once per seed, each
-    over exactly the indices the identity's sides read.  An index outside
-    those spans would wrap round or raise instead of reading its term.
+    over exactly the indices the identity's sides read.  An int index reads
+    one term; a progression reads the row of its terms, one list slice.
+    An index outside those spans would wrap round or raise instead of
+    reading its term.
     """
 
     def __init__(self, f: tuple[int, list[int]], g: tuple[int, list[int]]):
         self._flo, self._f = f
         self._glo, self._g = g
 
-    def F(self, n: int) -> int:
-        return self._f[n - self._flo]
+    @staticmethod
+    def _read(terms: list[int], lo: int, n: int | _Progression) -> int | _Row:
+        """terms[n - lo] for an int n; for a progression, the row of them."""
+        if isinstance(n, int):
+            return terms[n - lo]
+        r = n.indices
+        start, stop = r.start - lo, r.stop - lo
+        # a negative stop (a falling progression whose last index is lo)
+        # would count from the end
+        return _Row(terms[start:stop if stop >= 0 else None:r.step])
 
-    def L(self, n: int) -> int:
-        return self._f[n - self._flo + 1] + self._f[n - self._flo - 1]
+    def F(self, n: int | _Progression) -> int | _Row:
+        return self._read(self._f, self._flo, n)
 
-    def G(self, n: int) -> int:
-        return self._g[n - self._glo]
+    def L(self, n: int | _Progression) -> int | _Row:
+        return self.F(n - 1) + self.F(n + 1)
+
+    def G(self, n: int | _Progression) -> int | _Row:
+        return self._read(self._g, self._glo, n)
 
 
 class _IndexRecorder:
-    """Stands in for a _TermTable: answers 0 and records each index read."""
+    """Stands in for a _TermTable: records each index read and answers 0.
+
+    A progression is recorded by its two end indices, since every index
+    inside it lies between those two, and answered with a row holding one
+    zero: the values are never read, and the row's size does not grow with
+    the progression's.
+    """
 
     def __init__(self) -> None:
         self.f: list[int] = []  # the F indices, those L reads included
         self.g: list[int] = []
 
-    def F(self, n: int) -> int:
-        self.f.append(n)
-        return 0
+    @staticmethod
+    def _record(seen: list[int], n: int | _Progression) -> int | _Row:
+        if isinstance(n, int):
+            seen.append(n)
+            return 0
+        if n.indices:
+            seen += (n.indices[0], n.indices[-1])
+        return _Row([0])
 
-    def L(self, n: int) -> int:
+    def F(self, n: int | _Progression) -> int | _Row:
+        return self._record(self.f, n)
+
+    def L(self, n: int | _Progression) -> int | _Row:
         return self.F(n - 1) + self.F(n + 1)
 
-    def G(self, n: int) -> int:
-        self.g.append(n)
-        return 0
+    def G(self, n: int | _Progression) -> int | _Row:
+        return self._record(self.g, n)
 
 
 def _tabulate(seed: Seed, indices: list[int]) -> tuple[int, list[int]]:
@@ -207,10 +298,13 @@ def _tabulate(seed: Seed, indices: list[int]) -> tuple[int, list[int]]:
 class Identity(Enum):
     """Executable identity families.
 
-    Each member carries its own row: ``params`` maps each parameter, in
+    Each member carries its own entry: ``params`` maps each parameter, in
     call order, to its domain floor (None: any integer), and ``sides``
-    maps (table, seed, *params) to (lhs, rhs).  Both sides are always
-    evaluated independently, never rewritten into each other.
+    maps (table, seed, *params) to (lhs, rhs).  Every parameter but the
+    last is an int; the last is a `_Progression` over its whole range, so
+    each side is a `_Row` with one value per index of that range, written
+    as if for a single index.  Both sides are always evaluated
+    independently, never rewritten into each other.
     """
 
     params: dict[str, int | None]
@@ -236,11 +330,12 @@ class Identity(Enum):
     GIB_FROM_SEED = (  # G_i = G_0 F_{i-1} + G_1 F_i
         "gib_from_seed", {"n": 1},
         lambda t, s, n: (t.G(n), s.g0 * t.F(n - 1) + s.g1 * t.F(n)))
-    # lhs by direct summation, on purpose: the telescoped rhs is what
-    # window_sum uses, so the two sides must stay independent here.
+    # lhs by direct summation, one sum per n, on purpose: the telescoped
+    # rhs is what window_sum uses, so the two sides must stay independent.
     GIB_PARTIAL_SUM = (  # sum_{i=1..n} G_i = G_{n+2} - G_2
         "gib_partial_sum", {"n": 1},
-        lambda t, s, n: (sum(t.G(i) for i in range(1, n + 1)), t.G(n + 2) - t.G(2)))
+        lambda t, s, n: (_Row(sum(t.G(_Progression(range(1, k + 1)))) for k in n),
+                         t.G(n + 2) - t.G(2)))
     CASSINI = (  # G_{n+1} G_{n-1} - G_n^2 = (-1)^n d
         "cassini", {"n": 0},
         lambda t, s, n: (t.G(n + 1) * t.G(n - 1) - t.G(n) ** 2,
@@ -289,6 +384,11 @@ class IdentityReport:
         return not self.failures
 
 
+#: The most grid points, seeds included, that one `verify_identity` call
+#: checks; a larger request is refused before any term is tabulated.
+IDENTITY_POINT_CAP = 10**7
+
+
 def verify_identity(
     identity: Identity,
     ranges: dict[str, tuple[int, int]],
@@ -301,7 +401,14 @@ def verify_identity(
     valid, negative indices included.  The term tables span exactly the
     indices the identity's own sides read.  An identity whose sides read
     no G term is checked once, for the Fibonacci seed; the others once
-    per seed.  Every failing point is recorded with both sides' values.
+    per seed.  A request over IDENTITY_POINT_CAP points (seeds times grid
+    points) is a ValueError, raised before any table is built.
+
+    The sides are evaluated one row at a time: each combination of the
+    other parameters, with the last parameter's whole range as one
+    progression.  Only a row whose two sides differ is walked point by
+    point, so every failing point is still recorded as (seed, point, lhs,
+    rhs), in seed order and then grid order.
     """
     if not isinstance(identity, Identity):
         raise ValueError(f"unknown identity {identity!r}")
@@ -319,23 +426,34 @@ def verify_identity(
     # Reading the sides at the box's corners finds the exact spans, because
     # every index a side reads is affine in the parameters (a sum's bounds
     # too) and never depends on a term's value: its extremes lie at corners.
-    # A side reads the seed's entries only next to G terms, so a G read is
-    # what makes the identity depend on the seed.
+    # The last parameter goes in as a one-term progression, so the scan's
+    # cost does not grow with the ranges.  A side reads the seed's entries
+    # only next to G terms, so a G read is what makes the identity depend
+    # on the seed.
     reads = _IndexRecorder()
-    for corner in itertools.product(*box):
-        identity.sides(reads, FIBONACCI, *corner)
+    for *corner, n in itertools.product(*box):
+        identity.sides(reads, FIBONACCI, *corner, _Progression(range(n, n + 1)))
     seed_tuple = tuple(seeds) if reads.g else (FIBONACCI,)
-    f = _tabulate(FIBONACCI, reads.f)
     axes = [range(lo, hi + 1) for lo, hi in box]
+    per_seed = math.prod(map(len, axes))
+    if len(seed_tuple) * per_seed > IDENTITY_POINT_CAP:
+        raise ValueError(
+            f"identity {identity.value} asks for {len(seed_tuple) * per_seed} points, "
+            f"over the cap of {IDENTITY_POINT_CAP}")
+    f = _tabulate(FIBONACCI, reads.f)
 
+    *outer_axes, last_axis = axes
+    last = _Progression(last_axis)
     report = IdentityReport(identity, dict(ranges), seed_tuple, checked=0)
     for seed in seed_tuple:
         table = _TermTable(f, _tabulate(seed, reads.g))
-        for pt in itertools.product(*axes):
-            lhs, rhs = identity.sides(table, seed, *pt)
+        for pt in itertools.product(*outer_axes):
+            lhs, rhs = identity.sides(table, seed, *pt, last)
             if lhs != rhs:
-                report.failures.append((seed, pt, lhs, rhs))
-        report.checked += math.prod(map(len, axes))
+                for n, a, b in zip(last, lhs, rhs, strict=True):
+                    if a != b:
+                        report.failures.append((seed, (*pt, n), a, b))
+        report.checked += per_seed
     return report
 
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import pytest
@@ -6,12 +8,23 @@ from gibonacci.applications import MaxModulusResult
 from gibonacci.factor import trial_division
 from gibonacci.gcdsum import gcd_sum
 from gibonacci.pisano import pisano_period
-from gibonacci.sequences import FIBONACCI, Seed, gib_pair
+from gibonacci.sequences import (
+    FIBONACCI,
+    LUCAS,
+    Identity,
+    IdentityReport,
+    Seed,
+    _Progression,
+    _Row,
+    gib_pair,
+)
 
 
-def naive_fib(n: int) -> int:
-    """Iterative Fibonacci oracle, both directions, no doubling tricks."""
-    a, b = 0, 1
+@functools.cache
+def naive_gib(seed: Seed, n: int) -> int:
+    """G_n of the seed's sequence by running the recurrence from (G_0, G_1),
+    forward for n >= 0 and backward for n < 0."""
+    a, b = seed.g0, seed.g1
     if n >= 0:
         for _ in range(n):
             a, b = b, a + b
@@ -19,6 +32,11 @@ def naive_fib(n: int) -> int:
     for _ in range(-n):
         a, b = b - a, a
     return a
+
+
+def naive_fib(n: int) -> int:
+    """Iterative Fibonacci oracle, both directions, no doubling tricks."""
+    return naive_gib(FIBONACCI, n)
 
 
 def naive_gib_terms(seed: Seed, lo: int, hi: int) -> dict[int, int]:
@@ -29,6 +47,62 @@ def naive_gib_terms(seed: Seed, lo: int, hi: int) -> dict[int, int]:
     for n in range(-1, lo - 1, -1):
         terms[n] = terms[n + 2] - terms[n + 1]
     return {n: v for n, v in terms.items() if lo <= n <= hi}
+
+
+class NaiveTable:
+    """F, L and G term by term from the naive recurrence, for the seed given.
+
+    Answers an int index with its term and a progression with the row of
+    its terms, and notes whether any G term was read.
+    """
+
+    def __init__(self, seed: Seed):
+        self.seed = seed
+        self.read_g = False
+
+    @staticmethod
+    def _terms(seed: Seed, n):
+        if isinstance(n, int):
+            return naive_gib(seed, n)
+        return _Row(naive_gib(seed, i) for i in n)
+
+    def F(self, n):
+        return self._terms(FIBONACCI, n)
+
+    def L(self, n):
+        return self._terms(LUCAS, n)
+
+    def G(self, n):
+        self.read_g = True
+        return self._terms(self.seed, n)
+
+
+def verify_identity_pointwise(identity: Identity, ranges: dict[str, tuple[int, int]],
+                              seeds) -> IdentityReport:
+    """The identity check one grid point at a time: the reference for the
+    row-at-a-time `verify_identity`.  Each point's last index goes to the
+    sides as a one-term progression, over terms from the naive recurrence;
+    the seeds run only if some point reads a G term."""
+    axes = [range(lo, hi + 1) for lo, hi in (ranges[p] for p in identity.params)]
+
+    def sides_at(table, seed, pt):
+        (lhs,), (rhs,) = identity.sides(table, seed, *pt[:-1],
+                                        _Progression(range(pt[-1], pt[-1] + 1)))
+        return lhs, rhs
+
+    probe = NaiveTable(FIBONACCI)
+    for pt in itertools.product(*axes):
+        sides_at(probe, FIBONACCI, pt)
+    report = IdentityReport(identity, dict(ranges),
+                            tuple(seeds) if probe.read_g else (FIBONACCI,), checked=0)
+    for seed in report.seeds:
+        table = NaiveTable(seed)
+        for pt in itertools.product(*axes):
+            lhs, rhs = sides_at(table, seed, pt)
+            if lhs != rhs:
+                report.failures.append((seed, pt, lhs, rhs))
+            report.checked += 1
+    return report
 
 
 def gcd_sum_at_index_one(seed: Seed, k: int) -> int:

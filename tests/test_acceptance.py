@@ -10,6 +10,26 @@ from gibonacci import gcdsum, pisano, sequences, verify
 from gibonacci.sequences import FIBONACCI, Seed
 
 
+# Each check's detail exactly as `gibonacci verify --format json` prints it,
+# so that output is pinned by the same run that checks the scoreboard.
+DETAILS = {
+    1: "closed=55 brute=55 expected=55",
+    2: "sums=[55, 88, 143, 231] value=11 period_mod_11=5 lcm=11",
+    3: "value=832040 period=60 expected value=832040 period=60",
+    4: "applicable=16800 mismatches=[]",
+    5: "mismatches=[]",
+    6: "violations=[]",
+    7: "points=1041571 failing_families=[]",
+    8: "even_period_seeds=25 bad=[] seed_1_4_has_(11,5)=True",
+    9: "entries=36 mismatches=[]",
+    10: "checked even k in [6, 40]; m_f(40)=6765",
+    11: "mismatches=[]",
+    12: "violations=[]",
+    13: "table_mismatches=[] conjecture_findings=[]",
+    14: "violations=[] period(10)=60:True",
+}
+
+
 @pytest.mark.parametrize(
     "criterion,name,fn",
     verify.CHECKS,
@@ -21,6 +41,7 @@ def test_criterion(criterion, name, fn, capsys):
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] criterion {criterion:2d} {name} ({result.elapsed:.2f}s)")
     assert result.passed, f"criterion {criterion} ({name}): {result.detail}"
+    assert result.detail == DETAILS[criterion]
 
 
 def test_criterion_numbers_are_complete():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from gibonacci import gcdsum, pisano
+from gibonacci import gcdsum, pisano, sequences
 from gibonacci.cli import build_parser, jsonable, main, parse_seed, run
 from gibonacci.gcdsum import classify
 from gibonacci.sequences import Seed
@@ -159,6 +159,23 @@ def test_identities_bounds_reach_the_shift_family(capsys, bounds, points):
 def test_identities_empty_range_names_the_family():
     with pytest.raises(ValueError, match=r"identity gib_addition .* 'm': \[1, 0\]"):
         run(["identities", "--hi", "0"])
+
+
+def test_identities_over_the_point_cap_exits_1_before_any_table(capsys, monkeypatch):
+    # 25 seeds times 10^8 grid points: refused before any term is tabulated
+    def no_tables(*args):
+        raise AssertionError("a term table was built")
+
+    monkeypatch.setattr(sequences, "_tabulate", no_tables)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "identities", "--id", "gib_addition",
+                                      "--hi", "10000"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: identity gib_addition asks for 2500000000 points, "
+                            f"over the cap of {sequences.IDENTITY_POINT_CAP}\n")
 
 
 def test_domain_error_exit_code():

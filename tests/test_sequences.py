@@ -3,12 +3,16 @@ import math
 
 import pytest
 
+from gibonacci import sequences
 from gibonacci.sequences import (
     FIBONACCI,
+    IDENTITY_POINT_CAP,
     LUCAS,
     SMALL_SEED_GRID,
     Identity,
     Seed,
+    _Progression,
+    _Row,
     coprime_seed_grid,
     default_identity_ranges,
     fib,
@@ -20,9 +24,34 @@ from gibonacci.sequences import (
     window_sum,
 )
 
-from conftest import naive_fib, naive_gib_terms
+from conftest import naive_fib, naive_gib_terms, verify_identity_pointwise
 
 SEED_14 = Seed(1, 4)
+
+# a deliberately false identity, F_{n+1} = F_n + F_{n-1} + 1
+PERTURBED = lambda t, s, n: (t.F(n + 1), t.F(n) + t.F(n - 1) + 1)  # noqa: E731
+# G_n = F_n holds for the Fibonacci seed only: every other seed must run
+SEED_DEPENDENT = lambda t, s, n: (t.G(n), t.F(n))  # noqa: E731
+# F_{-n} = (-1)^{n+1} F_n, read through a progression with a negative step
+NEGATED = lambda t, s, n: (t.F(-1 * n), (-1) ** (n + 1) * t.F(n))  # noqa: E731
+# a false sum whose inner progression reads past every other index: F_0
+# .. F_{n+4} are read only through it
+LONG_SUM = lambda t, s, n: (_Row(sum(t.F(_Progression(range(0, k + 5)))) for k in n),  # noqa: E731
+                            t.F(n))
+# the addition law made false at (m, n) = (2, 3) and (4, 6) only: 0 ** x is
+# 1 at x = 0 and 0 above, and F_i = 0 only at i = 0
+FALSE_AT_TWO_POINTS = lambda t, s, m, n: (  # noqa: E731
+    t.G(m + n) + 0 ** (t.F(n - 3) ** 2 + (m - 2) ** 2) + 0 ** (t.F(n - 6) ** 2 + (m - 4) ** 2),
+    t.F(m - 1) * t.G(n) + t.F(m) * t.G(n + 1))
+
+
+def shifted_ranges(ident: Identity):
+    """Ranges [lo, lo] and [lo, lo + 7] for lo in -12..12, each lifted to
+    the parameter's domain floor."""
+    for lo in range(-12, 13):
+        for hi in (lo, lo + 7):
+            yield {p: (lo, hi) if f is None else (max(lo, f), max(hi, f))
+                   for p, f in ident.params.items()}
 
 
 class TestFib:
@@ -147,18 +176,23 @@ class TestVerifyIdentity:
         assert report.ok and report.checked == 441
 
     def test_perturbed_fixture_fails_everywhere(self, monkeypatch):
-        # a deliberately false identity, F_{n+1} = F_n + F_{n-1} + 1
-        monkeypatch.setattr(Identity.LUCAS_FROM_FIB, "sides",
-                            lambda t, s, n: (t.F(n + 1), t.F(n) + t.F(n - 1) + 1))
+        monkeypatch.setattr(Identity.LUCAS_FROM_FIB, "sides", PERTURBED)
         report = verify_identity(Identity.LUCAS_FROM_FIB, {"n": (0, 99)})
         assert len(report.failures) == report.checked == 100
 
     def test_seed_dependence_is_read_from_the_sides(self, monkeypatch):
-        # G_n = F_n holds for the Fibonacci seed only: every other seed must run
-        monkeypatch.setattr(Identity.LUCAS_FROM_FIB, "sides",
-                            lambda t, s, n: (t.G(n), t.F(n)))
+        monkeypatch.setattr(Identity.LUCAS_FROM_FIB, "sides", SEED_DEPENDENT)
         report = verify_identity(Identity.LUCAS_FROM_FIB, {"n": (0, 99)}, SMALL_SEED_GRID)
         assert (report.checked, len(report.seeds), len(report.failures)) == (2500, 25, 2392)
+
+    def test_false_fixture_fails_at_its_two_points_only(self, monkeypatch):
+        # one interior point and one at the end of a row
+        monkeypatch.setattr(Identity.GIB_ADDITION, "sides", FALSE_AT_TWO_POINTS)
+        seeds = [FIBONACCI, Seed(-3, 7)]
+        report = verify_identity(Identity.GIB_ADDITION, {"m": (1, 4), "n": (1, 6)}, seeds)
+        assert report.checked == 48
+        assert [(s, pt, lhs - rhs) for s, pt, lhs, rhs in report.failures] == [
+            (seed, pt, 1) for seed in seeds for pt in ((2, 3), (4, 6))]
 
     def test_sides_take_the_params_in_order(self):
         # verify_identity binds the ranges by position
@@ -178,13 +212,9 @@ class TestVerifyIdentity:
     def test_every_family_clean_on_shifted_ranges(self):
         seeds = [FIBONACCI, Seed(-3, 7)]
         for ident in Identity:
-            floors = ident.params
-            for lo in range(-12, 13):
-                for hi in (lo, lo + 7):
-                    ranges = {p: (lo, hi) if f is None else (max(lo, f), max(hi, f))
-                              for p, f in floors.items()}
-                    report = verify_identity(ident, ranges, seeds)
-                    assert report.ok, (ident, ranges, report.failures[:3])
+            for ranges in shifted_ranges(ident):
+                report = verify_identity(ident, ranges, seeds)
+                assert report.ok, (ident, ranges, report.failures[:3])
 
     def test_all_families_clean_on_suite_ranges(self, grid25):
         for ident in Identity:
@@ -199,6 +229,44 @@ class TestVerifyIdentity:
     def test_missing_range_rejected(self):
         with pytest.raises(ValueError):
             verify_identity(Identity.GIB_ADDITION, {"m": (1, 5)})
+
+    def test_point_cap_refuses_before_any_table(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a term table was built")
+
+        monkeypatch.setattr(sequences, "_tabulate", no_tables)
+        # every seed counts: 400,001 grid points over 25 seeds
+        with pytest.raises(ValueError, match=f"identity cassini asks for 10000025 points, "
+                                             f"over the cap of {IDENTITY_POINT_CAP}"):
+            verify_identity(Identity.CASSINI, {"n": (0, 400000)})
+        # refused at once, however large: the corner scan reads no range in full
+        with pytest.raises(ValueError, match="identity gib_partial_sum asks for 25000000000000 points"):
+            verify_identity(Identity.GIB_PARTIAL_SUM, {"n": (1, 10**12)})
+
+
+def _differential_cases():
+    seeds = (FIBONACCI, Seed(-3, 7))
+    for ident in Identity:
+        for ranges in shifted_ranges(ident):
+            yield ident, None, ranges, seeds
+    yield Identity.LUCAS_FROM_FIB, PERTURBED, {"n": (0, 99)}, SMALL_SEED_GRID
+    yield Identity.LUCAS_FROM_FIB, SEED_DEPENDENT, {"n": (0, 99)}, SMALL_SEED_GRID
+    yield Identity.GIB_ADDITION, FALSE_AT_TWO_POINTS, {"m": (1, 4), "n": (1, 6)}, seeds
+    yield Identity.LUCAS_FROM_FIB, NEGATED, {"n": (0, 10)}, seeds
+    yield Identity.LUCAS_FROM_FIB, LONG_SUM, {"n": (0, 10)}, seeds
+
+
+def test_rows_match_the_pointwise_oracle(monkeypatch):
+    # the row-at-a-time check against one point at a time: same points
+    # checked, same seeds run, same failures in the same order
+    for ident, sides, ranges, seeds in _differential_cases():
+        if sides is not None:
+            monkeypatch.setattr(ident, "sides", sides)
+        got = verify_identity(ident, ranges, seeds)
+        want = verify_identity_pointwise(ident, ranges, seeds)
+        assert (got.checked, got.seeds, got.failures) == (
+            want.checked, want.seeds, want.failures), (ident, ranges)
+        monkeypatch.undo()
 
 
 def test_grid_includes_canonical_seeds():
