@@ -7,7 +7,7 @@ Three independent routes to the same value:
 * ``gcd_sum_bruteforce`` -- the gcd of finitely many actual window sums
   (two windows already pin the value down);
 * ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k: one
-  period walk at the closed-formula value, or, given a bound, a scan of
+  period at the closed-formula value, or, given a bound, a scan of
   every modulus up to it.
 
 ``classify`` predicts the value from k mod 12 and the seed parameters
@@ -92,7 +92,7 @@ def _modulus_counts(seed: Seed, m: int, k: int) -> bool:
 def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     """LCM-over-periods characterization of the GCD of window sums.
 
-    Without a bound: take the closed-formula candidate v and walk one
+    Without a bound: take the closed-formula candidate v and find one
     period, that of the seed mod v.  Requires a coprime seed: under that
     convention the biconditional "period mod m divides k <=> m divides v"
     holds, so every counted modulus divides v.  The counted set
@@ -100,9 +100,11 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     period mod lcm(a, b) is the lcm of the periods mod a and mod b, so
     its lcm is itself a member.  Hence the lcm over the counted divisors
     of v equals v exactly when the period mod v divides k, and a failure
-    raises AssertionError.  The walk takes at most k steps when v is
-    right: v divides G_{k+1} - G_1 and G_{k+2} - G_2, so the residue
-    pair (G_1, G_2) mod v recurs after k steps.
+    raises AssertionError.  A right v has a period of at most k: v
+    divides G_{k+1} - G_1 and G_{k+2} - G_2, so the residue pair
+    (G_1, G_2) mod v recurs after k steps.  The period kernel's first
+    phase walks up to isqrt(6v) + 1 steps, more than k at all but small
+    k (v grows like phi^(k/2)), so it finds that period with no table.
 
     With a bound: lcm over all m <= bound with period dividing k; any
     nondegenerate seed is allowed.  This is a genuinely independent

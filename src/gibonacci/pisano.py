@@ -2,19 +2,39 @@
 
 The period of seed (g0, g1) modulo m is the least r >= 1 with
 G_r = g0 and G_{r+1} = g1 (mod m).  The step map on residue pairs is
-invertible, so the residue sequence is purely periodic and the search
-always terminates within m^2 steps.  ``pisano_period`` is the only way
-in to that walk; the parity scan and the lcm route call it.  The period
-is also the least window length whose sums m always divides.  Shift
-equivalence needs no period: two sequences agree mod m up to a shift
-exactly when their residue pairs lie on one orbit.
+invertible, so the residue sequence is purely periodic, with a period of
+at most m^2 - 1.  ``pisano_period`` is the only way in to the period
+kernel; the parity scan and the lcm route call it.
+
+The kernel is a baby-step giant-step search in two phases, with
+s = isqrt(6m) + 1.  Phase 1 walks up to s steps one term at a time and
+returns a period of at most s without building any table.  Phase 2
+stores the s baby-step pairs and applies M^s mod m (giant steps, M the
+step matrix) until one lands on a stored pair.  The period of every seed
+divides the Fibonacci period pi_F(m), since M^pi_F(m) = I, and
+pi_F(m) <= 6m (Freyd and Brown), so about s giant steps suffice and a
+period costs at most about 3 sqrt(6m) steps in all.  The bound 6m only
+sizes s: the giant steps run on to the m^2 state bound, so no answer
+relies on it.  Neither phase walks or stores more than
+``PERIOD_TABLE_CAP`` pairs; a period that needs more is refused with a
+ValueError.
+
+The period is also the least window length whose sums m always divides.
+Shift equivalence needs no period: two sequences agree mod m up to a
+shift exactly when their residue pairs lie on one orbit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .sequences import Seed
+from .sequences import FIBONACCI, Seed, gib_pair
+
+# The most residue pairs the period kernel walks in phase 1 or stores in
+# phase 2.  A table this full holds about 30 MB and covers every m up to
+# about 1.1e10 (s = isqrt(6m) + 1 <= 2^18).
+PERIOD_TABLE_CAP = 2**18
 
 # Period depends only on (g0 mod m, g1 mod m, m); scans over m reuse this.
 # Plain dict: single-interpreter reads/writes are atomic, and correctness
@@ -30,24 +50,48 @@ def _residue_period(a: int, b: int, m: int) -> int:
     """Least r >= 1 returning the residue pair (a, b) to itself mod m.
 
     Requires m >= 2, 0 <= a, b < m and (a, b) != (0, 0); only
-    ``pisano_period`` calls it, after checking exactly that.
+    ``pisano_period`` calls it, after checking exactly that.  Raises
+    ValueError when the period exceeds both s = isqrt(6m) + 1 and
+    ``PERIOD_TABLE_CAP``.
     """
     key = (a, b, m)
     cached = _period_cache.get(key)
     if cached is not None:
         return cached
+    s = math.isqrt(6 * m) + 1
+    # Phase 1: a period of at most s returns here, with no table to build;
+    # the lcm route's period does at all but small k.
     x, y = a, b
-    r = 0
-    cap = m * m
-    while True:
+    for r in range(1, min(s, PERIOD_TABLE_CAP) + 1):
         x, y = y, (x + y) % m
-        r += 1
         if x == a and y == b:
-            break
-        if r > cap:  # pair space has m^2 states and the map is a bijection
-            raise AssertionError("residue pair failed to cycle within m^2 steps")
-    _period_cache[key] = r
-    return r
+            _period_cache[key] = r
+            return r
+    if s > PERIOD_TABLE_CAP:
+        name = m if m.bit_length() <= 160 else f"a {m.bit_length()}-bit modulus"
+        raise ValueError(
+            f"period mod {name} exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps, "
+            f"and a longer one needs a table of isqrt(6m) + 1 pairs, over the cap"
+        )
+    # Phase 2: the period r exceeds s, so baby pairs 0 .. s-1 are distinct.
+    # Giant step i lands on baby step j exactly when i*s - j is a return
+    # time, a multiple of r; the first i with i*s >= r gives r itself.
+    baby: dict[int, int] = {}
+    x, y = a, b
+    for j in range(s):
+        baby[x * m + y] = j
+        x, y = y, (x + y) % m
+    f, f_next = gib_pair(FIBONACCI, s)  # M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]]
+    f_prev, f, f_next = (f_next - f) % m, f % m, f_next % m
+    x, y = a, b
+    for i in range(1, m * m // s + 2):  # the pair space has m^2 states
+        x, y = (f_prev * x + f * y) % m, (f * x + f_next * y) % m
+        j = baby.get(x * m + y)
+        if j is not None:
+            r = i * s - j
+            _period_cache[key] = r
+            return r
+    raise AssertionError(f"residue pair ({a}, {b}) failed to cycle within {m}^2 steps")
 
 
 def pisano_period(seed: Seed, m: int) -> int:
@@ -55,7 +99,8 @@ def pisano_period(seed: Seed, m: int) -> int:
 
     m = 1 returns 1 by convention.  Errors on the seed (0, 0), and if
     the seed reduces to (0, 0) mod m: the constant-zero residue sequence
-    is excluded.
+    is excluded.  Also a ValueError when the period exceeds
+    ``PERIOD_TABLE_CAP`` and so does isqrt(6m) + 1, the table it would need.
 
     The period is also the least s >= 1 such that m divides every sum of
     s consecutive terms.  A window sum starting at n >= 1 is

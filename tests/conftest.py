@@ -105,6 +105,19 @@ def verify_identity_pointwise(identity: Identity, ranges: dict[str, tuple[int, i
     return report
 
 
+def residue_period_walk(a: int, b: int, m: int) -> int:
+    """Least r >= 1 returning the residue pair (a, b) to itself mod m, by
+    stepping the pair one term at a time: the reference for the
+    baby-step giant-step period kernel."""
+    x, y = a, b
+    r = 0
+    while True:
+        x, y = y, (x + y) % m
+        r += 1
+        if x == a and y == b:
+            return r
+
+
 def gcd_sum_at_index_one(seed: Seed, k: int) -> int:
     """The paper's closed formula as written, gcd(G_{k+1} - G_1, G_{k+2} - G_2):
     its operands have about twice the bits of the balanced-index ones."""

@@ -198,6 +198,18 @@ def test_degenerate_seed_has_no_period(capsys, monkeypatch, argv):
     assert captured.err == "error: seed (0, 0) is degenerate\n"
 
 
+def test_pisano_over_the_table_cap_is_refused(capsys, monkeypatch):
+    m = 10**40  # s = isqrt(6m) + 1 is about 2.4e20 pairs; the walk stops at the cap
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "pisano", "--m", str(m)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: period mod {m} exceeds PERIOD_TABLE_CAP = "
+                                   f"{pisano.PERIOD_TABLE_CAP} steps")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_term_beyond_the_int_str_digit_limit(capsys, fmt):
     limit = sys.get_int_max_str_digits()

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gibonacci import pisano
 from gibonacci.pisano import (
     clear_period_cache,
     equivalent_up_to_shift,
@@ -10,7 +13,12 @@ from gibonacci.pisano import (
 )
 from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid
 
-from conftest import minimal_window_length_scan, naive_gib_terms, naive_shift_equivalence
+from conftest import (
+    minimal_window_length_scan,
+    naive_gib_terms,
+    naive_shift_equivalence,
+    residue_period_walk,
+)
 
 SEED_14 = Seed(1, 4)
 
@@ -68,6 +76,55 @@ class TestPisanoPeriod:
 
     def test_period_depends_only_on_residues(self):
         assert pisano_period(Seed(12, 4), 11) == pisano_period(Seed(1, 4), 11)
+
+
+class TestPeriodKernel:
+    # baby-step giant-step against the one-step walk
+
+    def test_matches_walk_on_every_residue_pair(self):
+        clear_period_cache()  # every pair below is computed, not looked up
+        for m in range(2, 41):
+            for a in range(m):
+                for b in range(m):
+                    if (a, b) != (0, 0):
+                        assert pisano_period(Seed(a, b), m) == residue_period_walk(a, b, m), (a, b, m)
+
+    @given(st.integers(2, 10**5), st.integers(0, 10**5), st.integers(0, 10**5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_walk_on_random_pairs(self, m, a, b):
+        a, b = a % m, b % m
+        if (a, b) == (0, 0):
+            b = 1
+        clear_period_cache()
+        assert pisano_period(Seed(a, b), m) == residue_period_walk(a, b, m)
+
+    @pytest.mark.parametrize(
+        "seed,m,s,period",
+        [
+            (FIBONACCI, 2, 4, 3),        # below s: phase 1 returns it
+            (Seed(0, 3), 9, 8, 8),       # exactly s: still phase 1
+            (LUCAS, 855, 72, 72),
+            (FIBONACCI, 4, 5, 6),        # s + 1: giant step 2 lands on baby step s - 1
+            (FIBONACCI, 368, 47, 48),
+            (FIBONACCI, 9, 8, 24),       # multiples of s: the landing is baby step 0
+            (FIBONACCI, 100, 25, 300),
+        ],
+    )
+    def test_periods_at_the_edges_of_the_giant_step(self, seed, m, s, period):
+        assert math.isqrt(6 * m) + 1 == s
+        clear_period_cache()
+        assert pisano_period(seed, m) == residue_period_walk(seed.g0 % m, seed.g1 % m, m) == period
+
+    def test_large_prime_modulus(self):
+        assert pisano_period(FIBONACCI, 10**9 + 7) == 2 * (10**9 + 8)
+
+    def test_table_cap(self, monkeypatch):
+        # s = isqrt(6m) + 1 is 2235 at m = 832040 and 2450 at m = 10^6
+        monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
+        clear_period_cache()
+        assert pisano_period(FIBONACCI, 832040) == 60  # phase 1 finds it under the cap
+        with pytest.raises(ValueError, match=r"period mod 1000000 exceeds PERIOD_TABLE_CAP = 64 "):
+            pisano_period(FIBONACCI, 10**6)
 
 
 class TestMinimalWindowLength:
