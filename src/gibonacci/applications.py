@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import pisano
 from .factor import trial_division
 from .gcdsum import gcd_sum
 from .pisano import pisano_period
@@ -122,9 +123,18 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     divides k iff m divides that value, so no modulus with period exactly
     k exceeds it, and the check rules out every larger candidate without
     a walk.
+
+    The modulus has period exactly k, so at k above ``PERIOD_TABLE_CAP``
+    the period kernel would walk the cap's worth of steps and then refuse
+    it; that ValueError is raised at once instead.
     """
     if k % 2 != 0 or k < 6:
         raise ValueError("k must be an even integer >= 6")
+    if k > pisano.PERIOD_TABLE_CAP:
+        raise ValueError(
+            f"period k = {k} exceeds PERIOD_TABLE_CAP = {pisano.PERIOD_TABLE_CAP} steps, "
+            f"so its modulus is refused without a walk"
+        )
     if k % 4 == 0:
         m_f, form = fib(k // 2), "fib_half"
     else:

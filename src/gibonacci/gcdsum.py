@@ -103,8 +103,11 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     raises AssertionError.  A right v has a period of at most k: v
     divides G_{k+1} - G_1 and G_{k+2} - G_2, so the residue pair
     (G_1, G_2) mod v recurs after k steps.  The period kernel's first
-    phase walks up to isqrt(6v) + 1 steps, more than k at all but small
-    k (v grows like phi^(k/2)), so it finds that period with no table.
+    phase walks up to min(isqrt(6v) + 1, ``PERIOD_TABLE_CAP``) steps.
+    The first bound exceeds k at all but small k (v grows like
+    phi^(k/2)), so it finds that period with no table.  A period over
+    the cap, such as the Fibonacci seed's at even k above it (exactly
+    k), is refused with a ValueError after those steps.
 
     With a bound: lcm over all m <= bound with period dividing k; any
     nondegenerate seed is allowed.  This is a genuinely independent

@@ -17,7 +17,8 @@ period costs at most about 3 sqrt(6m) steps in all.  The bound 6m only
 sizes s: the giant steps run on to the m^2 state bound, so no answer
 relies on it.  Neither phase walks or stores more than
 ``PERIOD_TABLE_CAP`` pairs; a period that needs more is refused with a
-ValueError.
+ValueError.  The kernel keeps no state between calls: every call
+computes its period.
 
 The period is also the least window length whose sums m always divides.
 Shift equivalence needs no period: two sequences agree mod m up to a
@@ -36,14 +37,9 @@ from .sequences import FIBONACCI, Seed, gib_pair
 # about 1.1e10 (s = isqrt(6m) + 1 <= 2^18).
 PERIOD_TABLE_CAP = 2**18
 
-# Period depends only on (g0 mod m, g1 mod m, m); scans over m reuse this.
-# Plain dict: single-interpreter reads/writes are atomic, and correctness
-# never depends on a hit.
-_period_cache: dict[tuple[int, int, int], int] = {}
-
 
 def clear_period_cache() -> None:
-    _period_cache.clear()
+    """Nothing to clear: the period kernel keeps no state between calls."""
 
 
 def _residue_period(a: int, b: int, m: int) -> int:
@@ -54,10 +50,6 @@ def _residue_period(a: int, b: int, m: int) -> int:
     ValueError when the period exceeds both s = isqrt(6m) + 1 and
     ``PERIOD_TABLE_CAP``.
     """
-    key = (a, b, m)
-    cached = _period_cache.get(key)
-    if cached is not None:
-        return cached
     s = math.isqrt(6 * m) + 1
     # Phase 1: a period of at most s returns here, with no table to build;
     # the lcm route's period does at all but small k.
@@ -65,7 +57,6 @@ def _residue_period(a: int, b: int, m: int) -> int:
     for r in range(1, min(s, PERIOD_TABLE_CAP) + 1):
         x, y = y, (x + y) % m
         if x == a and y == b:
-            _period_cache[key] = r
             return r
     if s > PERIOD_TABLE_CAP:
         name = m if m.bit_length() <= 160 else f"a {m.bit_length()}-bit modulus"
@@ -88,9 +79,7 @@ def _residue_period(a: int, b: int, m: int) -> int:
         x, y = (f_prev * x + f * y) % m, (f * x + f_next * y) % m
         j = baby.get(x * m + y)
         if j is not None:
-            r = i * s - j
-            _period_cache[key] = r
-            return r
+            return i * s - j
     raise AssertionError(f"residue pair ({a}, {b}) failed to cycle within {m}^2 steps")
 
 

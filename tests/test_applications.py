@@ -2,7 +2,7 @@ import types
 
 import pytest
 
-from gibonacci import applications
+from gibonacci import applications, pisano
 from gibonacci.applications import (
     lucas_from_gcd,
     max_modulus_for_period,
@@ -76,6 +76,18 @@ class TestMaxModulus:
         assert max_modulus_for_period(60).m_f == 832040
         with pytest.raises(AssertionError, match="divides 1664080, expected 832040"):
             max_modulus_for_period(60, exhaustive=True)
+
+    def test_refused_above_the_table_cap_without_a_walk(self, monkeypatch):
+        # F_32 = 2178309 has period 64, found by phase 1 within the cap
+        monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
+
+        def no_walk(a, b, m):
+            raise AssertionError(f"walked mod {m}")
+
+        assert max_modulus_for_period(64).m_f == fib(32)
+        monkeypatch.setattr(pisano, "_residue_period", no_walk)
+        with pytest.raises(ValueError, match=r"^period k = 66 exceeds PERIOD_TABLE_CAP = 64 steps"):
+            max_modulus_for_period(66)
 
     def test_rejects_odd_and_small_k(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gibonacci import pisano
 from gibonacci.pisano import (
-    clear_period_cache,
     equivalent_up_to_shift,
     parity_scan,
     pisano_period,
@@ -66,14 +65,6 @@ class TestPisanoPeriod:
                     if (terms[r] - terms[0]) % m == 0 and (terms[r + 1] - terms[1]) % m == 0:
                         pytest.fail(f"period {p} not minimal for {seed} mod {m}: {r}")
 
-    def test_cache_is_transparent(self):
-        clear_period_cache()
-        first = pisano_period(SEED_14, 29)
-        again = pisano_period(SEED_14, 29)
-        clear_period_cache()
-        cold = pisano_period(SEED_14, 29)
-        assert first == again == cold
-
     def test_period_depends_only_on_residues(self):
         assert pisano_period(Seed(12, 4), 11) == pisano_period(Seed(1, 4), 11)
 
@@ -82,7 +73,6 @@ class TestPeriodKernel:
     # baby-step giant-step against the one-step walk
 
     def test_matches_walk_on_every_residue_pair(self):
-        clear_period_cache()  # every pair below is computed, not looked up
         for m in range(2, 41):
             for a in range(m):
                 for b in range(m):
@@ -95,7 +85,6 @@ class TestPeriodKernel:
         a, b = a % m, b % m
         if (a, b) == (0, 0):
             b = 1
-        clear_period_cache()
         assert pisano_period(Seed(a, b), m) == residue_period_walk(a, b, m)
 
     @pytest.mark.parametrize(
@@ -112,7 +101,6 @@ class TestPeriodKernel:
     )
     def test_periods_at_the_edges_of_the_giant_step(self, seed, m, s, period):
         assert math.isqrt(6 * m) + 1 == s
-        clear_period_cache()
         assert pisano_period(seed, m) == residue_period_walk(seed.g0 % m, seed.g1 % m, m) == period
 
     def test_large_prime_modulus(self):
@@ -121,7 +109,6 @@ class TestPeriodKernel:
     def test_table_cap(self, monkeypatch):
         # s = isqrt(6m) + 1 is 2235 at m = 832040 and 2450 at m = 10^6
         monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
-        clear_period_cache()
         assert pisano_period(FIBONACCI, 832040) == 60  # phase 1 finds it under the cap
         with pytest.raises(ValueError, match=r"period mod 1000000 exceeds PERIOD_TABLE_CAP = 64 "):
             pisano_period(FIBONACCI, 10**6)
