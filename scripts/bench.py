@@ -71,8 +71,10 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Any]]]:
             {"k": 300, "exhaustive": True}, lambda: max_modulus_for_period(300, exhaustive=True)),
         "gcd_sum_fib_1e6": (
             {"seed": [0, 1], "k": 10**6}, lambda: gcd_sum(FIBONACCI, 10**6)),
-        "gcd_sum_fib_1e6_plus_1": (  # odd k: the value is 1 or 2 and the gcd dominates
+        "gcd_sum_fib_1e6_plus_1": (  # odd k: the value divides 2|d| = 2
             {"seed": [0, 1], "k": 10**6 + 1}, lambda: gcd_sum(FIBONACCI, 10**6 + 1)),
+        "gcd_sum_1_4_4e6_plus_1": (  # odd k, |d| = 11: the value divides 22
+            {"seed": [1, 4], "k": 4 * 10**6 + 1}, lambda: gcd_sum(Seed(1, 4), 4 * 10**6 + 1)),
         "gcd_sum_fib_4e6": (
             {"seed": [0, 1], "k": 4 * 10**6}, lambda: gcd_sum(FIBONACCI, 4 * 10**6)),
         "parity_scan_1_4_3000": (

@@ -3,7 +3,8 @@
 Three independent routes to the same value:
 
 * ``gcd_sum`` -- the closed formula gcd(G_{k+1} - G_1, G_{k+2} - G_2),
-  evaluated at the balanced index where both differences are half-size;
+  read mod 2|d| (d the Cassini constant) at odd k, and at even k at the
+  balanced index where both differences are half-size;
 * ``gcd_sum_bruteforce`` -- the gcd of finitely many actual window sums
   (two windows already pin the value down);
 * ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k: one
@@ -46,21 +47,48 @@ def _check_args(seed: Seed, k: int) -> None:
 
 
 def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
-    """Closed formula: gcd(G_{k+1} - G_1, G_{k+2} - G_2), read at n = -(k // 2).
+    """Closed formula: gcd(G_{k+1} - G_1, G_{k+2} - G_2), read mod 2|d| at odd k.
 
     The differences D_n = G_{n+k} - G_n obey the Gibonacci recurrence for
     every integer n, and gcd(a, b) = gcd(b, a + b), so gcd(D_n, D_{n+1})
-    is the same at every n.  At n = 1 it is the formula above.  At the
-    balanced index n = -(k // 2) both differences have about half the bits
-    of those at n = 1, which makes the gcd far cheaper for large k.
+    is the same at every n.  At n = 1 it is the formula above.
+
+    Odd k: the value divides 2|d|, with d = G_1^2 - G_0 G_1 - G_0^2 the
+    Cassini constant, so it is gcd(D_1 mod 2|d|, D_2 mod 2|d|, 2|d|): the
+    n = 1 form, read from one ``gib_pair`` call mod 2|d| on numbers the
+    size of d (balancing the index saves nothing there).  Proof,
+    with M = [[0, 1], [1, 1]] the step matrix, u = (G_0, G_1) and
+    g = gcd(D_1, D_2):
+
+    * g divides |d| times the Fibonacci value g_F.  g divides D_0 =
+      D_2 - D_1 too, that is (M^k - I)[u, Mu] = 0 (mod g).  The
+      matrix [u, Mu] has determinant -d; multiplying on the right by its
+      adjugate gives d (M^k - I) = 0 (mod g).  The entries of M^k - I
+      are F_{k-1} - 1, F_k and F_{k+1} - 1, whose gcd is g_F.
+    * g_F divides 2 for odd k.  Mod g_F, F_{k+1} = F_{k+2} = 1, so
+      F_k = 0, and Cassini's identity F_{k+1}^2 - F_k F_{k+2} = (-1)^k
+      reads 1 = -1.
+
+    d is nonzero for every nondegenerate seed (4d = (2 G_1 - G_0)^2 -
+    5 G_0^2, and 5 G_0^2 is a square only at G_0 = 0), so the modulus is
+    at least 2.  The lemma reads no row of ``classify``'s k mod 12 table.
+
+    Even k: read at the balanced index n = -(k // 2), where both
+    differences have about half the bits of those at n = 1, which makes
+    the big-integer gcd far cheaper for large k.
 
     Valid for any nonzero integer seed, coprime or not.
     """
     _check_args(seed, k)
-    n = -(k // 2)
-    g_lo, g_lo1 = gib_pair(seed, n)
-    g_hi, g_hi1 = gib_pair(seed, n + k)
-    value = math.gcd(g_hi - g_lo, g_hi1 - g_lo1)
+    if k % 2:
+        m = 2 * abs(seed_invariants(seed).d)
+        g_k1, g_k2 = gib_pair(seed, k + 1, m)
+        value = math.gcd(g_k1 - seed.g1, g_k2 - seed.g0 - seed.g1, m)
+    else:
+        n = -(k // 2)
+        g_lo, g_lo1 = gib_pair(seed, n)
+        g_hi, g_hi1 = gib_pair(seed, n + k)
+        value = math.gcd(g_hi - g_lo, g_hi1 - g_lo1)
     return GcdSumResult(seed, k, value, Method.CLOSED_GCD)
 
 

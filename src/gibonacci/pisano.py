@@ -72,8 +72,8 @@ def _residue_period(a: int, b: int, m: int) -> int:
     for j in range(s):
         baby[x * m + y] = j
         x, y = y, (x + y) % m
-    f, f_next = gib_pair(FIBONACCI, s)  # M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]]
-    f_prev, f, f_next = (f_next - f) % m, f % m, f_next % m
+    f, f_next = gib_pair(FIBONACCI, s, m)  # M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]]
+    f_prev = (f_next - f) % m
     x, y = a, b
     for i in range(1, m * m // s + 2):  # the pair space has m^2 states
         x, y = (f_prev * x + f * y) % m, (f * x + f_next * y) % m

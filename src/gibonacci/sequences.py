@@ -47,25 +47,32 @@ FIBONACCI = Seed(0, 1)
 LUCAS = Seed(2, 1)
 
 
-def gib_pair(seed: Seed, n: int) -> tuple[int, int]:
+def gib_pair(seed: Seed, n: int, m: int | None = None) -> tuple[int, int]:
     """The adjacent terms (G_n, G_{n+1}) of the seed's sequence, for any integer n.
 
     The package's one term kernel: iterative fast doubling over the bits
-    of |n| gives (F_m, F_{m+1}) with m = |n|, and G_n = G_0 F_{n-1} + G_1 F_n
-    holds over all of Z once F is extended by F_{-m} = (-1)^{m+1} F_m.
+    of |n| gives (F_j, F_{j+1}) with j = |n|, and G_n = G_0 F_{n-1} + G_1 F_n
+    holds over all of Z once F is extended by F_{-j} = (-1)^{j+1} F_j.
+    Given a modulus m >= 1, every doubling step is reduced mod m, so the
+    operands stay below m, and the pair comes back reduced to [0, m).
     """
-    m = abs(n)
-    a, b = 0, 1  # (F_i, F_{i+1}) for the prefix i of m's bits read so far
-    for bit in range(m.bit_length() - 1, -1, -1):
+    if m is not None and m < 1:
+        raise ValueError("modulus m must be >= 1")
+    j = abs(n)
+    a, b = 0, 1  # (F_i, F_{i+1}) for the prefix i of j's bits read so far
+    for bit in range(j.bit_length() - 1, -1, -1):
         c = a * (2 * b - a)  # F_{2i}
         d = a * a + b * b    # F_{2i+1}
-        a, b = (d, c + d) if m >> bit & 1 else (c, d)
+        a, b = (d, c + d) if j >> bit & 1 else (c, d)
+        if m is not None:
+            a, b = a % m, b % m
     if n >= 0:
         f_prev, f, f_next = b - a, a, b
     else:
-        sign = -1 if m & 1 else 1  # (-1)^m
+        sign = -1 if j & 1 else 1  # (-1)^j
         f_prev, f, f_next = sign * b, -sign * a, sign * (b - a)
-    return seed.g0 * f_prev + seed.g1 * f, seed.g0 * f + seed.g1 * f_next
+    g, g_next = seed.g0 * f_prev + seed.g1 * f, seed.g0 * f + seed.g1 * f_next
+    return (g, g_next) if m is None else (g % m, g_next % m)
 
 
 def fib(n: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -116,6 +117,34 @@ def test_classify_inapplicable(capsys):
     payload = json.loads(out)
     assert payload["predicted"] == "table-inapplicable"
     assert payload["actual"] == "11"
+
+
+# k = 10^100 + 1 is 5 (mod 12).  For (1,4), whose value divides 2|d| = 22,
+# the period is 3 mod 2 and 5 mod 11, and k is 2 mod 3 and 1 mod 5: the
+# value is 1 there too.
+ODD_K_PAST_ANY_TERM = str(10**100 + 1)
+
+
+@pytest.mark.parametrize("seed,predicted", [("0,1", "1"), ("1,4", "table-inapplicable")])
+def test_odd_k_past_any_term_size_answers_at_once(capsys, monkeypatch, seed, predicted):
+    real = gcdsum.gib_pair
+
+    def reduced_only(s, n, m=None):  # G_{k+1} itself would have about 7e99 bits
+        if m is None and abs(n) > 10**7:
+            raise AssertionError(f"full-size term at index {n}")
+        return real(s, n, m)
+
+    monkeypatch.setattr(gcdsum, "gib_pair", reduced_only)
+    start = time.perf_counter()
+    code, out = invoke(capsys, "gcd-sum", "--seed", seed, "--k", ODD_K_PAST_ANY_TERM)
+    assert code == 0 and out == "closed_gcd: 1\n"
+    code, out = invoke(capsys, "classify", "--seed", seed, "--k", ODD_K_PAST_ANY_TERM,
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["k"], payload["residue_mod_12"], payload["predicted"], payload["actual"]) == (
+        ODD_K_PAST_ANY_TERM, "5", predicted, "1")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parity_scan(capsys):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibonacci import pisano
 from gibonacci.gcdsum import (
@@ -35,6 +37,7 @@ class TestClosedFormula:
             (SEED_14, 5, 11),
             (FIBONACCI, 60, 832040),
             (Seed(3, 7), 1, 1),
+            (FIBONACCI, 3, 2),
         ],
     )
     def test_known_values(self, seed, k, expected):
@@ -70,6 +73,40 @@ class TestClosedFormula:
                 values = {math.gcd(g[n + k] - g[n], g[n + k + 1] - g[n + 1])
                           for n in range(-k - 2, k + 3)}
                 assert values == {gcd_sum(seed, k).value}, (seed, k)
+
+
+# coprime, each with a Cassini constant d other than +-1
+NON_UNIT_D_SEEDS = (SEED_14, LUCAS, Seed(-3, 7), Seed(3, 1), Seed(1, 10), Seed(9, 4))
+
+
+class TestOddK:
+    # odd k reads the closed formula mod 2|d|; the n = 1 form is the oracle
+
+    def test_value_can_be_2d_itself(self):
+        # a modulus of |d| in place of 2|d| would return 11 here
+        assert gcd_sum(SEED_14, 15).value == 22 == 2 * abs(seed_invariants(SEED_14).d)
+
+    def test_matches_index_one_on_non_coprime_seeds(self):
+        for seed in (Seed(2, 8), Seed(3, 9), Seed(-6, 4), Seed(5, 0), Seed(0, -12), Seed(22, 44)):
+            for k in range(1, 400, 2):
+                assert gcd_sum(seed, k).value == gcd_sum_at_index_one(seed, k), (seed, k)
+
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+           st.integers(1, 10**6), st.integers(0, 2500))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_index_one_on_large_seeds(self, g0, g1, scale, j):
+        if (g0, g1) == (0, 0):
+            g1 = 1
+        seed = Seed(scale * g0, scale * g1)  # non-coprime whenever scale > 1
+        k = 2 * j + 1
+        assert gcd_sum(seed, k).value == gcd_sum_at_index_one(seed, k)
+
+    def test_classify_actual_with_a_non_unit_d(self):
+        for seed in NON_UNIT_D_SEEDS:
+            assert not seed_invariants(seed).d_is_unit
+            for k in range(1, 200, 2):
+                c = classify(seed, k)
+                assert c.actual == gcd_sum_at_index_one(seed, k), (seed, k)
 
 
 LARGE_K_SEEDS = (FIBONACCI, LUCAS, SEED_14, Seed(-3, 7), Seed(6, -4))

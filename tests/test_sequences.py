@@ -2,6 +2,8 @@ import inspect
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibonacci import sequences
 from gibonacci.sequences import (
@@ -99,6 +101,26 @@ class TestGibTerm:
             for n in range(-100, 101):
                 assert gib_term(seed, n) == want[n], (seed, n)
                 assert gib_pair(seed, n) == (want[n], want[n + 1]), (seed, n)
+
+
+class TestGibPairModular:
+    @pytest.mark.parametrize("m", [0, -7])
+    def test_rejects_a_modulus_below_one(self, m):
+        with pytest.raises(ValueError, match="modulus m must be >= 1"):
+            gib_pair(FIBONACCI, 10, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 1000, 2**60 - 93])
+    @pytest.mark.parametrize("seed", [FIBONACCI, LUCAS, Seed(-3, 7)])
+    def test_is_the_plain_pair_reduced(self, seed, m):
+        for n in range(-300, 301):
+            assert gib_pair(seed, n, m) == tuple(x % m for x in gib_pair(seed, n)), n
+
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+           st.integers(-2 * 10**5, 2 * 10**5), st.integers(1, 2**256))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_plain_pair_reduced_at_large_n_and_m(self, g0, g1, n, m):
+        seed = Seed(g0, g1)
+        assert gib_pair(seed, n, m) == tuple(x % m for x in gib_pair(seed, n))
 
 
 class TestWindowSum:
