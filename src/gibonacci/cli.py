@@ -29,16 +29,65 @@ def parse_seed(text: str) -> Seed:
         raise ValueError(f"seed entries must be integers, got {text!r}") from None
 
 
+#: Bit length from which `decimal_str` splits instead of calling `str`.  On
+#: CPython before 3.12, `str` takes time quadratic in the digit count.  In a
+#: fresh process, where the split also pays for importing `decimal`, it
+#: overtakes `str` between 2^16 and 2^17 bits (Python 3.11.7); at 2^17 bits
+#: it takes 16 ms against 31 ms.
+DECIMAL_STR_CUTOFF = 2**17
+_DECIMAL_BASE_BITS = 2**12  # pieces this small convert with one Decimal(int)
+
+
+def decimal_str(n: int) -> str:
+    """``str(n)``, in subquadratic time for big n: every integer the CLI
+    prints goes through here.
+
+    Below DECIMAL_STR_CUTOFF bits it is ``str(n)``, under CPython's int/str
+    digit limit, which `run` lifts.  From the cutoff up, |n| is split by bit shifts into a low
+    and a high half, each half converted the same way, and the two joined
+    as lo + hi * 2^w in `decimal`, whose libmpdec multiplies in
+    subquadratic time (the method of CPython 3.12's ``_pylong``).  The
+    arithmetic runs in a local context wide enough to be exact, with
+    Inexact trapped so that any rounding raises instead of printing wrong
+    digits; the caller's context is left as it was.  The sign is put on the
+    finished digits.
+    """
+    if n.bit_length() < DECIMAL_STR_CUTOFF:
+        return str(n)
+    import decimal  # here, not at the top: it takes 1.5-2.2 ms, and every CLI start imports cli
+
+    powers: dict[int, decimal.Decimal] = {}  # 2^w, memoised within one call
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = (decimal.Decimal(2) ** w if w <= _DECIMAL_BASE_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def join(m: int, w: int) -> decimal.Decimal:  # m < 2^w
+        if w <= _DECIMAL_BASE_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return join(m - (hi << half), half) + join(hi, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(join(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
 def jsonable(value: Any) -> Any:
     """Recursively convert results to JSON-safe data; ints become strings."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return str(value)
+        return decimal_str(value)
     if isinstance(value, str):
         return value
     if isinstance(value, Seed):
-        return [str(value.g0), str(value.g1)]
+        return [decimal_str(value.g0), decimal_str(value.g1)]
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -122,18 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # A handler returns the JSON payload, a function building the text output
-# (called in text mode only: printing a huge value is slow) and the exit code.
+# (called in text mode only, so that a JSON run converts no value to
+# decimal twice) and the exit code.
 Outcome = tuple[dict[str, Any], Callable[[], str], int]
 
 
 def _term(a: argparse.Namespace) -> Outcome:
     value = sequences.gib_term(a.seed, a.n)
-    return {"seed": a.seed, "n": a.n, "value": value}, lambda: str(value), 0
+    return {"seed": a.seed, "n": a.n, "value": value}, lambda: decimal_str(value), 0
 
 
 def _sum(a: argparse.Namespace) -> Outcome:
     value = sequences.window_sum(a.seed, a.n, a.k)
-    return {"seed": a.seed, "n": a.n, "k": a.k, "value": value}, lambda: str(value), 0
+    return {"seed": a.seed, "n": a.n, "k": a.k, "value": value}, lambda: decimal_str(value), 0
 
 
 def _gcd_sum(a: argparse.Namespace) -> Outcome:
@@ -149,7 +199,8 @@ def _gcd_sum(a: argparse.Namespace) -> Outcome:
     chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
     results = [methods[name]() for name in chosen]
     return {"seed": a.seed, "k": a.k, "results": results}, lambda: "\n".join(
-        f"{r.method.value}: {r.value}" + (" (partial)" if r.partial else "") for r in results
+        f"{r.method.value}: {decimal_str(r.value)}" + (" (partial)" if r.partial else "")
+        for r in results
     ), 0
 
 
@@ -165,7 +216,8 @@ def _classify(a: argparse.Namespace) -> Outcome:
                "case_row": c.case_row.value, "predicted": pred,
                "footnote": c.footnote.value, "actual": c.actual}
     return payload, lambda: (f"k={c.k} (mod 12: {c.residue_mod_12}) row={c.case_row.value} "
-                             f"predicted={pred} actual={c.actual} footnote={c.footnote.value}"), 0
+                             f"predicted={jsonable(pred)} actual={decimal_str(c.actual)} "
+                             f"footnote={c.footnote.value}"), 0
 
 
 def _parity_scan(a: argparse.Namespace) -> Outcome:
@@ -176,24 +228,30 @@ def _parity_scan(a: argparse.Namespace) -> Outcome:
 
 def _max_modulus(a: argparse.Namespace) -> Outcome:
     r = applications.max_modulus_for_period(a.k, exhaustive=a.exhaustive)
-    return {"result": r}, lambda: f"m={r.m_f} form={r.predicted_form} period={r.verified_period}", 0
+    return {"result": r}, lambda: (f"m={decimal_str(r.m_f)} form={r.predicted_form} "
+                                   f"period={r.verified_period}"), 0
 
 
 def _lucas_odd(a: argparse.Namespace) -> Outcome:
     value = applications.lucas_from_gcd(a.seed, a.j)
-    return {"seed": a.seed, "j": a.j, "value": value}, lambda: str(value), 0
+    return {"seed": a.seed, "j": a.j, "value": value}, lambda: decimal_str(value), 0
 
 
 def _primes_check(a: argparse.Namespace) -> Outcome:
     r = applications.prime_restriction_check(a.seed, a.k, a.bound)
-    return {"report": r}, lambda: (f"value={r.value} offending={list(r.offending_primes)} "
-                                   f"cofactor={r.unfactored_cofactor}"), 0
+    return {"report": r}, lambda: (f"value={decimal_str(r.value)} "
+                                   f"offending={list(r.offending_primes)} "
+                                   f"cofactor={decimal_str(r.unfactored_cofactor)}"), 0
 
 
 def _squares(a: argparse.Namespace) -> Outcome:
     r = applications.squares_gcd(a.seed, a.k, a.windows)
-    conj = "" if r.conjectured is None else f" conjectured={r.conjectured} match={r.matches_conjecture}"
-    return {"record": r}, lambda: f"empirical={r.empirical_value} windows={r.windows_used}{conj}", 0
+
+    def render() -> str:
+        conj = "" if r.conjectured is None else (
+            f" conjectured={decimal_str(r.conjectured)} match={r.matches_conjecture}")
+        return f"empirical={decimal_str(r.empirical_value)} windows={r.windows_used}{conj}"
+    return {"record": r}, render, 0
 
 
 def _identities(a: argparse.Namespace) -> Outcome:

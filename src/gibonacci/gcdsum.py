@@ -92,16 +92,29 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
     return GcdSumResult(seed, k, value, Method.CLOSED_GCD)
 
 
+#: The largest k + num_windows the brute-force route sums over.  Its window
+#: sums are full-size terms of about 0.69 (k + num_windows) bits, and their
+#: big-integer gcd grows with the square of that size: (1,4) at k = 10^6
+#: takes about 4 s, and 4 * 10^6 about 54 s.
+BRUTE_FORCE_INDEX_CAP = 2**20
+
+
 def gcd_sum_bruteforce(seed: Seed, k: int, num_windows: int = 10) -> GcdSumResult:
     """GCD of the window sums starting at n = 1 .. num_windows.
 
     Every window sum is an integer combination F_{n-1} a + F_n b of the
     two closed-formula arguments, so two windows already determine the
-    full GCD; more windows only re-confirm it.
+    full GCD; more windows only re-confirm it.  k + num_windows above
+    BRUTE_FORCE_INDEX_CAP is a ValueError, raised before any term is
+    computed.
     """
     _check_args(seed, k)
     if num_windows < 2:
         raise ValueError("num_windows must be >= 2")
+    if k + num_windows > BRUTE_FORCE_INDEX_CAP:
+        raise ValueError(
+            f"brute-force route refuses k = {k} with {num_windows} windows: k + num_windows "
+            f"is over BRUTE_FORCE_INDEX_CAP = {BRUTE_FORCE_INDEX_CAP}")
     value = 0
     for n in range(1, num_windows + 1):
         value = math.gcd(value, window_sum(seed, n, k))

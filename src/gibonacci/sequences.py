@@ -337,12 +337,16 @@ class Identity(Enum):
     GIB_FROM_SEED = (  # G_i = G_0 F_{i-1} + G_1 F_i
         "gib_from_seed", {"n": 1},
         lambda t, s, n: (t.G(n), s.g0 * t.F(n - 1) + s.g1 * t.F(n)))
-    # lhs by direct summation, one sum per n, on purpose: the telescoped
-    # rhs is what window_sum uses, so the two sides must stay independent.
+    # lhs by direct summation, adding the terms one by one as running sums
+    # of the G row from 1 up to the last n (n rises by 1, as every range
+    # does), on purpose: the telescoped rhs is what window_sum uses, so the
+    # two sides must stay independent.
     GIB_PARTIAL_SUM = (  # sum_{i=1..n} G_i = G_{n+2} - G_2
         "gib_partial_sum", {"n": 1},
-        lambda t, s, n: (_Row(sum(t.G(_Progression(range(1, k + 1)))) for k in n),
-                         t.G(n + 2) - t.G(2)))
+        lambda t, s, n: (
+            _Row(itertools.islice(itertools.accumulate(t.G(_Progression(range(1, n.indices.stop)))),
+                                  n.indices.start - 1, None)),
+            t.G(n + 2) - t.G(2)))
     CASSINI = (  # G_{n+1} G_{n-1} - G_n^2 = (-1)^n d
         "cassini", {"n": 0},
         lambda t, s, n: (t.G(n + 1) * t.G(n - 1) - t.G(n) ** 2,

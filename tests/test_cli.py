@@ -1,11 +1,26 @@
+import decimal
 import json
+import os
+import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gibonacci import gcdsum, pisano, sequences
-from gibonacci.cli import build_parser, jsonable, main, parse_seed, run
+from gibonacci import cli, gcdsum, pisano, sequences
+from gibonacci.cli import (
+    DECIMAL_STR_CUTOFF,
+    build_parser,
+    decimal_str,
+    jsonable,
+    main,
+    parse_seed,
+    run,
+)
 from gibonacci.gcdsum import classify
 from gibonacci.sequences import Seed
 
@@ -15,6 +30,15 @@ from conftest import naive_fib
 def invoke(capsys, *argv):
     code = run(list(argv))
     return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift CPython's int/str digit limit, so that str can be the oracle."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def test_term(capsys):
@@ -253,6 +277,35 @@ def test_term_beyond_the_int_str_digit_limit(capsys, fmt):
     assert value == naive_fib(100000)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_term_prints_in_full_like_str(capsys, no_digit_limit, fmt):
+    value = sequences.fib(300000)
+    assert value.bit_length() > DECIMAL_STR_CUTOFF  # printed by the split, not by str
+    code, out = invoke(capsys, "term", "--n", "300000", "--format", fmt)
+    digits = str(value)
+    want = digits if fmt == "text" else json.dumps(
+        {"n": "300000", "seed": ["0", "1"], "value": digits}, sort_keys=True)
+    assert code == 0 and out == want + "\n"
+
+
+@pytest.mark.parametrize("method", ["brute", "all"])
+def test_brute_route_over_the_index_cap_exits_1(capsys, monkeypatch, method):
+    def no_sums(*args):
+        raise AssertionError("a window sum was started")
+
+    monkeypatch.setattr(gcdsum, "window_sum", no_sums)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--seed", "1,4",
+                                      "--k", "100000001", "--method", method])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: brute-force route refuses k = 100000001 with 10 windows: k + num_windows "
+        f"is over BRUTE_FORCE_INDEX_CAP = {gcdsum.BRUTE_FORCE_INDEX_CAP}\n")
+
+
 def test_oversized_argument_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["term", "--n", "9" * 5000])
@@ -347,3 +400,58 @@ def test_parser_lists_all_subcommands():
                  "max-modulus", "lucas-odd", "primes-check", "squares",
                  "identities", "verify"):
         assert name in text
+
+
+def edge_values(widths, powers_of_ten):
+    """0, +-1, +-2^w and +-(2^w - 1) for each width, 10^j - 1 and 10^j for each j."""
+    values = [0, 1, -1]
+    for w in widths:
+        values += [2**w, -(2**w), 2**w - 1, 1 - 2**w]
+    for j in powers_of_ten:
+        values += [10**j - 1, 10**j]
+    return values
+
+
+def test_decimal_str_equals_str_around_the_cutoff(no_digit_limit):
+    # 2^17 bits lie between 10^39456 and 10^39457
+    for n in edge_values([DECIMAL_STR_CUTOFF + i for i in (-1, 0, 1)], [39456, 39457, 39458]):
+        assert decimal_str(n) == str(n), n.bit_length()
+
+
+def test_decimal_str_equals_str_around_the_base_case(monkeypatch, no_digit_limit):
+    monkeypatch.setattr(cli, "DECIMAL_STR_CUTOFF", 0)  # every value takes the split
+    base = cli._DECIMAL_BASE_BITS
+    # 2^12 bits lie between 10^1233 and 10^1234
+    widths = [base + i for i in (-1, 0, 1)] + [2 * base + i for i in (-1, 0, 1)]
+    for n in edge_values(widths, [1, 1233, 1234, 2466, 2467]):
+        assert decimal_str(n) == str(n), n.bit_length()
+
+
+# widths from just below the cutoff (below it, the helper is str itself)
+@given(st.integers(DECIMAL_STR_CUTOFF - 64, 2**19), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_decimal_str_equals_str_on_random_values(bits, seed, negative):
+    n = random.Random(seed).getrandbits(bits)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert decimal_str(-n if negative else n) == str(-n if negative else n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_str_leaves_the_callers_context():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7
+        ctx.traps[decimal.Inexact] = False
+        before = repr(ctx)
+        decimal_str(-(2**DECIMAL_STR_CUTOFF))
+        assert decimal.getcontext() is ctx and repr(ctx) == before
+
+
+def test_importing_the_cli_leaves_decimal_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gibonacci.cli; print('decimal' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

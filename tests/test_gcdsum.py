@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibonacci import pisano
+from gibonacci import gcdsum, pisano
 from gibonacci.gcdsum import (
+    BRUTE_FORCE_INDEX_CAP,
     CaseRow,
     Footnote,
     Method,
@@ -152,6 +153,25 @@ class TestBruteForce:
     def test_rejects_single_window(self):
         with pytest.raises(ValueError):
             gcd_sum_bruteforce(FIBONACCI, 5, num_windows=1)
+
+    def test_refuses_past_the_index_cap_before_any_sum(self, monkeypatch):
+        def no_sums(*args):
+            raise AssertionError("a window sum was started")
+
+        monkeypatch.setattr(gcdsum, "window_sum", no_sums)
+        k = BRUTE_FORCE_INDEX_CAP - 9
+        with pytest.raises(ValueError, match=(
+                f"brute-force route refuses k = {k} with 10 windows: k \\+ num_windows "
+                f"is over BRUTE_FORCE_INDEX_CAP = {BRUTE_FORCE_INDEX_CAP}")):
+            gcd_sum_bruteforce(SEED_14, k)
+        with pytest.raises(ValueError, match="refuses k = 100000001 with 2 windows"):
+            gcd_sum_bruteforce(SEED_14, 100000001, num_windows=2)
+
+    def test_index_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(gcdsum, "BRUTE_FORCE_INDEX_CAP", 30)
+        assert gcd_sum_bruteforce(FIBONACCI, 20, num_windows=10).value == 55
+        with pytest.raises(ValueError, match="BRUTE_FORCE_INDEX_CAP = 30"):
+            gcd_sum_bruteforce(FIBONACCI, 20, num_windows=11)
 
 
 class TestLcmCharacterization:

@@ -45,6 +45,11 @@ LONG_SUM = lambda t, s, n: (_Row(sum(t.F(_Progression(range(0, k + 5)))) for k i
 FALSE_AT_TWO_POINTS = lambda t, s, m, n: (  # noqa: E731
     t.G(m + n) + 0 ** (t.F(n - 3) ** 2 + (m - 2) ** 2) + 0 ** (t.F(n - 6) ** 2 + (m - 4) ** 2),
     t.F(m - 1) * t.G(n) + t.F(m) * t.G(n + 1))
+# the partial-sum law's own lhs against a false rhs, G_{n+2} - G_1: off by
+# G_1 - G_2 = -G_0 at every n, so it holds for the Fibonacci seed only
+_PARTIAL_SUM_SIDES = Identity.GIB_PARTIAL_SUM.sides
+WRONG_SUM_START = lambda t, s, n: (  # noqa: E731
+    _PARTIAL_SUM_SIDES(t, s, n)[0], t.G(n + 2) - t.G(1))
 
 
 def shifted_ranges(ident: Identity):
@@ -216,6 +221,16 @@ class TestVerifyIdentity:
         assert [(s, pt, lhs - rhs) for s, pt, lhs, rhs in report.failures] == [
             (seed, pt, 1) for seed in seeds for pt in ((2, 3), (4, 6))]
 
+    def test_partial_sum_rows_report_every_failing_point(self, monkeypatch):
+        monkeypatch.setattr(Identity.GIB_PARTIAL_SUM, "sides", WRONG_SUM_START)
+        seed = Seed(-3, 7)
+        report = verify_identity(Identity.GIB_PARTIAL_SUM, {"n": (5, 12)}, [FIBONACCI, seed])
+        assert report.checked == 16
+        assert [(s, pt, lhs - rhs) for s, pt, lhs, rhs in report.failures] == [
+            (seed, (n,), 3) for n in range(5, 13)]
+        assert [lhs for *_, lhs, _ in report.failures] == [
+            sum(naive_gib_terms(seed, 1, n).values()) for n in range(5, 13)]
+
     def test_sides_take_the_params_in_order(self):
         # verify_identity binds the ranges by position
         for ident in Identity:
@@ -276,6 +291,7 @@ def _differential_cases():
     yield Identity.GIB_ADDITION, FALSE_AT_TWO_POINTS, {"m": (1, 4), "n": (1, 6)}, seeds
     yield Identity.LUCAS_FROM_FIB, NEGATED, {"n": (0, 10)}, seeds
     yield Identity.LUCAS_FROM_FIB, LONG_SUM, {"n": (0, 10)}, seeds
+    yield Identity.GIB_PARTIAL_SUM, WRONG_SUM_START, {"n": (5, 12)}, seeds
 
 
 def test_rows_match_the_pointwise_oracle(monkeypatch):
