@@ -4,7 +4,7 @@ Exact big-integer tooling for generalized Fibonacci sequences: term
 evaluation, generalized Pisano periods, three equivalent routes to the
 GCD of all k-term window sums, a k mod 12 classifier, and applications
 (prime-factor restrictions, maximal moduli for a given period,
-odd-indexed Lucas numbers from GCDs, and a sums-of-squares explorer).
+odd-indexed Lucas numbers from GCDs, and the GCD of sums of squares).
 """
 
 from .applications import (

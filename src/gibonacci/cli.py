@@ -130,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gcd-sum", "GCD of all sums of k consecutive terms")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("closed", "brute", "lcm", "all"), default="closed")
-    p.add_argument("--windows", type=int, default=None,
-                   help="brute method: windows to sum (default 10)")
     p.add_argument("--bound", type=int, default=None,
                    help="lcm method: scan every modulus up to this cap")
 
@@ -155,9 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, default=10**6)
 
-    p = add("squares", "empirical GCD of sums of k consecutive squares")
+    p = add("squares", "GCD of sums of k consecutive squares")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--windows", type=int, default=None)
 
     p = add("identities", "run one or all identity families", seeded=False)
     p.add_argument("--id", choices=[i.value for i in sequences.Identity])
@@ -187,13 +184,11 @@ def _sum(a: argparse.Namespace) -> Outcome:
 
 
 def _gcd_sum(a: argparse.Namespace) -> Outcome:
-    for option, route in (("bound", "lcm"), ("windows", "brute")):
-        if getattr(a, option) is not None and a.method not in (route, "all"):
-            raise ValueError(f"--{option} is read by --method {route} or all only, not {a.method}")
+    if a.bound is not None and a.method not in ("lcm", "all"):
+        raise ValueError(f"--bound is read by --method lcm or all only, not {a.method}")
     methods = {
         "closed": lambda: gcdsum.gcd_sum(a.seed, a.k),
-        "brute": lambda: gcdsum.gcd_sum_bruteforce(
-            a.seed, a.k, 10 if a.windows is None else a.windows),
+        "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k),
         "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, a.bound),
     }
     chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
@@ -245,7 +240,7 @@ def _primes_check(a: argparse.Namespace) -> Outcome:
 
 
 def _squares(a: argparse.Namespace) -> Outcome:
-    r = applications.squares_gcd(a.seed, a.k, a.windows)
+    r = applications.squares_gcd(a.seed, a.k)
 
     def render() -> str:
         conj = "" if r.conjectured is None else (

@@ -5,8 +5,8 @@ Three independent routes to the same value:
 * ``gcd_sum`` -- the closed formula gcd(G_{k+1} - G_1, G_{k+2} - G_2),
   read mod 2|d| (d the Cassini constant) at odd k, and at even k at the
   balanced index where both differences are half-size;
-* ``gcd_sum_bruteforce`` -- the gcd of finitely many actual window sums
-  (two windows already pin the value down);
+* ``gcd_sum_bruteforce`` -- the gcd of two actual window sums, which
+  already pin the value down;
 * ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k: one
   period at the closed-formula value, or, given a bound, a scan of
   every modulus up to it.
@@ -92,32 +92,27 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
     return GcdSumResult(seed, k, value, Method.CLOSED_GCD)
 
 
-#: The largest k + num_windows the brute-force route sums over.  Its window
-#: sums are full-size terms of about 0.69 (k + num_windows) bits, and their
-#: big-integer gcd grows with the square of that size: (1,4) at k = 10^6
-#: takes about 4 s, and 4 * 10^6 about 54 s.
+#: The largest k the brute-force route sums over.  Its two window sums are
+#: full-size terms of about 0.69 k bits, and their big-integer gcd grows
+#: with the square of that size: (1,4) at k = 10^6 takes about 1 s.
 BRUTE_FORCE_INDEX_CAP = 2**20
 
 
-def gcd_sum_bruteforce(seed: Seed, k: int, num_windows: int = 10) -> GcdSumResult:
-    """GCD of the window sums starting at n = 1 .. num_windows.
+def gcd_sum_bruteforce(seed: Seed, k: int) -> GcdSumResult:
+    """GCD of the two window sums starting at n = 1 and n = 2.
 
-    Every window sum is an integer combination F_{n-1} a + F_n b of the
-    two closed-formula arguments, so two windows already determine the
-    full GCD; more windows only re-confirm it.  k + num_windows above
-    BRUTE_FORCE_INDEX_CAP is a ValueError, raised before any term is
-    computed.
+    The window starting at n sums to D_{n+1} = G_{n+k+1} - G_{n+1}, so
+    these are D_2 and D_3, and gcd(D_2, D_3) is the invariant gcd(D_n,
+    D_{n+1}) of ``gcd_sum``: every other window sum is an integer
+    combination of these two, so more windows could only re-confirm it.
+    k above BRUTE_FORCE_INDEX_CAP is a ValueError, raised before any term
+    is computed.
     """
     _check_args(seed, k)
-    if num_windows < 2:
-        raise ValueError("num_windows must be >= 2")
-    if k + num_windows > BRUTE_FORCE_INDEX_CAP:
-        raise ValueError(
-            f"brute-force route refuses k = {k} with {num_windows} windows: k + num_windows "
-            f"is over BRUTE_FORCE_INDEX_CAP = {BRUTE_FORCE_INDEX_CAP}")
-    value = 0
-    for n in range(1, num_windows + 1):
-        value = math.gcd(value, window_sum(seed, n, k))
+    if k > BRUTE_FORCE_INDEX_CAP:
+        raise ValueError(f"brute-force route refuses k = {k}: "
+                         f"k is over BRUTE_FORCE_INDEX_CAP = {BRUTE_FORCE_INDEX_CAP}")
+    value = math.gcd(window_sum(seed, 1, k), window_sum(seed, 2, k))
     return GcdSumResult(seed, k, value, Method.BRUTE_FORCE)
 
 

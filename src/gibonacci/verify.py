@@ -33,7 +33,7 @@ def _grid() -> list[Seed]:
 
 def check_ruggles_f10() -> tuple[bool, str]:
     closed = gcdsum.gcd_sum(FIBONACCI, 20).value
-    brute = gcdsum.gcd_sum_bruteforce(FIBONACCI, 20, num_windows=10).value
+    brute = gcdsum.gcd_sum_bruteforce(FIBONACCI, 20).value
     ok = closed == 55 and brute == 55
     return ok, f"closed={closed} brute={brute} expected=55"
 
@@ -178,7 +178,7 @@ def check_odd_k_prime_restriction() -> tuple[bool, str]:
     return not bad, f"violations={bad[:3]}"
 
 
-#: Observed GCDs of sums of k consecutive squared Fibonacci numbers,
+#: GCDs of sums of k consecutive squared Fibonacci numbers,
 #: k = 0 .. 23 (equals F_k at every even k).
 SQUARES_TABLE = (
     0, 1, 1, 2, 3, 1, 8, 1, 21, 2, 55, 1,

@@ -125,6 +125,23 @@ def gcd_sum_at_index_one(seed: Seed, k: int) -> int:
     return math.gcd(g_k1 - seed.g1, g_k2 - (seed.g0 + seed.g1))
 
 
+def squares_gcd_direct(seed: Seed, k: int, num_windows: int) -> int:
+    """GCD of the first num_windows sums of k consecutive squares, each window
+    G_n^2 + ... + G_{n+k-1}^2 (n >= 1) summed from squares of the naive
+    recurrence: the reference for the three-window ``squares_gcd``."""
+    squares = []
+    a, b = seed.g1, seed.g0 + seed.g1
+    for _ in range(num_windows + k):  # G_1 .. G_{num_windows + k}, squared
+        squares.append(a * a)
+        a, b = b, a + b
+    window = sum(squares[:k])
+    value = window
+    for n in range(1, num_windows):
+        window += squares[n + k - 1] - squares[n - 1]
+        value = math.gcd(value, window)
+    return value
+
+
 def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
     if n < 2:

@@ -11,9 +11,12 @@ from gibonacci.applications import (
     squares_gcd,
 )
 from gibonacci.pisano import pisano_period
-from gibonacci.sequences import FIBONACCI, LUCAS, Seed, fib, lucas
+from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid, fib, lucas
 
-from conftest import max_modulus_full_scan
+from conftest import max_modulus_full_scan, squares_gcd_direct
+
+#: Coprime seeds with entries up to 6, and four seeds with a common factor.
+SQUARES_SEEDS = coprime_seed_grid(6) + [Seed(2, 4), Seed(3, 9), Seed(6, -4), Seed(0, 5)]
 
 
 class TestPrimeRestriction:
@@ -131,16 +134,25 @@ class TestSquaresGcd:
         assert squares_gcd(FIBONACCI, 9).conjectured is None
         assert squares_gcd(LUCAS, 10).conjectured is None
 
-    def test_value_stabilizes_with_depth(self):
-        for k in range(1, 31):
-            shallow = squares_gcd(FIBONACCI, k, num_windows=2).empirical_value
-            deep = squares_gcd(FIBONACCI, k, num_windows=2 * k + 10).empirical_value
-            deeper = squares_gcd(FIBONACCI, k, num_windows=2 * k + 20).empirical_value
-            assert shallow % deep == 0      # non-increasing under divisibility
-            assert deep == deeper, k        # stable by 2k + 10 windows
+    def test_equals_the_gcd_of_sixty_direct_windows(self):
+        for seed in SQUARES_SEEDS:
+            for k in range(1, 61):
+                got = squares_gcd(seed, k).empirical_value
+                assert got == squares_gcd_direct(seed, k, 60), (seed, k)
+
+    def test_two_windows_are_not_enough(self):
+        # windows 15, 40, 103: the first two share 5, the third does not
+        assert squares_gcd_direct(Seed(1, 0), 5, 2) == 5
+        rec = squares_gcd(Seed(1, 0), 5)
+        assert rec.empirical_value == 1 == squares_gcd_direct(Seed(1, 0), 5, 60)
+        assert rec.windows_used == 3
+
+    def test_large_k_answers_from_one_term_pair(self):
+        rec = squares_gcd(FIBONACCI, 300_000)
+        assert rec.empirical_value == rec.conjectured == fib(300_000)
 
     def test_rejects_negative_k_and_thin_windows(self):
         with pytest.raises(ValueError):
             squares_gcd(FIBONACCI, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # no window count can be asked for
             squares_gcd(FIBONACCI, 5, num_windows=1)

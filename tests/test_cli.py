@@ -2,6 +2,7 @@ import decimal
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibonacci import cli, gcdsum, pisano, sequences
+from gibonacci import cli, gcdsum, pisano, sequences, verify
 from gibonacci.cli import (
     DECIMAL_STR_CUTOFF,
     build_parser,
@@ -95,23 +96,29 @@ def test_gcd_sum_bound_is_rejected_where_no_lcm_route_runs(capsys, monkeypatch, 
     assert "--bound" in captured.err
 
 
-@pytest.mark.parametrize("method", ["closed", "lcm"])
-def test_gcd_sum_windows_is_rejected_where_no_brute_route_runs(capsys, monkeypatch, method):
-    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", method,
-                                      "--windows", "1"])
+@pytest.mark.parametrize("argv", [
+    ["gcd-sum", "--k", "20", "--method", method, "--windows", "10"]
+    for method in ("closed", "brute", "lcm", "all")
+] + [["squares", "--k", "10", "--windows", "5"]])
+def test_windows_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main()
+        run(argv)
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "--windows" in captured.err
+    assert "error: unrecognized arguments: --windows" in captured.err
 
 
-def test_gcd_sum_brute_without_windows_reads_ten(capsys):
-    code, out = invoke(capsys, "gcd-sum", "--k", "20", "--method", "brute")
-    assert code == 0 and out == "brute_force: 55\n"
-    assert invoke(capsys, "gcd-sum", "--k", "20", "--method", "brute", "--windows", "10") == (0, out)
+def test_gcd_sum_brute_reads_two_windows(capsys, monkeypatch):
+    starts = []
+
+    def spy(seed, n, k):
+        starts.append(n)
+        return sequences.window_sum(seed, n, k)
+
+    monkeypatch.setattr(gcdsum, "window_sum", spy)
+    assert invoke(capsys, "gcd-sum", "--k", "20", "--method", "brute") == (0, "brute_force: 55\n")
+    assert starts == [1, 2]
 
 
 def test_gcd_sum_mode_is_a_usage_error(capsys):
@@ -193,7 +200,7 @@ def test_primes_check(capsys):
 
 def test_squares(capsys):
     code, out = invoke(capsys, "squares", "--k", "10")
-    assert code == 0 and "empirical=55" in out
+    assert code == 0 and "empirical=55 windows=3" in out
 
 
 def test_identities_single(capsys):
@@ -302,8 +309,8 @@ def test_brute_route_over_the_index_cap_exits_1(capsys, monkeypatch, method):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: brute-force route refuses k = 100000001 with 10 windows: k + num_windows "
-        f"is over BRUTE_FORCE_INDEX_CAP = {gcdsum.BRUTE_FORCE_INDEX_CAP}\n")
+        "error: brute-force route refuses k = 100000001: "
+        f"k is over BRUTE_FORCE_INDEX_CAP = {gcdsum.BRUTE_FORCE_INDEX_CAP}\n")
 
 
 def test_oversized_argument_is_a_usage_error(capsys):
@@ -356,6 +363,43 @@ def test_seed_is_a_usage_error_where_it_is_not_read(capsys, argv):
         run(argv + ["--seed", "7,3"])
     assert exc.value.code == 1
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.fixture
+def two_checks(monkeypatch):
+    """Replace the scoreboard with one check that passes and one that fails."""
+    monkeypatch.setattr(verify, "CHECKS", [
+        (1, "always-passes", lambda: (True, "fine")),
+        (2, "always-fails", lambda: (False, "broken")),
+    ])
+    return verify.CHECKS
+
+
+def test_verify_text_reports_each_check_and_exits_2_on_a_failure(capsys, two_checks):
+    code, out = invoke(capsys, "verify")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert re.fullmatch(r"\[PASS\]  1 always-passes +\d+\.\d\ds  fine", lines[0])
+    assert re.fullmatch(r"\[FAIL\]  2 always-fails +\d+\.\d\ds  broken", lines[1])
+    assert re.fullmatch(r"1/2 checks passed in \d+\.\ds", lines[2])
+
+
+def test_verify_json_counts_and_exit_codes(capsys, two_checks):
+    code, out = invoke(capsys, "verify", "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {
+        "checks": [
+            {"criterion": "1", "name": "always-passes", "passed": True, "detail": "fine"},
+            {"criterion": "2", "name": "always-fails", "passed": False, "detail": "broken"},
+        ],
+        "passed": "1",
+        "failed": "1",
+    }
+    del two_checks[1]
+    code, out = invoke(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["passed"] == "1" and json.loads(out)["failed"] == "0"
 
 
 def test_usage_error_exit_code(capsys):

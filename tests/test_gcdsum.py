@@ -129,49 +129,47 @@ class TestLargeIndex:
 
 class TestBruteForce:
     def test_seed_1_4_windows(self):
-        result = gcd_sum_bruteforce(SEED_14, 5, num_windows=4)
-        assert result.value == math.gcd(math.gcd(55, 88), math.gcd(143, 231)) == 11
+        # the windows starting at n = 1 and 2 are 55 and 88
+        assert gcd_sum_bruteforce(SEED_14, 5).value == math.gcd(55, 88) == 11
 
     def test_fibonacci_k20_two_windows(self):
         # direct sums: F_1..F_20 = 17710 and F_2..F_21 = 28655, gcd 55
         f = naive_gib_terms(FIBONACCI, 0, 21)
         assert sum(f[i] for i in range(1, 21)) == 17710
         assert sum(f[i] for i in range(2, 22)) == 28655
-        assert gcd_sum_bruteforce(FIBONACCI, 20, num_windows=2).value == 55
+        assert gcd_sum_bruteforce(FIBONACCI, 20).value == 55
 
     def test_consecutive_fibs_coprime(self):
-        assert gcd_sum_bruteforce(FIBONACCI, 1, num_windows=10).value == 1
+        assert gcd_sum_bruteforce(FIBONACCI, 1).value == 1
 
-    def test_independent_of_window_count(self, grid25):
-        for seed in grid25:
-            for k in (1, 2, 5, 12):
-                values = {
-                    gcd_sum_bruteforce(seed, k, n).value for n in (2, 3, 7, 10)
-                }
-                assert len(values) == 1, (seed, k)
-
-    def test_rejects_single_window(self):
-        with pytest.raises(ValueError):
-            gcd_sum_bruteforce(FIBONACCI, 5, num_windows=1)
+    def test_equals_the_gcd_of_directly_summed_windows(self, grid25):
+        # ten windows each, summed term by term from the naive recurrence
+        for seed in [*grid25, Seed(2, 4), Seed(3, 9), Seed(6, -4), Seed(0, 5)]:
+            g = naive_gib_terms(seed, 0, 70)
+            for k in range(1, 61):
+                direct = 0
+                for n in range(1, 11):
+                    direct = math.gcd(direct, sum(g[i] for i in range(n, n + k)))
+                assert gcd_sum_bruteforce(seed, k).value == direct, (seed, k)
 
     def test_refuses_past_the_index_cap_before_any_sum(self, monkeypatch):
         def no_sums(*args):
             raise AssertionError("a window sum was started")
 
         monkeypatch.setattr(gcdsum, "window_sum", no_sums)
-        k = BRUTE_FORCE_INDEX_CAP - 9
+        k = BRUTE_FORCE_INDEX_CAP + 1
         with pytest.raises(ValueError, match=(
-                f"brute-force route refuses k = {k} with 10 windows: k \\+ num_windows "
-                f"is over BRUTE_FORCE_INDEX_CAP = {BRUTE_FORCE_INDEX_CAP}")):
+                f"brute-force route refuses k = {k}: "
+                f"k is over BRUTE_FORCE_INDEX_CAP = {BRUTE_FORCE_INDEX_CAP}")):
             gcd_sum_bruteforce(SEED_14, k)
-        with pytest.raises(ValueError, match="refuses k = 100000001 with 2 windows"):
-            gcd_sum_bruteforce(SEED_14, 100000001, num_windows=2)
+        with pytest.raises(ValueError, match="refuses k = 100000001: "):
+            gcd_sum_bruteforce(SEED_14, 100000001)
 
     def test_index_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(gcdsum, "BRUTE_FORCE_INDEX_CAP", 30)
-        assert gcd_sum_bruteforce(FIBONACCI, 20, num_windows=10).value == 55
-        with pytest.raises(ValueError, match="BRUTE_FORCE_INDEX_CAP = 30"):
-            gcd_sum_bruteforce(FIBONACCI, 20, num_windows=11)
+        monkeypatch.setattr(gcdsum, "BRUTE_FORCE_INDEX_CAP", 20)
+        assert gcd_sum_bruteforce(FIBONACCI, 20).value == 55
+        with pytest.raises(ValueError, match="BRUTE_FORCE_INDEX_CAP = 20"):
+            gcd_sum_bruteforce(FIBONACCI, 21)
 
 
 class TestLcmCharacterization:

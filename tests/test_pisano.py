@@ -167,6 +167,14 @@ class TestParityScan:
             parity_scan(Seed(0, 0), 10)
 
 
+    def test_skips_moduli_dividing_both_entries(self):
+        # 3 divides 3 and 6, so (3, 6) has no period mod 3; every other m has one
+        report = parity_scan(Seed(3, 6), 12)
+        assert report.skipped_degenerate == [3]
+        assert report.odd_period_moduli == [
+            (m, p) for m in range(4, 13)
+            if (p := residue_period_walk(3 % m, 6 % m, m)) % 2 == 1]
+
 class TestShiftEquivalence:
     def test_reflexive(self):
         for m in (2, 5, 7, 10):
@@ -190,6 +198,16 @@ class TestShiftEquivalence:
         b = naive_gib_terms(LUCAS, 0, 20)
         for n in range(20):
             assert (a[r + n] - b[n]) % 5 == 0
+
+    def test_rejects_a_modulus_below_2(self):
+        for m in (1, 0, -5):
+            with pytest.raises(ValueError, match="modulus m must be >= 2"):
+                equivalent_up_to_shift(FIBONACCI, LUCAS, m)
+
+    def test_rejects_a_seed_degenerate_mod_m(self):
+        for a, b in ((Seed(5, 10), FIBONACCI), (FIBONACCI, Seed(5, 10))):
+            with pytest.raises(ValueError, match=r"seed .* is degenerate mod 5"):
+                equivalent_up_to_shift(a, b, 5)
 
     def test_matches_termwise_oracle_over_all_residue_seeds(self):
         # every ordered pair of nonzero residue-pair seeds for m <= 8,

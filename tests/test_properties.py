@@ -53,7 +53,7 @@ def test_window_sum_is_a_sum(seed, n, k):
 @given(nonzero_seeds, st.integers(1, 60))
 @settings(max_examples=60)
 def test_closed_formula_matches_brute_force(seed, k):
-    assert gcd_sum(seed, k).value == gcd_sum_bruteforce(seed, k, 4).value
+    assert gcd_sum(seed, k).value == gcd_sum_bruteforce(seed, k).value
 
 
 @given(nonzero_seeds, st.integers(1, 3000))

@@ -140,6 +140,11 @@ class TestWindowSum:
         with pytest.raises(ValueError):
             window_sum(FIBONACCI, 1, 0)
 
+    def test_rejects_a_start_below_1(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="window start n must be >= 1"):
+                window_sum(FIBONACCI, n, 5)
+
     def test_matches_direct_summation(self, grid25):
         for seed in grid25:
             terms = naive_gib_terms(seed, 0, 102)
