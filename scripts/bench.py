@@ -1,7 +1,7 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_13.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_15.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
@@ -80,6 +80,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"seed": [0, 1], "k": 360}, lambda: partial(gcd_sum_lcm, FIBONACCI, 360)),
         "gcd_sum_lcm_fib_840": (
             {"seed": [0, 1], "k": 840}, lambda: partial(gcd_sum_lcm, FIBONACCI, 840)),
+        "gcd_sum_lcm_fib_360_bound_3000": (
+            {"seed": [0, 1], "k": 360, "bound": 3000},
+            lambda: partial(gcd_sum_lcm, FIBONACCI, 360, bound=3000)),
         "gcd_sum_lcm_1_4_240": (
             {"seed": [1, 4], "k": 240}, lambda: partial(gcd_sum_lcm, Seed(1, 4), 240)),
         "max_modulus_exhaustive_300": (
@@ -96,6 +99,8 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"seed": [0, 1], "k": 4 * 10**6}, lambda: partial(gcd_sum, FIBONACCI, 4 * 10**6)),
         "parity_scan_1_4_3000": (
             {"seed": [1, 4], "m_max": 3000}, lambda: partial(parity_scan, Seed(1, 4), 3000)),
+        "parity_scan_fib_3000": (
+            {"seed": [0, 1], "m_max": 3000}, lambda: partial(parity_scan, FIBONACCI, 3000)),
         "pisano_fib_1e6": (
             {"seed": [0, 1], "m": 10**6}, lambda: partial(pisano_period, FIBONACCI, 10**6)),
         "pisano_fib_1e7_plus_19": (

@@ -9,7 +9,7 @@ Three independent routes to the same value:
   already pin the value down;
 * ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k: one
   period at the closed-formula value, or, given a bound, a scan of
-  every modulus up to it.
+  every modulus up to it, read from one period table.
 
 ``classify`` predicts the value from k mod 12 and the seed parameters
 and always carries the closed-formula value alongside for comparison.
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .pisano import pisano_period
+from .pisano import period_table, pisano_period
 from .sequences import Seed, fib, gib_pair, lucas, seed_invariants, window_sum
 
 
@@ -116,15 +116,6 @@ def gcd_sum_bruteforce(seed: Seed, k: int) -> GcdSumResult:
     return GcdSumResult(seed, k, value, Method.BRUTE_FORCE)
 
 
-def _modulus_counts(seed: Seed, m: int, k: int) -> bool:
-    """Whether m belongs to { m : period of seed mod m divides k }.
-
-    A modulus dividing both seed entries divides every term difference,
-    hence every window sum; it always belongs.
-    """
-    return seed.g0 % m == 0 and seed.g1 % m == 0 or k % pisano_period(seed, m) == 0
-
-
 def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     """LCM-over-periods characterization of the GCD of window sums.
 
@@ -133,8 +124,9 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     convention the biconditional "period mod m divides k <=> m divides v"
     holds, so every counted modulus divides v.  The counted set
     { m : period mod m divides k } is closed under lcm, because the
-    period mod lcm(a, b) is the lcm of the periods mod a and mod b, so
-    its lcm is itself a member.  Hence the lcm over the counted divisors
+    period mod lcm(a, b) is the lcm of the periods mod a and mod b (the
+    CRT lemma of ``period_table``, through the prime powers of a and b),
+    so its lcm is itself a member.  Hence the lcm over the counted divisors
     of v equals v exactly when the period mod v divides k, and a failure
     raises AssertionError.  A right v has a period of at most k: v
     divides G_{k+1} - G_1 and G_{k+2} - G_2, so the residue pair
@@ -146,15 +138,19 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     k), is refused with a ValueError after those steps.
 
     With a bound: lcm over all m <= bound with period dividing k; any
-    nondegenerate seed is allowed.  This is a genuinely independent
-    route but only a lower bound when bound < v, in which case the
-    result is flagged partial.
+    nondegenerate seed is allowed.  The periods come from one
+    ``period_table``, where a modulus dividing both seed entries reads as
+    period 1: it divides every term difference, hence every window sum,
+    so it always counts.  A bound above ``SCAN_MODULUS_CAP`` is refused
+    before the table is built.  This is a genuinely independent route
+    but only a lower bound when bound < v, in which case the result is
+    flagged partial.
     """
     _check_args(seed, k)
-    candidate = gcd_sum(seed, k).value
     if bound is None:
         seed.require_coprime()
-        if not _modulus_counts(seed, candidate, k):
+        candidate = gcd_sum(seed, k).value
+        if k % pisano_period(seed, candidate) != 0:
             raise AssertionError(
                 f"lcm over periods is not the closed-formula value {candidate}: "
                 f"the period mod {candidate} does not divide k = {k}"
@@ -162,11 +158,10 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
         return GcdSumResult(seed, k, candidate, Method.LCM_PERIODS)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    value = 1
-    for m in range(1, bound + 1):
-        if _modulus_counts(seed, m, k):
-            value = math.lcm(value, m)
-    return GcdSumResult(seed, k, value, Method.LCM_PERIODS, partial=bound < candidate)
+    periods = period_table(seed, bound)
+    value = math.lcm(*(m for m in range(1, bound + 1) if k % periods[m] == 0))
+    return GcdSumResult(seed, k, value, Method.LCM_PERIODS,
+                        partial=bound < gcd_sum(seed, k).value)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ The period of seed (g0, g1) modulo m is the least r >= 1 with
 G_r = g0 and G_{r+1} = g1 (mod m).  The step map on residue pairs is
 invertible, so the residue sequence is purely periodic, with a period of
 at most m^2 - 1.  ``pisano_period`` is the only way in to the period
-kernel; the parity scan and the lcm route call it.
+kernel.  The lcm route calls it once, at the closed-formula value;
+``period_table``, which the parity scan and the lcm route's bounded scan
+read, calls it at prime powers only and reads every other modulus as an
+lcm of two periods it already has.
 
 The kernel is a baby-step giant-step search in two phases, with
 s = isqrt(6m) + 1.  Phase 1 walks up to s steps one term at a time and
@@ -36,6 +39,11 @@ from .sequences import FIBONACCI, Seed, gib_pair
 # phase 2.  A table this full holds about 30 MB and covers every m up to
 # about 1.1e10 (s = isqrt(6m) + 1 <= 2^18).
 PERIOD_TABLE_CAP = 2**18
+
+# The largest m_max a period table covers: parity scans and the lcm route's
+# bounded scan refuse more before building it.  At the cap,
+# parity_scan((1, 4), 2**17) takes about 3.2 s and 23 MB peak RSS (Python 3.11.7).
+SCAN_MODULUS_CAP = 2**17
 
 
 def clear_period_cache() -> None:
@@ -109,6 +117,53 @@ def pisano_period(seed: Seed, m: int) -> int:
     return _residue_period(a, b, m)
 
 
+def period_table(seed: Seed, m_max: int) -> list[int]:
+    """Periods of the seed mod every m in [1, m_max], as a list indexed by m.
+
+    Entry m is the period mod m, or 1 where the seed is congruent to
+    (0, 0) mod m; entry 0 is unused.  ``pisano_period`` runs only at the
+    prime powers to which the seed does not reduce as (0, 0), and every
+    other entry is the lcm of two earlier ones.  An m_max above
+    ``SCAN_MODULUS_CAP`` is a ValueError, raised before any table is built.
+
+    Lemma (CRT).  Write m = q * n with q = p^e the full power of a prime p
+    in m, so gcd(q, n) = 1.  Then the period mod m is the lcm of the
+    periods mod q and mod n, where a factor to which the seed reduces as
+    (0, 0) counts as period 1.  Seed (3, 6) at m = 6 has lcm(1, 3) = 3.
+
+    Proof.  By the CRT, two integers agree mod m exactly when they agree
+    mod q and mod n.  So the residue pair (G_r, G_{r+1}) equals (g0, g1)
+    mod m exactly when it does mod q and mod n.  Mod a factor with a
+    period, the return times are the multiples of that period, because
+    the residue sequence is purely periodic.  Mod a factor to which the
+    seed reduces as (0, 0), the sequence is all zero and every r >= 1 is
+    a return time, as for period 1.  The least common return time r >= 1
+    is therefore the lcm of the two periods.  The period 1 arises only
+    from the pair (0, 0), since (a, b) -> (b, a + b) fixes no other, so
+    entry m is 1 exactly where the seed reduces as (0, 0) mod m.
+    """
+    if m_max > SCAN_MODULUS_CAP:
+        raise ValueError(f"scan of every modulus up to {m_max} refused: "
+                         f"over SCAN_MODULUS_CAP = {SCAN_MODULUS_CAP}")
+    # smallest prime factor: a composite m keeps its least divisor d >= 2,
+    # which is prime, from the last d with d * d <= m written over it
+    spf = list(range(m_max + 1))
+    for d in range(math.isqrt(m_max), 1, -1):
+        spf[d * d::d] = [d] * len(range(d * d, m_max + 1, d))
+    periods = [0, 1] + [0] * (m_max - 1)
+    for m in range(2, m_max + 1):
+        p = q = spf[m]
+        while m % (q * p) == 0:  # q: the full power of p in m
+            q *= p
+        if q < m:
+            periods[m] = math.lcm(periods[q], periods[m // q])
+        elif seed.g0 % m == 0 and seed.g1 % m == 0:
+            periods[m] = 1
+        else:
+            periods[m] = pisano_period(seed, m)
+    return periods
+
+
 @dataclass
 class ParityScanReport:
     """Moduli in (2, m_max] whose period is odd, for one seed."""
@@ -127,19 +182,19 @@ def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
     """Scan m in (2, m_max] and report every modulus with an odd period.
 
     Moduli dividing both seed entries have no period; they are listed
-    as skipped.
+    as skipped.  The periods come from one ``period_table``, so an m_max
+    above ``SCAN_MODULUS_CAP`` is refused before the scan starts.
     """
     seed.require_nondegenerate()
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
+    periods = period_table(seed, m_max)
     report = ParityScanReport(seed, m_max)
     for m in range(3, m_max + 1):
-        if seed.g0 % m == 0 and seed.g1 % m == 0:
+        if periods[m] == 1:  # the seed is (0, 0) mod m
             report.skipped_degenerate.append(m)
-            continue
-        p = pisano_period(seed, m)
-        if p % 2 == 1:
-            report.odd_period_moduli.append((m, p))
+        elif periods[m] % 2 == 1:
+            report.odd_period_moduli.append((m, periods[m]))
     return report
 
 

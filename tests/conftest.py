@@ -7,7 +7,7 @@ import pytest
 from gibonacci.applications import MaxModulusResult
 from gibonacci.factor import trial_division
 from gibonacci.gcdsum import gcd_sum
-from gibonacci.pisano import pisano_period
+from gibonacci.pisano import ParityScanReport, pisano_period
 from gibonacci.sequences import (
     FIBONACCI,
     LUCAS,
@@ -116,6 +116,43 @@ def residue_period_walk(a: int, b: int, m: int) -> int:
         r += 1
         if x == a and y == b:
             return r
+
+
+# Every nondegenerate seed with entries in [-6, 6], coprime or not, and (3, 9):
+# the seeds on which the period-table scans are compared with the direct ones.
+SCAN_SEEDS = tuple(
+    [s for s in (Seed(g0, g1) for g0 in range(-6, 7) for g1 in range(-6, 7))
+     if not s.is_degenerate] + [Seed(3, 9)])
+
+
+@functools.cache
+def period_direct(seed: Seed, m: int) -> int:
+    """The seed's period mod m from the kernel, one call per (seed, m)."""
+    return pisano_period(seed, m)
+
+
+def parity_scan_direct(seed: Seed, m_max: int) -> ParityScanReport:
+    """The parity scan one modulus at a time, with a kernel call at every m
+    that does not divide both seed entries: the reference for the
+    period-table ``parity_scan``."""
+    report = ParityScanReport(seed, m_max)
+    for m in range(3, m_max + 1):
+        if seed.g0 % m == 0 and seed.g1 % m == 0:
+            report.skipped_degenerate.append(m)
+        elif (p := period_direct(seed, m)) % 2 == 1:
+            report.odd_period_moduli.append((m, p))
+    return report
+
+
+def lcm_scan_direct(seed: Seed, k: int, bound: int) -> int:
+    """The lcm of every m <= bound that divides both seed entries or whose
+    period divides k, with a kernel call at each other m: the reference
+    for the bounded scan of ``gcd_sum_lcm``."""
+    value = 1
+    for m in range(1, bound + 1):
+        if seed.g0 % m == 0 and seed.g1 % m == 0 or k % period_direct(seed, m) == 0:
+            value = math.lcm(value, m)
+    return value
 
 
 def gcd_sum_at_index_one(seed: Seed, k: int) -> int:

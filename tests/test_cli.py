@@ -183,6 +183,28 @@ def test_parity_scan(capsys):
     assert code == 0 and "(11,5)" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["parity-scan", "--seed", "1,4", "--m-max", "41"],
+    ["gcd-sum", "--k", "20", "--method", "lcm", "--bound", "41"],
+    ["gcd-sum", "--k", "20", "--method", "all", "--bound", "41"],
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_scan_over_the_modulus_cap_exits_1(capsys, monkeypatch, argv, fmt):
+    def no_kernel(*args):
+        raise AssertionError("the period kernel was called")
+
+    monkeypatch.setattr(pisano, "pisano_period", no_kernel)
+    monkeypatch.setattr(pisano, "SCAN_MODULUS_CAP", 40)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", *argv, "--format", fmt])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: scan of every modulus up to 41 refused: "
+                            "over SCAN_MODULUS_CAP = 40\n")
+
+
 def test_max_modulus(capsys):
     code, out = invoke(capsys, "max-modulus", "--k", "60")
     assert code == 0 and "832040" in out

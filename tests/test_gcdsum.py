@@ -25,7 +25,13 @@ from gibonacci.sequences import (
     seed_invariants,
 )
 
-from conftest import gcd_sum_at_index_one, lcm_over_all_divisors, naive_gib_terms
+from conftest import (
+    SCAN_SEEDS,
+    gcd_sum_at_index_one,
+    lcm_over_all_divisors,
+    lcm_scan_direct,
+    naive_gib_terms,
+)
 
 SEED_14 = Seed(1, 4)
 
@@ -211,6 +217,14 @@ class TestLcmCharacterization:
                         continue
                     result = gcd_sum_lcm(seed, k, bound=v)
                     assert (result.value, result.partial) == (v, False), (seed, k)
+
+    def test_bounded_scan_matches_the_per_modulus_scan(self):
+        bounds = (1, 2, 6, 12, 30, 97, 180, 300)
+        for i, seed in enumerate(SCAN_SEEDS):
+            for k in range(1 + i % 3, 25, 3):  # each k in 1..24 on a third of the seeds
+                bound = bounds[(i + k) % len(bounds)]
+                assert gcd_sum_lcm(seed, k, bound=bound).value == lcm_scan_direct(
+                    seed, k, bound), (seed, k, bound)
 
     def test_divisor_verified_needs_coprime_seed(self):
         with pytest.raises(ValueError):

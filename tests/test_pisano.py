@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,14 +9,18 @@ from gibonacci import pisano
 from gibonacci.pisano import (
     equivalent_up_to_shift,
     parity_scan,
+    period_table,
     pisano_period,
 )
 from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid
 
 from conftest import (
+    SCAN_SEEDS,
     minimal_window_length_scan,
     naive_gib_terms,
     naive_shift_equivalence,
+    parity_scan_direct,
+    period_direct,
     residue_period_walk,
 )
 
@@ -143,7 +148,71 @@ class TestMinimalWindowLength:
                     assert window_sum(seed, n, p) % m == 0, (seed, m, n)
 
 
+def prime_powers(n: int) -> list[int]:
+    return sorted(p**e for p in sympy.primerange(2, n + 1)
+                  for e in range(1, n.bit_length()) if p**e <= n)
+
+
+def no_kernel(*args):
+    raise AssertionError("the period kernel was called")
+
+
+class TestPeriodTable:
+    def test_matches_the_kernel_at_every_modulus(self):
+        for seed in SCAN_SEEDS:
+            expected = [0, 1] + [
+                1 if seed.g0 % m == 0 and seed.g1 % m == 0 else period_direct(seed, m)
+                for m in range(2, 501)]
+            assert period_table(seed, 500) == expected, seed
+
+    @pytest.mark.parametrize("seed,m,period", [
+        # one prime-power factor reduces the seed to (0, 0), the other does not
+        (Seed(3, 6), 6, 3),    # lcm(3 mod 2, 1 mod 3)
+        (Seed(3, 6), 12, 6),   # lcm(6 mod 4, 1 mod 3)
+        (Seed(2, 4), 4, 3),    # a prime power over a degenerate 2
+        (Seed(2, 4), 6, 8),    # lcm(1 mod 2, 8 mod 3)
+        (Seed(2, 4), 12, 24),  # lcm(3 mod 4, 8 mod 3)
+    ])
+    def test_a_degenerate_factor_counts_as_period_1(self, seed, m, period):
+        assert period_table(seed, 12)[m] == period
+        assert residue_period_walk(seed.g0 % m, seed.g1 % m, m) == period
+
+    def test_calls_the_kernel_once_per_nondegenerate_prime_power(self, monkeypatch):
+        for seed in (SEED_14, Seed(2, 4), Seed(3, 9), Seed(6, -4)):
+            called = []
+
+            def spy(s, m):
+                called.append(m)
+                return pisano_period(s, m)
+
+            monkeypatch.setattr(pisano, "pisano_period", spy)
+            parity_scan(seed, 500)
+            assert called == [q for q in prime_powers(500)
+                              if seed.g0 % q != 0 or seed.g1 % q != 0], seed
+
+    def test_refuses_past_the_cap_before_any_kernel_call(self, monkeypatch):
+        monkeypatch.setattr(pisano, "pisano_period", no_kernel)
+        with pytest.raises(ValueError, match=(
+                r"^scan of every modulus up to 1000000000000 refused: "
+                rf"over SCAN_MODULUS_CAP = {pisano.SCAN_MODULUS_CAP}$")):
+            parity_scan(SEED_14, 10**12)
+        monkeypatch.setattr(pisano, "SCAN_MODULUS_CAP", 40)
+        with pytest.raises(ValueError, match="up to 41 refused: over SCAN_MODULUS_CAP = 40"):
+            period_table(SEED_14, 41)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(pisano, "SCAN_MODULUS_CAP", 40)
+        assert parity_scan(SEED_14, 40) == parity_scan_direct(SEED_14, 40)
+
+
 class TestParityScan:
+    def test_matches_the_per_modulus_scan(self):
+        for seed in SCAN_SEEDS:
+            assert parity_scan(seed, 500) == parity_scan_direct(seed, 500), seed
+        for m_max in (3, 4, 5, 12, 13):
+            for seed in SCAN_SEEDS[::7]:
+                assert parity_scan(seed, m_max) == parity_scan_direct(seed, m_max), (seed, m_max)
+
     def test_fibonacci_and_lucas_have_no_odd_periods(self):
         assert parity_scan(FIBONACCI, 500).empty
         assert parity_scan(LUCAS, 500).empty
