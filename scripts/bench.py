@@ -1,7 +1,7 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_15.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_16.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
@@ -63,7 +63,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
     that is timed."""
     from gibonacci import (
         FIBONACCI,
+        LUCAS,
         Seed,
+        equivalent_up_to_shift,
         gcd_sum,
         gcd_sum_lcm,
         max_modulus_for_period,
@@ -109,6 +111,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "pisano_fib_1e8_plus_7": (
             {"seed": [0, 1], "m": 10**8 + 7},
             lambda: partial(pisano_period, FIBONACCI, 10**8 + 7)),
+        "shift_fib_lucas_1e6_plus_3": (  # different orbits: the search is bounded by the period
+            {"seed_a": [0, 1], "seed_b": [2, 1], "m": 10**6 + 3},
+            lambda: partial(equivalent_up_to_shift, FIBONACCI, LUCAS, 10**6 + 3)),
         "identity_suite": (
             {"call": "verify.check_identity_suite()"}, lambda: verify.check_identity_suite),
         "gib_addition": (

@@ -3,11 +3,12 @@
 The period of seed (g0, g1) modulo m is the least r >= 1 with
 G_r = g0 and G_{r+1} = g1 (mod m).  The step map on residue pairs is
 invertible, so the residue sequence is purely periodic, with a period of
-at most m^2 - 1.  ``pisano_period`` is the only way in to the period
-kernel.  The lcm route calls it once, at the closed-formula value;
+at most m^2 - 1.  ``pisano_period`` asks the orbit kernel for a period.
+The lcm route calls it once, at the closed-formula value;
 ``period_table``, which the parity scan and the lcm route's bounded scan
 read, calls it at prime powers only and reads every other modulus as an
-lcm of two periods it already has.
+lcm of two periods it already has.  ``equivalent_up_to_shift`` asks the
+kernel for the steps from one residue pair to another, under the same cap.
 
 The kernel is a baby-step giant-step search in two phases, with
 s = isqrt(6m) + 1.  Phase 1 walks up to s steps one term at a time and
@@ -24,8 +25,6 @@ ValueError.  The kernel keeps no state between calls: every call
 computes its period.
 
 The period is also the least window length whose sums m always divides.
-Shift equivalence needs no period: two sequences agree mod m up to a
-shift exactly when their residue pairs lie on one orbit.
 """
 
 from __future__ import annotations
@@ -50,45 +49,53 @@ def clear_period_cache() -> None:
     """Nothing to clear: the period kernel keeps no state between calls."""
 
 
-def _residue_period(a: int, b: int, m: int) -> int:
-    """Least r >= 1 returning the residue pair (a, b) to itself mod m.
+def _residue_period(a: int, b: int, m: int, target: tuple[int, int] | None = None) -> int | None:
+    """Least r >= 1 with M^r (a, b) = target mod m, None if the target is off
+    the orbit of (a, b); the target defaults to (a, b), giving its period.
 
-    Requires m >= 2, 0 <= a, b < m and (a, b) != (0, 0); only
-    ``pisano_period`` calls it, after checking exactly that.  Raises
-    ValueError when the period exceeds both s = isqrt(6m) + 1 and
+    Requires m >= 2, 0 <= a, b < m and (a, b) != (0, 0); ``pisano_period``
+    and ``equivalent_up_to_shift``, the one caller with a target, check
+    that.  The period of (a, b), computed first, bounds a target search.
+    Raises ValueError when the period exceeds both s = isqrt(6m) + 1 and
     ``PERIOD_TABLE_CAP``.
     """
     s = math.isqrt(6 * m) + 1
-    # Phase 1: a period of at most s returns here, with no table to build;
+    ta, tb = target or (a, b)
+    bound = m * m if target is None else _residue_period(a, b, m)  # m^2 pair states
+    # Phase 1: an r of at most s returns here, with no table to build;
     # the lcm route's period does at all but small k.
     x, y = a, b
-    for r in range(1, min(s, PERIOD_TABLE_CAP) + 1):
+    for r in range(1, min(s, bound, PERIOD_TABLE_CAP) + 1):
         x, y = y, (x + y) % m
-        if x == a and y == b:
+        if x == ta and y == tb:
             return r
+    if bound <= s:  # phase 1 walked the whole orbit
+        return None
     if s > PERIOD_TABLE_CAP:
         name = m if m.bit_length() <= 160 else f"a {m.bit_length()}-bit modulus"
         raise ValueError(
             f"period mod {name} exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps, "
             f"and a longer one needs a table of isqrt(6m) + 1 pairs, over the cap"
         )
-    # Phase 2: the period r exceeds s, so baby pairs 0 .. s-1 are distinct.
-    # Giant step i lands on baby step j exactly when i*s - j is a return
-    # time, a multiple of r; the first i with i*s >= r gives r itself.
+    # Phase 2: r and the period exceed s, so baby pairs M^j target, j < s, are
+    # distinct.  Giant step i lands on baby step j exactly when i*s - j = r
+    # modulo the period; the first i with i*s >= r gives r itself.
     baby: dict[int, int] = {}
-    x, y = a, b
+    x, y = ta, tb
     for j in range(s):
         baby[x * m + y] = j
         x, y = y, (x + y) % m
     f, f_next = gib_pair(FIBONACCI, s, m)  # M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]]
     f_prev = (f_next - f) % m
     x, y = a, b
-    for i in range(1, m * m // s + 2):  # the pair space has m^2 states
+    for i in range(1, bound // s + 2):
         x, y = (f_prev * x + f * y) % m, (f * x + f_next * y) % m
         j = baby.get(x * m + y)
         if j is not None:
             return i * s - j
-    raise AssertionError(f"residue pair ({a}, {b}) failed to cycle within {m}^2 steps")
+    if target is None:
+        raise AssertionError(f"residue pair ({a}, {b}) failed to cycle within {m}^2 steps")
+    return None
 
 
 def pisano_period(seed: Seed, m: int) -> int:
@@ -203,8 +210,8 @@ def equivalent_up_to_shift(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, in
 
     (True, r) with the least r >= 0 such that A_{r+n} = B_n (mod m) for
     all n, else (False, None).  A residue pair determines the whole
-    sequence, so it suffices to walk A's orbit once, from (A_0, A_1)
-    until it returns, looking for B's pair (B_0, B_1).  Equal periods
+    sequence, so r counts the steps from (A_0, A_1) to (B_0, B_1) on A's
+    orbit, found by the period kernel under its cap.  Equal periods
     follow: the two sequences then share one orbit.
     """
     if m < 2:
@@ -214,11 +221,7 @@ def equivalent_up_to_shift(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, in
             raise ValueError(f"seed {s} is degenerate mod {m}")
     start = (seed_a.g0 % m, seed_a.g1 % m)
     target = (seed_b.g0 % m, seed_b.g1 % m)
-    x, y = start
-    r = 0
-    while (x, y) != target:
-        x, y = y, (x + y) % m
-        r += 1
-        if (x, y) == start:
-            return False, None
-    return True, r
+    if start == target:
+        return True, 0
+    r = _residue_period(*start, m, target=target)
+    return (False, None) if r is None else (True, r)

@@ -259,8 +259,8 @@ class _TermTable:
         return self._read(self._g, self._glo, n)
 
 
-class _IndexRecorder:
-    """Stands in for a _TermTable: records each index read and answers 0.
+class _IndexRecorder(_TermTable):
+    """A _TermTable that records each index read and answers 0.
 
     A progression is recorded by its two end indices, since every index
     inside it lies between those two, and answered with a row holding one
@@ -271,24 +271,16 @@ class _IndexRecorder:
     def __init__(self) -> None:
         self.f: list[int] = []  # the F indices, those L reads included
         self.g: list[int] = []
+        super().__init__((0, self.f), (0, self.g))
 
     @staticmethod
-    def _record(seen: list[int], n: int | _Progression) -> int | _Row:
+    def _read(seen: list[int], lo: int, n: int | _Progression) -> int | _Row:
         if isinstance(n, int):
             seen.append(n)
             return 0
         if n.indices:
             seen += (n.indices[0], n.indices[-1])
         return _Row([0])
-
-    def F(self, n: int | _Progression) -> int | _Row:
-        return self._record(self.f, n)
-
-    def L(self, n: int | _Progression) -> int | _Row:
-        return self.F(n - 1) + self.F(n + 1)
-
-    def G(self, n: int | _Progression) -> int | _Row:
-        return self._record(self.g, n)
 
 
 def _tabulate(seed: Seed, indices: list[int]) -> tuple[int, list[int]]:

@@ -302,6 +302,22 @@ def naive_shift_equivalence(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, i
     return False, None
 
 
+def shift_walk(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, int | None]:
+    """Least shift r >= 0 with A_{r+n} = B_n (mod m), by walking A's residue
+    pair one step at a time until it meets B's pair or returns to its
+    start: the reference for the kernel's baby-step giant-step search."""
+    start = (seed_a.g0 % m, seed_a.g1 % m)
+    target = (seed_b.g0 % m, seed_b.g1 % m)
+    x, y = start
+    r = 0
+    while (x, y) != target:
+        x, y = y, (x + y) % m
+        r += 1
+        if (x, y) == start:
+            return False, None
+    return True, r
+
+
 @pytest.fixture(scope="session")
 def grid25():
     from gibonacci.sequences import SMALL_SEED_GRID

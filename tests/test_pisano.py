@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 import sympy
@@ -12,7 +13,7 @@ from gibonacci.pisano import (
     period_table,
     pisano_period,
 )
-from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid
+from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid, fib, gib_pair
 
 from conftest import (
     SCAN_SEEDS,
@@ -22,6 +23,7 @@ from conftest import (
     parity_scan_direct,
     period_direct,
     residue_period_walk,
+    shift_walk,
 )
 
 SEED_14 = Seed(1, 4)
@@ -291,6 +293,44 @@ class TestShiftEquivalence:
                     if not want[0] and pisano_period(sa, m) == pisano_period(sb, m):
                         equal_periods_not_equivalent += 1
         assert equal_periods_not_equivalent == 3408
+
+    def test_matches_the_walk_on_random_pairs(self):
+        # s = isqrt(6m) + 1 <= 50 here while periods reach 6m, so phase 2 runs;
+        # half the targets are put on A's orbit, since a random pair rarely is
+        rng = random.Random(16)
+        found = 0
+        for _ in range(1500):
+            m = rng.randrange(2, 401)
+            a = Seed(rng.randrange(m), rng.randrange(1, m))
+            b = (Seed(*gib_pair(a, rng.randrange(6 * m), m)) if rng.random() < 0.5
+                 else Seed(rng.randrange(1, m), rng.randrange(m)))
+            want = shift_walk(a, b, m)
+            assert equivalent_up_to_shift(a, b, m) == want, (a, b, m)
+            found += want[0] and want[1] > math.isqrt(6 * m) + 1
+        assert found > 300  # most on-orbit shifts need phase 2
+
+    @pytest.mark.parametrize("seed", [FIBONACCI, Seed(1, 4)])
+    @pytest.mark.parametrize("t", [1, 2 * 10**9 + 15, 10**10])  # phase 1, period - 1, past it
+    def test_finds_the_shift_to_a_pair_on_the_orbit_at_a_large_prime(self, seed, t):
+        m = 10**9 + 7
+        period = pisano_period(seed, m)
+        assert equivalent_up_to_shift(seed, Seed(*gib_pair(seed, t, m)), m) == (True, t % period)
+
+    @pytest.mark.parametrize("m", [10**6 + 3, 10**9 + 7])
+    def test_fibonacci_and_lucas_lie_on_different_orbits(self, m):
+        assert equivalent_up_to_shift(FIBONACCI, LUCAS, m) == (False, None)
+
+    def test_a_short_period_past_the_cap_is_searched_whole_in_phase_1(self):
+        # s is about 6e10 at m = F_100, far over the cap, but the period is 200
+        m = fib(100)
+        assert equivalent_up_to_shift(FIBONACCI, LUCAS, m) == (False, None)
+        assert equivalent_up_to_shift(FIBONACCI, Seed(*gib_pair(FIBONACCI, 177, m)), m) == (True, 177)
+
+    def test_shares_the_period_kernels_cap(self, monkeypatch):
+        # s = isqrt(6 * 10007) + 1 = 246 > 64, and the period mod 10007 is longer
+        monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
+        with pytest.raises(ValueError, match=r"period mod 10007 exceeds PERIOD_TABLE_CAP = 64 "):
+            equivalent_up_to_shift(FIBONACCI, LUCAS, 10007)
 
 
 def lcm_of_periods(seed, m1, m2):
