@@ -6,7 +6,9 @@
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
 is one fresh process that imports one of the two, builds the case's inputs
-and times one call of the case with ``time.perf_counter``; the runs
+and times one call of the case with ``time.perf_counter``.  A case whose
+first call takes under FAST_CALL_MS is timed again over further calls that
+fill at least BATCH_MS, and the run reads their mean per call.  The runs
 alternate between the two sides, and which side goes first alternates too,
 so a drift in machine speed falls on both.  Each side keeps the median of
 its REPEAT runs: a best of a few still moved untouched cases by a third on
@@ -33,6 +35,8 @@ from typing import Any, Callable
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPEAT = 7  # runs per case and side; the median is kept
+FAST_CALL_MS = 10.0  # a first call faster than this is too noisy to read alone
+BATCH_MS = 50.0  # so further calls are timed until they fill this much
 
 # A run: put the side's src first on the path, load this script without
 # running main, and print the time of one call of the named case.
@@ -134,11 +138,21 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
 
 
 def time_once(name: str) -> float:
-    """Milliseconds for one call of the named case, in this process."""
+    """Milliseconds per call of the named case, in this process: the first
+    call, or the mean of the further calls when the first is under
+    FAST_CALL_MS."""
     call = cases()[name][1]()
     start = time.perf_counter()
     call()
-    return (time.perf_counter() - start) * 1e3
+    ms = (time.perf_counter() - start) * 1e3
+    if ms >= FAST_CALL_MS:
+        return ms
+    calls = 0
+    start = time.perf_counter()
+    while (ms := (time.perf_counter() - start) * 1e3) < BATCH_MS:
+        call()
+        calls += 1
+    return ms / calls
 
 
 def run_in(src: Path, name: str) -> float:

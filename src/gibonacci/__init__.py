@@ -39,13 +39,11 @@ from .sequences import (
     Identity,
     IdentityReport,
     Seed,
-    SeedInvariants,
     coprime_seed_grid,
     fib,
     gib_pair,
     gib_term,
     lucas,
-    seed_invariants,
     verify_identity,
     window_sum,
 )

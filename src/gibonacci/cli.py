@@ -112,58 +112,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gibonacci", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, seeded: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, handler: Callable[[argparse.Namespace], Outcome],
+            seeded: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         if seeded:  # a command that does not read the seed rejects --seed
             p.add_argument("--seed", type=parse_seed, default=Seed(0, 1),
                            help="initial pair g0,g1 (default 0,1 = Fibonacci)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    p = add("term", "one sequence term")
+    p = add("term", "one sequence term", _term)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("sum", "sum of k consecutive terms starting at n")
+    p = add("sum", "sum of k consecutive terms starting at n", _sum)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("gcd-sum", "GCD of all sums of k consecutive terms")
+    p = add("gcd-sum", "GCD of all sums of k consecutive terms", _gcd_sum)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("closed", "brute", "lcm", "all"), default="closed")
     p.add_argument("--bound", type=int, default=None,
                    help="lcm method: scan every modulus up to this cap")
 
-    p = add("pisano", "period of the sequence modulo m")
+    p = add("pisano", "period of the sequence modulo m", _pisano)
     p.add_argument("--m", type=int, required=True)
 
-    p = add("classify", "predicted vs actual GCD value by k mod 12")
+    p = add("classify", "predicted vs actual GCD value by k mod 12", _classify)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("parity-scan", "moduli in (2, m-max] with odd period")
+    p = add("parity-scan", "moduli in (2, m-max] with odd period", _parity_scan)
     p.add_argument("--m-max", type=int, required=True)
 
-    p = add("max-modulus", "largest modulus with Fibonacci period k", seeded=False)
+    p = add("max-modulus", "largest modulus with Fibonacci period k", _max_modulus, seeded=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true")
 
-    p = add("lucas-odd", "odd-indexed Lucas number from a seed's GCD")
+    p = add("lucas-odd", "odd-indexed Lucas number from a seed's GCD", _lucas_odd)
     p.add_argument("--j", type=int, required=True)
 
-    p = add("primes-check", "forbidden prime factors of the odd-k value")
+    p = add("primes-check", "forbidden prime factors of the odd-k value", _primes_check)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, default=10**6)
 
-    p = add("squares", "GCD of sums of k consecutive squares")
+    p = add("squares", "GCD of sums of k consecutive squares", _squares)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("identities", "run one or all identity families", seeded=False)
+    p = add("identities", "run one or all identity families", _identities, seeded=False)
     p.add_argument("--id", choices=[i.value for i in sequences.Identity])
     p.add_argument("--lo", type=int, default=None,
                    help="low end of every range (default 0; -10 for fib_shift_family)")
     p.add_argument("--hi", type=int, default=None,
                    help="high end of every range (default 200; 10 for fib_shift_family)")
 
-    add("verify", "run the full verification suite", seeded=False)
+    add("verify", "run the full verification suite", _verify, seeded=False)
     return parser
 
 
@@ -279,14 +281,6 @@ def _verify(a: argparse.Namespace) -> Outcome:
     ), 0 if passed == len(results) else 2
 
 
-COMMANDS: dict[str, Callable[[argparse.Namespace], Outcome]] = {
-    "term": _term, "sum": _sum, "gcd-sum": _gcd_sum, "pisano": _pisano,
-    "classify": _classify, "parity-scan": _parity_scan, "max-modulus": _max_modulus,
-    "lucas-odd": _lucas_odd, "primes-check": _primes_check, "squares": _squares,
-    "identities": _identities, "verify": _verify,
-}
-
-
 def _bind_seed_values(argv: list[str]) -> list[str]:
     """``--seed -1,2`` as ``--seed=-1,2``: argparse takes a word starting
     with '-' that is not a plain negative number for an option name."""
@@ -307,7 +301,7 @@ def run(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        payload, render, code = COMMANDS[args.command](args)
+        payload, render, code = args.handler(args)
         print(json.dumps(jsonable(payload), sort_keys=True) if args.format == "json" else render())
     finally:
         sys.set_int_max_str_digits(limit)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .pisano import period_table, pisano_period
-from .sequences import Seed, fib, gib_pair, lucas, seed_invariants, window_sum
+from .sequences import Seed, fib, gib_pair, lucas, window_sum
 
 
 class Method(Enum):
@@ -81,7 +81,7 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
     """
     _check_args(seed, k)
     if k % 2:
-        m = 2 * abs(seed_invariants(seed).d)
+        m = 2 * abs(seed.cassini)
         g_k1, g_k2 = gib_pair(seed, k + 1, m)
         value = math.gcd(g_k1 - seed.g1, g_k2 - seed.g0 - seed.g1, m)
     else:
@@ -227,26 +227,25 @@ def classify(seed: Seed, k: int) -> Classification:
     """
     _check_args(seed, k)
     seed.require_coprime()
-    inv = seed_invariants(seed)
     actual = gcd_sum(seed, k).value
     r = k % 12
     if r in (0, 4, 8):
         row = CaseRow.ROW_048
-        predicted = inv.delta * fib(k // 2)
-        footnote = Footnote.DELTA_IS_1 if inv.delta == 1 else Footnote.DELTA_IS_5
+        predicted = seed.delta * fib(k // 2)
+        footnote = Footnote.DELTA_IS_1 if seed.delta == 1 else Footnote.DELTA_IS_5
     elif r in (2, 6, 10):
         row = CaseRow.ROW_2610
         predicted = lucas(k // 2)
         footnote = Footnote.NONE
     elif r in (3, 9):
         row = CaseRow.ROW_39
-        if inv.d_is_unit:
+        if abs(seed.cassini) == 1:
             predicted, footnote = 2, Footnote.D_IS_UNIT
         else:
             predicted, footnote = None, Footnote.D_NOT_UNIT
     else:
         row = CaseRow.ROW_15711
-        if inv.d_is_unit:
+        if abs(seed.cassini) == 1:
             predicted, footnote = 1, Footnote.D_IS_UNIT
         else:
             predicted, footnote = None, Footnote.D_NOT_UNIT

@@ -28,15 +28,21 @@ class Seed:
         return self.g0 == 0 and self.g1 == 0
 
     @property
-    def is_coprime(self) -> bool:
-        return math.gcd(self.g0, self.g1) == 1
+    def delta(self) -> int:
+        """gcd(G_0 + G_2, G_1 + G_3) = gcd(2 G_0 + G_1, G_0 + 3 G_1); 1 or 5 for coprime seeds."""
+        return math.gcd(2 * self.g0 + self.g1, self.g0 + 3 * self.g1)
+
+    @property
+    def cassini(self) -> int:
+        """G_1^2 - G_0 G_1 - G_0^2, the generalized Cassini constant (sign kept)."""
+        return self.g1 * self.g1 - self.g0 * self.g1 - self.g0 * self.g0
 
     def require_nondegenerate(self) -> None:
         if self.is_degenerate:
             raise ValueError("seed (0, 0) is degenerate")
 
     def require_coprime(self) -> None:
-        if not self.is_coprime:
+        if math.gcd(self.g0, self.g1) != 1:
             raise ValueError(f"seed {(self.g0, self.g1)} must have coprime entries")
 
     def __str__(self) -> str:
@@ -100,33 +106,6 @@ def window_sum(seed: Seed, n: int, k: int) -> int:
     if n < 1:
         raise ValueError("window start n must be >= 1")
     return gib_term(seed, n + k + 1) - gib_term(seed, n + 1)
-
-
-@dataclass(frozen=True)
-class SeedInvariants:
-    """The two seed parameters controlling GCD-of-sums behavior.
-
-    delta = gcd(G_0 + G_2, G_1 + G_3); always 1 or 5 for coprime seeds.
-    d = G_1^2 - G_0 G_1 - G_0^2, the generalized Cassini constant
-    (sign preserved).
-    """
-
-    delta: int
-    d: int
-
-    @property
-    def d_is_unit(self) -> bool:
-        return self.d in (1, -1)
-
-
-def seed_invariants(seed: Seed) -> SeedInvariants:
-    seed.require_nondegenerate()
-    g0, g1 = seed.g0, seed.g1
-    g2 = g0 + g1
-    g3 = g1 + g2
-    delta = math.gcd(g0 + g2, g1 + g3)
-    d = g1 * g1 - g0 * g1 - g0 * g0
-    return SeedInvariants(delta=delta, d=d)
 
 
 def coprime_seed_grid(limit: int = 10) -> list[Seed]:

@@ -3,9 +3,9 @@ import itertools
 import math
 
 import pytest
+import sympy
 
 from gibonacci.applications import MaxModulusResult
-from gibonacci.factor import trial_division
 from gibonacci.gcdsum import gcd_sum
 from gibonacci.pisano import ParityScanReport, pisano_period
 from gibonacci.sequences import (
@@ -179,78 +179,11 @@ def squares_gcd_direct(seed: Seed, k: int, num_windows: int) -> int:
     return value
 
 
-def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Floyd's cycle finding)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, n):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise AssertionError(f"pollard rho found no factor of {n}")
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Complete prime factorization of n >= 1."""
-    factors, cofactor = trial_division(n, 10_000)
-    stack = [cofactor] if cofactor > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def lcm_over_all_divisors(seed: Seed, k: int) -> int:
     """The lcm route over every divisor of the closed-formula value, not
     just the value itself: one period walk per divisor."""
     value = 1
-    for d in divisors(gcd_sum(seed, k).value):
+    for d in sympy.divisors(gcd_sum(seed, k).value):
         if k % pisano_period(seed, d) == 0:
             value = math.lcm(value, d)
     return value
@@ -260,7 +193,7 @@ def max_modulus_full_scan(k: int) -> MaxModulusResult:
     """Largest modulus with Fibonacci period exactly k (even k >= 6), found
     by walking the period of every divisor of the k-window GCD value."""
     best = max(
-        (m for m in divisors(gcd_sum(FIBONACCI, k).value)
+        (m for m in sympy.divisors(gcd_sum(FIBONACCI, k).value)
          if m >= 2 and pisano_period(FIBONACCI, m) == k),
         default=0,
     )

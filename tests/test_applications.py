@@ -80,6 +80,11 @@ class TestMaxModulus:
         with pytest.raises(AssertionError, match="divides 1664080, expected 832040"):
             max_modulus_for_period(60, exhaustive=True)
 
+    def test_period_check_fails_on_a_wrong_period(self, monkeypatch):
+        monkeypatch.setattr(applications, "pisano_period", lambda seed, m: 30)
+        with pytest.raises(AssertionError, match="period of modulus 832040 is 30, expected 60"):
+            max_modulus_for_period(60)
+
     def test_refused_above_the_table_cap_without_a_walk(self, monkeypatch):
         # F_32 = 2178309 has period 64, found by phase 1 within the cap
         monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)

@@ -1,10 +1,9 @@
 import math
 
 import pytest
+import sympy
 
 from gibonacci.factor import trial_division
-
-from conftest import divisors, factorize, is_probable_prime
 
 
 def test_trial_division_complete():
@@ -32,7 +31,6 @@ def first_trial_divisor_above(bound: int) -> int:
 
 
 def test_trial_division_matches_sympy():
-    sympy = pytest.importorskip("sympy")
     semiprimes = [10007 * 10009, 97 * 101, 2 * 3 * 1000003, 2**5 * 101**2, 999983**2]
     for n in [*range(1, 3001), *semiprimes]:
         factors = sympy.factorint(n)
@@ -48,44 +46,6 @@ def test_trial_division_matches_sympy():
             assert trial_division(n, bound) == (expected, rest), (n, bound)
 
 
-def test_factorize_roundtrip():
-    for n in [1, 2, 60, 551, 832040, 6765, 10007 * 10009, 2**10 * 17711]:
-        factors = factorize(n)
-        assert math.prod(p**e for p, e in factors.items()) == n
-        assert all(is_probable_prime(p) for p in factors)
-
-
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(11) == [1, 11]
-
-
-def test_is_probable_prime_against_sieve():
-    limit = 2000
-    sieve = [True] * (limit + 1)
-    sieve[0] = sieve[1] = False
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            for j in range(i * i, limit + 1, i):
-                sieve[j] = False
-    for n in range(limit + 1):
-        assert is_probable_prime(n) == sieve[n], n
-
-
 def test_rejects_nonpositive():
     with pytest.raises(ValueError):
         trial_division(0, 10)
-
-
-def test_factorize_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    from gibonacci.gcdsum import gcd_sum
-    from gibonacci.sequences import FIBONACCI
-
-    values = [gcd_sum(FIBONACCI, k).value for k in range(1, 151)]
-    # both factors above the trial-division bound, so rho has to split them
-    semiprimes = [10007 * 10009, 100003 * 1000003, (10**9 + 7) * (10**9 + 9),
-                  1000003**2, 10007**3 * 1000033]
-    for n in values + semiprimes:
-        assert factorize(n) == sympy.factorint(n), n

@@ -22,7 +22,6 @@ from gibonacci.sequences import (
     LUCAS,
     Seed,
     fib,
-    seed_invariants,
 )
 
 from conftest import (
@@ -91,7 +90,7 @@ class TestOddK:
 
     def test_value_can_be_2d_itself(self):
         # a modulus of |d| in place of 2|d| would return 11 here
-        assert gcd_sum(SEED_14, 15).value == 22 == 2 * abs(seed_invariants(SEED_14).d)
+        assert gcd_sum(SEED_14, 15).value == 22 == 2 * abs(SEED_14.cassini)
 
     def test_matches_index_one_on_non_coprime_seeds(self):
         for seed in (Seed(2, 8), Seed(3, 9), Seed(-6, 4), Seed(5, 0), Seed(0, -12), Seed(22, 44)):
@@ -110,7 +109,7 @@ class TestOddK:
 
     def test_classify_actual_with_a_non_unit_d(self):
         for seed in NON_UNIT_D_SEEDS:
-            assert not seed_invariants(seed).d_is_unit
+            assert abs(seed.cassini) != 1
             for k in range(1, 200, 2):
                 c = classify(seed, k)
                 assert c.actual == gcd_sum_at_index_one(seed, k), (seed, k)
@@ -319,7 +318,7 @@ class TestClassify:
     def test_row_048_dichotomy(self, grid25):
         # actual / F_{k/2} is exactly the delta parameter, 1 or 5
         for seed in grid25:
-            delta = seed_invariants(seed).delta
+            delta = seed.delta
             for k in (4, 8, 12, 24, 48):
                 c = classify(seed, k)
                 half = fib(k // 2)

@@ -253,9 +253,7 @@ class TestShiftEquivalence:
 
     def test_delta_5_seed_matches_lucas_mod_5(self):
         for seed in coprime_seed_grid(10):
-            from gibonacci.sequences import seed_invariants
-
-            if seed_invariants(seed).delta == 5:
+            if seed.delta == 5:
                 ok, _ = equivalent_up_to_shift(seed, LUCAS, 5)
                 assert ok, seed
 
@@ -367,10 +365,8 @@ class TestKnownPeriodFacts:
 
     def test_parity_congruence_of_cassini_constant(self, grid25):
         # (-1)^period * d = d (mod m)
-        from gibonacci.sequences import seed_invariants
-
         for seed in grid25:
-            d = seed_invariants(seed).d
+            d = seed.cassini
             for m in range(3, 201):
                 p = pisano_period(seed, m)
                 assert ((-1) ** p * d - d) % m == 0, (seed, m)

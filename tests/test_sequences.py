@@ -21,7 +21,6 @@ from gibonacci.sequences import (
     gib_pair,
     gib_term,
     lucas,
-    seed_invariants,
     verify_identity,
     window_sum,
 )
@@ -161,16 +160,11 @@ class TestSeedInvariants:
         [(Seed(0, 1), 1, 1), (Seed(2, 1), 5, -5), (Seed(1, 4), 1, 11)],
     )
     def test_known_values(self, seed, delta, d):
-        inv = seed_invariants(seed)
-        assert (inv.delta, inv.d) == (delta, d)
-
-    def test_degenerate_seed_rejected(self):
-        with pytest.raises(ValueError):
-            seed_invariants(Seed(0, 0))
+        assert (seed.delta, seed.cassini) == (delta, d)
 
     def test_delta_is_1_or_5_for_coprime_seeds(self):
         for seed in coprime_seed_grid(10):
-            assert seed_invariants(seed).delta in (1, 5), seed
+            assert seed.delta in (1, 5), seed
 
     def test_consecutive_gcd_invariance(self, grid25):
         # gcd(G_n, G_{n+1}) stays equal to gcd(G_0, G_1) along the sequence
@@ -181,15 +175,15 @@ class TestSeedInvariants:
 
     def test_cassini_constant_alternates_in_sign(self, grid25):
         for seed in grid25:
-            d0 = seed_invariants(seed).d
+            d0 = seed.cassini
             terms = naive_gib_terms(seed, 0, 102)
             for n in range(101):
-                dn = seed_invariants(Seed(terms[n], terms[n + 1])).d
+                dn = Seed(terms[n], terms[n + 1]).cassini
                 assert dn == (-1) ** n * d0, (seed, n)
 
     def test_delta_shift_invariance(self, grid25):
         for seed in grid25:
-            delta = seed_invariants(seed).delta
+            delta = seed.delta
             terms = naive_gib_terms(seed, 0, 104)
             for n in range(101):
                 got = math.gcd(terms[n] + terms[n + 2], terms[n + 1] + terms[n + 3])
