@@ -53,12 +53,11 @@ def cli_quiet(argv: list[str]) -> None:
 
 
 def convert_fib_1e6() -> Callable[[], str]:
-    """The CLI's decimal conversion (plain ``str`` on a side that has none)
-    bound to a prebuilt F_{10^6}."""
+    """The CLI's decimal conversion, ``cli.decimal_str``, bound to a
+    prebuilt F_{10^6}."""
     from gibonacci import cli, fib
 
-    sys.set_int_max_str_digits(0)  # str on F_{10^6} is past the default limit
-    return partial(getattr(cli, "decimal_str", str), fib(10**6))
+    return partial(cli.decimal_str, fib(10**6))
 
 
 def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]:

@@ -20,12 +20,10 @@ from .gcdsum import (
     Footnote,
     GcdSumResult,
     Method,
-    ReducedSeed,
     classify,
     gcd_sum,
     gcd_sum_bruteforce,
     gcd_sum_lcm,
-    reduce_seed,
 )
 from .pisano import (
     ParityScanReport,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import pisano
 from .factor import trial_division
-from .gcdsum import gcd_sum
+from .gcdsum import CaseRow, classify, gcd_sum
 from .pisano import pisano_period
 from .sequences import FIBONACCI, Seed, fib, gib_pair, lucas
 
@@ -118,12 +118,13 @@ class MaxModulusResult:
 def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult:
     """The largest m with Fibonacci period exactly k, for even k >= 6.
 
-    The value is F_{k/2} when k = 0 (mod 4) and L_{k/2} when k = 2
-    (mod 4); its period is verified directly.  With exhaustive=True,
-    the result must also equal the k-window GCD value.  The period of m
-    divides k iff m divides that value, so no modulus with period exactly
-    k exceeds it, and the check rules out every larger candidate without
-    a walk.
+    The value is ``classify``'s prediction for the Fibonacci seed: F_{k/2}
+    in row 048 (k = 0 mod 4) and L_{k/2} in row 2610 (k = 2 mod 4); its
+    period is verified directly.  With exhaustive=True, the result must
+    also equal the k-window GCD value, ``classify``'s actual.  The period
+    of m divides k iff m divides that value, so no modulus with period
+    exactly k exceeds it, and the check rules out every larger candidate
+    without a walk.
 
     The modulus has period exactly k, so at k above ``PERIOD_TABLE_CAP``
     the period kernel would walk the cap's worth of steps and then refuse
@@ -136,19 +137,16 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
             f"period k = {k} exceeds PERIOD_TABLE_CAP = {pisano.PERIOD_TABLE_CAP} steps, "
             f"so its modulus is refused without a walk"
         )
-    if k % 4 == 0:
-        m_f, form = fib(k // 2), "fib_half"
-    else:
-        m_f, form = lucas(k // 2), "lucas_half"
+    c = classify(FIBONACCI, k)
+    m_f = c.predicted
+    form = "fib_half" if c.case_row is CaseRow.ROW_048 else "lucas_half"
     period = pisano_period(FIBONACCI, m_f)
     if period != k:
         raise AssertionError(f"period of modulus {m_f} is {period}, expected {k}")
-    if exhaustive:
-        bound = gcd_sum(FIBONACCI, k).value
-        if bound != m_f:
-            raise AssertionError(
-                f"every modulus with period dividing {k} divides {bound}, expected {m_f}"
-            )
+    if exhaustive and c.actual != m_f:
+        raise AssertionError(
+            f"every modulus with period dividing {k} divides {c.actual}, expected {m_f}"
+        )
     return MaxModulusResult(k, m_f, form, period, exhaustive)
 
 

@@ -77,7 +77,9 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
     differences have about half the bits of those at n = 1, which makes
     the big-integer gcd far cheaper for large k.
 
-    Valid for any nonzero integer seed, coprime or not.
+    Valid for any nondegenerate seed, coprime or not.  Every term, hence
+    every difference, is linear in the seed, so for d >= 1 the value for
+    d (G_0, G_1) is d times the value for (G_0, G_1).
     """
     _check_args(seed, k)
     if k % 2:
@@ -164,25 +166,6 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
                         partial=bound < gcd_sum(seed, k).value)
 
 
-@dataclass(frozen=True)
-class ReducedSeed:
-    """Common factor d = gcd(g0, g1) and the coprime seed it scales."""
-
-    d: int
-    reduced: Seed
-
-
-def reduce_seed(seed: Seed) -> ReducedSeed:
-    """Factor a seed as d times a coprime seed.
-
-    The GCD of window sums scales the same way: the value for the
-    original seed is d times the value for the reduced seed.
-    """
-    seed.require_nondegenerate()
-    d = math.gcd(seed.g0, seed.g1)
-    return ReducedSeed(d, Seed(seed.g0 // d, seed.g1 // d))
-
-
 class CaseRow(Enum):
     ROW_048 = "row_048"        # k = 0, 4, 8 (mod 12)
     ROW_2610 = "row_2610"      # k = 2, 6, 10 (mod 12)
@@ -222,8 +205,8 @@ class Classification:
 def classify(seed: Seed, k: int) -> Classification:
     """Classify (seed, k) per the k mod 12 case split.
 
-    Requires a coprime seed; reduce non-coprime seeds first (the value
-    then scales by the extracted factor d).
+    Requires a coprime seed; for any other, divide out d = gcd(g0, g1)
+    first (the value then scales by d).
     """
     _check_args(seed, k)
     seed.require_coprime()

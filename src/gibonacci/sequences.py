@@ -24,10 +24,6 @@ class Seed:
     g1: int
 
     @property
-    def is_degenerate(self) -> bool:
-        return self.g0 == 0 and self.g1 == 0
-
-    @property
     def delta(self) -> int:
         """gcd(G_0 + G_2, G_1 + G_3) = gcd(2 G_0 + G_1, G_0 + 3 G_1); 1 or 5 for coprime seeds."""
         return math.gcd(2 * self.g0 + self.g1, self.g0 + 3 * self.g1)
@@ -38,7 +34,7 @@ class Seed:
         return self.g1 * self.g1 - self.g0 * self.g1 - self.g0 * self.g0
 
     def require_nondegenerate(self) -> None:
-        if self.is_degenerate:
+        if self.g0 == 0 and self.g1 == 0:
             raise ValueError("seed (0, 0) is degenerate")
 
     def require_coprime(self) -> None:

@@ -2,7 +2,7 @@ import types
 
 import pytest
 
-from gibonacci import applications, pisano
+from gibonacci import applications, gcdsum, pisano, sequences
 from gibonacci.applications import (
     lucas_from_gcd,
     max_modulus_for_period,
@@ -74,7 +74,7 @@ class TestMaxModulus:
 
     def test_exhaustive_check_fails_on_a_larger_window_gcd(self, monkeypatch):
         monkeypatch.setattr(
-            applications, "gcd_sum", lambda seed, k: types.SimpleNamespace(value=2 * 832040)
+            gcdsum, "gcd_sum", lambda seed, k: types.SimpleNamespace(value=2 * 832040)
         )
         assert max_modulus_for_period(60).m_f == 832040
         with pytest.raises(AssertionError, match="divides 1664080, expected 832040"):
@@ -92,8 +92,13 @@ class TestMaxModulus:
         def no_walk(a, b, m):
             raise AssertionError(f"walked mod {m}")
 
+        def no_term(*args):
+            raise AssertionError(f"computed a term at {args}")
+
         assert max_modulus_for_period(64).m_f == fib(32)
         monkeypatch.setattr(pisano, "_residue_period", no_walk)
+        monkeypatch.setattr(applications, "classify", no_term)
+        monkeypatch.setattr(sequences, "gib_pair", no_term)
         with pytest.raises(ValueError, match=r"^period k = 66 exceeds PERIOD_TABLE_CAP = 64 steps"):
             max_modulus_for_period(66)
 

@@ -453,6 +453,11 @@ def test_jsonable_roundtrip():
     assert json.loads(json.dumps(data)) == data
 
 
+def test_jsonable_refuses_an_unknown_type():
+    with pytest.raises(TypeError, match=re.escape("cannot serialize <class 'object'>")):
+        jsonable(object())
+
+
 def test_deterministic_output(capsys):
     _, first = invoke(capsys, "classify", "--seed", "0,1", "--k", "24", "--format", "json")
     _, second = invoke(capsys, "classify", "--seed", "0,1", "--k", "24", "--format", "json")

@@ -14,7 +14,6 @@ from gibonacci.gcdsum import (
     gcd_sum,
     gcd_sum_bruteforce,
     gcd_sum_lcm,
-    reduce_seed,
 )
 from gibonacci.pisano import pisano_period
 from gibonacci.sequences import (
@@ -66,7 +65,7 @@ class TestClosedFormula:
         for g0 in range(-6, 7):
             for g1 in range(-6, 7):
                 seed = Seed(g0, g1)
-                if seed.is_degenerate:
+                if seed == Seed(0, 0):
                     continue
                 for k in range(1, 400):
                     assert gcd_sum(seed, k).value == gcd_sum_at_index_one(seed, k), (seed, k)
@@ -208,7 +207,7 @@ class TestLcmCharacterization:
         for g0 in range(-4, 5):
             for g1 in range(-4, 5):
                 seed = Seed(g0, g1)
-                if seed.is_degenerate:
+                if seed == Seed(0, 0):
                     continue
                 for k in range(1, 17):
                     v = gcd_sum(seed, k).value
@@ -257,15 +256,8 @@ class TestLcmCharacterization:
 
 
 class TestReduceSeed:
-    def test_examples(self):
-        r = reduce_seed(Seed(2, 4))
-        assert (r.d, r.reduced) == (2, Seed(1, 2))
-        r = reduce_seed(FIBONACCI)
-        assert (r.d, r.reduced) == (1, FIBONACCI)
-
     def test_scaling_contract(self):
-        r = reduce_seed(Seed(3, 9))
-        assert gcd_sum(Seed(3, 9), 6).value == r.d * gcd_sum(r.reduced, 6).value
+        assert gcd_sum(Seed(3, 9), 6).value == 3 * gcd_sum(Seed(1, 3), 6).value
 
     def test_scaling_over_factors(self, grid25):
         for seed in grid25[:10]:

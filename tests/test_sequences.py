@@ -154,7 +154,7 @@ class TestWindowSum:
                     assert window_sum(seed, n, k) == total, (seed, n, k)
 
 
-class TestSeedInvariants:
+class TestSeedProperties:
     @pytest.mark.parametrize(
         "seed,delta,d",
         [(Seed(0, 1), 1, 1), (Seed(2, 1), 5, -5), (Seed(1, 4), 1, 11)],
