@@ -1,7 +1,7 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_16.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_19.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -60,6 +61,17 @@ def convert_fib_1e6() -> Callable[[], str]:
     return partial(cli.decimal_str, fib(10**6))
 
 
+def balanced_gcd_fib_4e6() -> Callable[[], int]:
+    """``math.gcd`` alone, bound to the two differences that ``gcd_sum``
+    takes at the balanced index for the Fibonacci seed at k = 4*10^6,
+    F_{j+s} - F_{-j+s} for s = 0, 1 and j = k/2."""
+    from gibonacci import FIBONACCI, gib_pair
+
+    j = 2 * 10**6
+    (lo, lo1), (hi, hi1) = gib_pair(FIBONACCI, -j), gib_pair(FIBONACCI, j)
+    return partial(math.gcd, hi - lo, hi1 - lo1)
+
+
 def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]:
     """Name -> (params, setup), on the gibonacci found first on the path.
     setup() builds the case's inputs and returns the zero-argument call
@@ -69,6 +81,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         LUCAS,
         Seed,
         equivalent_up_to_shift,
+        fib,
         gcd_sum,
         gcd_sum_lcm,
         max_modulus_for_period,
@@ -102,6 +115,10 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             lambda: partial(gcd_sum, Seed(1, 4), 4 * 10**6 + 1)),
         "gcd_sum_fib_4e6": (
             {"seed": [0, 1], "k": 4 * 10**6}, lambda: partial(gcd_sum, FIBONACCI, 4 * 10**6)),
+        "gcd_balanced_fib_4e6": (
+            {"seed": [0, 1], "k": 4 * 10**6, "call": "math.gcd of the two balanced differences"},
+            balanced_gcd_fib_4e6),
+        "fib_1e7": ({"n": 10**7}, lambda: partial(fib, 10**7)),
         "parity_scan_1_4_3000": (
             {"seed": [1, 4], "m_max": 3000}, lambda: partial(parity_scan, Seed(1, 4), 3000)),
         "parity_scan_fib_3000": (

@@ -253,8 +253,10 @@ def _squares(a: argparse.Namespace) -> Outcome:
 
 def _identities(a: argparse.Namespace) -> Outcome:
     idents = [sequences.Identity(a.id)] if a.id else list(sequences.Identity)
-    reports = [sequences.verify_identity(i, sequences.default_identity_ranges(i, a.lo, a.hi))
-               for i in idents]
+    requests = [(i, sequences.default_identity_ranges(i, a.lo, a.hi)) for i in idents]
+    for i, ranges in requests:  # refuse before any family builds a table
+        sequences.check_identity_request(i, ranges)
+    reports = [sequences.verify_identity(i, ranges) for i, ranges in requests]
     payload = {"reports": [
         {"identity": r.identity.value, "ranges": r.ranges, "checked": r.checked,
          "failures": [(s, list(pt), lhs, rhs) for s, pt, lhs, rhs in r.failures[:10]]}

@@ -4,7 +4,8 @@ Three independent routes to the same value:
 
 * ``gcd_sum`` -- the closed formula gcd(G_{k+1} - G_1, G_{k+2} - G_2),
   read mod 2|d| (d the Cassini constant) at odd k, and at even k at the
-  balanced index where both differences are half-size;
+  balanced index where both differences are half-size, both pairs read
+  from one doubling chain;
 * ``gcd_sum_bruteforce`` -- the gcd of two actual window sums, which
   already pin the value down;
 * ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k: one
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .pisano import period_table, pisano_period
-from .sequences import Seed, fib, gib_pair, lucas, window_sum
+from .sequences import Seed, fib, fib_pair, gib_from_fib, gib_pair, lucas, window_sum
 
 
 class Method(Enum):
@@ -75,7 +76,11 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
 
     Even k: read at the balanced index n = -(k // 2), where both
     differences have about half the bits of those at n = 1, which makes
-    the big-integer gcd far cheaper for large k.
+    the big-integer gcd far cheaper for large k.  Both pairs, at -k/2 and
+    at k/2, come from one doubling chain: one ``fib_pair(k // 2)`` call,
+    read at both signs by ``gib_from_fib``.  The gcd is taken of the two
+    differences as computed, never of a factored form, so this route
+    stays independent of ``classify``'s table.
 
     Valid for any nondegenerate seed, coprime or not.  Every term, hence
     every difference, is linear in the seed, so for d >= 1 the value for
@@ -87,9 +92,10 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
         g_k1, g_k2 = gib_pair(seed, k + 1, m)
         value = math.gcd(g_k1 - seed.g1, g_k2 - seed.g0 - seed.g1, m)
     else:
-        n = -(k // 2)
-        g_lo, g_lo1 = gib_pair(seed, n)
-        g_hi, g_hi1 = gib_pair(seed, n + k)
+        j = k // 2
+        f = fib_pair(j)
+        g_lo, g_lo1 = gib_from_fib(seed, -j, *f)
+        g_hi, g_hi1 = gib_from_fib(seed, j, *f)
         value = math.gcd(g_hi - g_lo, g_hi1 - g_lo1)
     return GcdSumResult(seed, k, value, Method.CLOSED_GCD)
 

@@ -49,32 +49,70 @@ FIBONACCI = Seed(0, 1)
 LUCAS = Seed(2, 1)
 
 
+def fib_pair(j: int, m: int | None = None) -> tuple[int, int]:
+    """(F_j, F_{j+1}) for j >= 0, reduced to [0, m) given a modulus m >= 1.
+
+    The package's one fast-doubling loop.  It carries (F_i, L_i) for the
+    prefix i of j's bits read so far, and each bit costs one product and
+    one square: F_{2i} = F_i L_i and L_{2i} = L_i^2 - 2(-1)^i, where i's
+    parity is the bit read last.  A set bit then steps to 2i + 1 by
+    F_{2i+1} = (F_{2i} + L_{2i})/2 and L_{2i+1} = (5 F_{2i} + L_{2i})/2,
+    and the loop ends with F_{j+1} = (F_j + L_j)/2.  Every halving is
+    exact, since F_i and L_i have the same parity (L_i = F_i + 2 F_{i-1}).
+
+    Given m, each doubling is reduced mod 2m, where halving stays exact.
+    The loop keeps f = F_i and l = L_i (mod m), and f + l = F_i + L_i
+    (mod 2m), so f + l is even.  A doubling keeps this, since f l + l^2
+    - L_i (F_i + L_i) = (l - L_i)(f + l) + L_i (f + l - F_i - L_i) is a
+    multiple of 2m.  So does a set bit: f + l and 5 f + l = 4 f + (f + l)
+    equal F_{2i} + L_{2i} and 5 F_{2i} + L_{2i} mod 2m, so both are even,
+    and an even x = X (mod 2m) has x/2 = X/2 (mod m); the new f + l,
+    which is 3 f + l, is right mod 2m, as 2 f is.  The pair is reduced
+    mod m at the end.
+    """
+    mod = None if m is None else 2 * m
+    f, l = 0, 2  # (F_i, L_i), starting at i = 0
+    odd = 0      # i mod 2
+    for bit in range(j.bit_length() - 1, -1, -1):
+        f, l = f * l, l * l + (2 if odd else -2)
+        if mod is not None:
+            f, l = f % mod, l % mod
+        odd = j >> bit & 1
+        if odd:
+            f, l = (f + l) >> 1, (5 * f + l) >> 1
+    f_next = (f + l) >> 1
+    return (f, f_next) if m is None else (f % m, f_next % m)
+
+
+def gib_from_fib(seed: Seed, n: int, f: int, f_next: int,
+                 m: int | None = None) -> tuple[int, int]:
+    """(G_n, G_{n+1}) from (F_j, F_{j+1}) with j = |n|, mod m if m is given.
+
+    G_n = G_0 F_{n-1} + G_1 F_n holds over all of Z once F is extended by
+    F_{-j} = (-1)^{j+1} F_j, so one (F_j, F_{j+1}) gives the pair at n = j
+    and at n = -j.
+    """
+    if n >= 0:
+        f_prev, f, f_next = f_next - f, f, f_next
+    else:
+        sign = -1 if n & 1 else 1  # (-1)^j
+        f_prev, f, f_next = sign * f_next, -sign * f, sign * (f_next - f)
+    g, g_next = seed.g0 * f_prev + seed.g1 * f, seed.g0 * f + seed.g1 * f_next
+    return (g, g_next) if m is None else (g % m, g_next % m)
+
+
 def gib_pair(seed: Seed, n: int, m: int | None = None) -> tuple[int, int]:
     """The adjacent terms (G_n, G_{n+1}) of the seed's sequence, for any integer n.
 
-    The package's one term kernel: iterative fast doubling over the bits
-    of |n| gives (F_j, F_{j+1}) with j = |n|, and G_n = G_0 F_{n-1} + G_1 F_n
-    holds over all of Z once F is extended by F_{-j} = (-1)^{j+1} F_j.
-    Given a modulus m >= 1, every doubling step is reduced mod m, so the
-    operands stay below m, and the pair comes back reduced to [0, m).
+    The package's one term kernel: ``fib_pair`` gives (F_j, F_{j+1}) with
+    j = |n| by fast doubling, and ``gib_from_fib`` turns it into the seed's
+    pair at n.  Given a modulus m >= 1, every doubling step is reduced
+    mod 2m, so the operands stay the size of m, and the pair comes back
+    reduced to [0, m).
     """
     if m is not None and m < 1:
         raise ValueError("modulus m must be >= 1")
-    j = abs(n)
-    a, b = 0, 1  # (F_i, F_{i+1}) for the prefix i of j's bits read so far
-    for bit in range(j.bit_length() - 1, -1, -1):
-        c = a * (2 * b - a)  # F_{2i}
-        d = a * a + b * b    # F_{2i+1}
-        a, b = (d, c + d) if j >> bit & 1 else (c, d)
-        if m is not None:
-            a, b = a % m, b % m
-    if n >= 0:
-        f_prev, f, f_next = b - a, a, b
-    else:
-        sign = -1 if j & 1 else 1  # (-1)^j
-        f_prev, f, f_next = sign * b, -sign * a, sign * (b - a)
-    g, g_next = seed.g0 * f_prev + seed.g1 * f, seed.g0 * f + seed.g1 * f_next
-    return (g, g_next) if m is None else (g % m, g_next % m)
+    return gib_from_fib(seed, n, *fib_pair(abs(n), m), m)
 
 
 def fib(n: int) -> int:
@@ -367,26 +405,18 @@ class IdentityReport:
 IDENTITY_POINT_CAP = 10**7
 
 
-def verify_identity(
+def check_identity_request(
     identity: Identity,
     ranges: dict[str, tuple[int, int]],
     seeds: Iterable[Seed] = SMALL_SEED_GRID,
-) -> IdentityReport:
-    """Evaluate both sides of an identity exactly over a parameter grid.
+) -> tuple[_IndexRecorder, tuple[Seed, ...], list[range]]:
+    """Check a `verify_identity` request without building any table.
 
-    `ranges` maps each parameter name of the identity to an inclusive
-    (lo, hi) pair; any range at or above the identity's domain floors is
-    valid, negative indices included.  The term tables span exactly the
-    indices the identity's own sides read.  An identity whose sides read
-    no G term is checked once, for the Fibonacci seed; the others once
-    per seed.  A request over IDENTITY_POINT_CAP points (seeds times grid
-    points) is a ValueError, raised before any table is built.
-
-    The sides are evaluated one row at a time: each combination of the
-    other parameters, with the last parameter's whole range as one
-    progression.  Only a row whose two sides differ is walked point by
-    point, so every failing point is still recorded as (seed, point, lhs,
-    rhs), in seed order and then grid order.
+    Returns the indices its sides read, the seeds it runs and each
+    parameter's axis.  A missing, empty or out-of-domain range, or a
+    request over IDENTITY_POINT_CAP points (seeds times grid points), is
+    a ValueError.  Calling this for every family first refuses a run of
+    several families before any of them builds a table.
     """
     if not isinstance(identity, Identity):
         raise ValueError(f"unknown identity {identity!r}")
@@ -413,11 +443,37 @@ def verify_identity(
         identity.sides(reads, FIBONACCI, *corner, _Progression(range(n, n + 1)))
     seed_tuple = tuple(seeds) if reads.g else (FIBONACCI,)
     axes = [range(lo, hi + 1) for lo, hi in box]
-    per_seed = math.prod(map(len, axes))
-    if len(seed_tuple) * per_seed > IDENTITY_POINT_CAP:
+    points = len(seed_tuple) * math.prod(map(len, axes))
+    if points > IDENTITY_POINT_CAP:
         raise ValueError(
-            f"identity {identity.value} asks for {len(seed_tuple) * per_seed} points, "
+            f"identity {identity.value} asks for {points} points, "
             f"over the cap of {IDENTITY_POINT_CAP}")
+    return reads, seed_tuple, axes
+
+
+def verify_identity(
+    identity: Identity,
+    ranges: dict[str, tuple[int, int]],
+    seeds: Iterable[Seed] = SMALL_SEED_GRID,
+) -> IdentityReport:
+    """Evaluate both sides of an identity exactly over a parameter grid.
+
+    `ranges` maps each parameter name of the identity to an inclusive
+    (lo, hi) pair; any range at or above the identity's domain floors is
+    valid, negative indices included.  The term tables span exactly the
+    indices the identity's own sides read.  An identity whose sides read
+    no G term is checked once, for the Fibonacci seed; the others once
+    per seed.  A bad request is refused by `check_identity_request`
+    before any table is built.
+
+    The sides are evaluated one row at a time: each combination of the
+    other parameters, with the last parameter's whole range as one
+    progression.  Only a row whose two sides differ is walked point by
+    point, so every failing point is still recorded as (seed, point, lhs,
+    rhs), in seed order and then grid order.
+    """
+    reads, seed_tuple, axes = check_identity_request(identity, ranges, seeds)
+    per_seed = math.prod(map(len, axes))
     f = _tabulate(FIBONACCI, reads.f)
 
     *outer_axes, last_axis = axes

@@ -1,10 +1,14 @@
 import functools
+import importlib
 import itertools
 import math
+import pkgutil
 
 import pytest
 import sympy
 
+import gibonacci
+from gibonacci import sequences
 from gibonacci.applications import MaxModulusResult
 from gibonacci.gcdsum import gcd_sum
 from gibonacci.pisano import ParityScanReport, pisano_period
@@ -32,6 +36,73 @@ def naive_gib(seed: Seed, n: int) -> int:
     for _ in range(-n):
         a, b = b - a, a
     return a
+
+
+def naive_gib_at(seed: Seed, indices) -> dict[int, int]:
+    """G_n for each n of indices, from one run of the recurrence forward and
+    one backward from (G_0, G_1), however far apart the indices lie."""
+    wanted = set(indices)
+    found = {}
+    for step in (1, -1):
+        a, b = seed.g0, seed.g1  # (G_n, G_{n+1}) at n = 0
+        for n in range(0, max((step * i for i in wanted), default=0) + 1):
+            if step * n in wanted:
+                found[step * n] = a
+            a, b = (b, a + b) if step == 1 else (b - a, a)
+    return found
+
+
+def gib_pair_three_products(seed: Seed, n: int, m: int | None = None) -> tuple[int, int]:
+    """(G_n, G_{n+1}) by fast doubling on (F_i, F_{i+1}), one product and two
+    squares a bit, reduced mod m after every step when m is given: the
+    reference for the two-product (F, L) loop of ``fib_pair``."""
+    j = abs(n)
+    a, b = 0, 1  # (F_i, F_{i+1}) for the prefix i of j's bits read so far
+    for bit in range(j.bit_length() - 1, -1, -1):
+        c = a * (2 * b - a)  # F_{2i}
+        d = a * a + b * b    # F_{2i+1}
+        a, b = (d, c + d) if j >> bit & 1 else (c, d)
+        if m is not None:
+            a, b = a % m, b % m
+    if n >= 0:
+        f_prev, f, f_next = b - a, a, b
+    else:
+        sign = -1 if j & 1 else 1  # (-1)^j
+        f_prev, f, f_next = sign * b, -sign * a, sign * (b - a)
+    g, g_next = seed.g0 * f_prev + seed.g1 * f, seed.g0 * f + seed.g1 * f_next
+    return (g, g_next) if m is None else (g % m, g_next % m)
+
+
+def gcd_sum_two_chains(seed: Seed, k: int) -> int:
+    """The even-k closed formula at the balanced index n = -k/2 from two
+    doubling chains, one for the pair at n and one for the pair at n + k:
+    the reference for ``gcd_sum``'s read of both pairs from one chain."""
+    n = -(k // 2)
+    g_lo, g_lo1 = gib_pair_three_products(seed, n)
+    g_hi, g_hi1 = gib_pair_three_products(seed, n + k)
+    return math.gcd(g_hi - g_lo, g_hi1 - g_lo1)
+
+
+def record_doubling_loop(monkeypatch, guard=None) -> list[tuple[int, int | None]]:
+    """Replace the package's one doubling loop, ``sequences.fib_pair``, under
+    every name any gibonacci module binds it to, by a wrapper that calls
+    guard(j, m) first when given and records each call's (j, m) in the list
+    returned.  A caller that reaches the loop by any route is counted."""
+    real = sequences.fib_pair
+    calls = []
+
+    def recorded(j, m=None):
+        if guard is not None:
+            guard(j, m)
+        calls.append((j, m))
+        return real(j, m)
+
+    for info in pkgutil.iter_modules(gibonacci.__path__):
+        module = importlib.import_module(f"gibonacci.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def naive_fib(n: int) -> int:

@@ -25,7 +25,7 @@ from gibonacci.cli import (
 from gibonacci.gcdsum import classify
 from gibonacci.sequences import Seed
 
-from conftest import naive_fib
+from conftest import naive_fib, record_doubling_loop
 
 
 def invoke(capsys, *argv):
@@ -158,14 +158,14 @@ ODD_K_PAST_ANY_TERM = str(10**100 + 1)
 
 @pytest.mark.parametrize("seed,predicted", [("0,1", "1"), ("1,4", "table-inapplicable")])
 def test_odd_k_past_any_term_size_answers_at_once(capsys, monkeypatch, seed, predicted):
-    real = gcdsum.gib_pair
+    def reduced_only(j, m):  # G_{k+1} itself would have about 7e99 bits
+        if m is None and j > 10**7:
+            raise AssertionError(f"full-size term at index {j}")
 
-    def reduced_only(s, n, m=None):  # G_{k+1} itself would have about 7e99 bits
-        if m is None and abs(n) > 10**7:
-            raise AssertionError(f"full-size term at index {n}")
-        return real(s, n, m)
-
-    monkeypatch.setattr(gcdsum, "gib_pair", reduced_only)
+    # the guard sits on the doubling loop itself, so it fires on any route there
+    record_doubling_loop(monkeypatch, reduced_only)
+    with pytest.raises(AssertionError, match="full-size term"):
+        gcdsum.gcd_sum(Seed(0, 1), 2 * 10**7 + 2)
     start = time.perf_counter()
     code, out = invoke(capsys, "gcd-sum", "--seed", seed, "--k", ODD_K_PAST_ANY_TERM)
     assert code == 0 and out == "closed_gcd: 1\n"
@@ -241,6 +241,17 @@ def test_identities_bounds_reach_the_shift_family(capsys, bounds, points):
 def test_identities_empty_range_names_the_family():
     with pytest.raises(ValueError, match=r"identity gib_addition .* 'm': \[1, 0\]"):
         run(["identities", "--hi", "0"])
+
+
+def test_identities_without_id_checks_every_cap_before_any_table(monkeypatch):
+    # the Fibonacci-only families ahead of gib_addition must not run first
+    def no_tables(*args):
+        raise AssertionError("a term table was built")
+
+    monkeypatch.setattr(sequences, "_tabulate", no_tables)
+    with pytest.raises(ValueError, match=r"^identity gib_addition asks for 10000000000 points, "
+                                         rf"over the cap of {sequences.IDENTITY_POINT_CAP}$"):
+        run(["identities", "--hi", "20000"])
 
 
 def test_identities_over_the_point_cap_exits_1_before_any_table(capsys, monkeypatch):

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibonacci import gcdsum, pisano
+from gibonacci.applications import lucas_from_gcd
 from gibonacci.gcdsum import (
     BRUTE_FORCE_INDEX_CAP,
     CaseRow,
@@ -21,14 +23,17 @@ from gibonacci.sequences import (
     LUCAS,
     Seed,
     fib,
+    lucas,
 )
 
 from conftest import (
     SCAN_SEEDS,
     gcd_sum_at_index_one,
+    gcd_sum_two_chains,
     lcm_over_all_divisors,
     lcm_scan_direct,
     naive_gib_terms,
+    record_doubling_loop,
 )
 
 SEED_14 = Seed(1, 4)
@@ -69,6 +74,38 @@ class TestClosedFormula:
                     continue
                 for k in range(1, 400):
                     assert gcd_sum(seed, k).value == gcd_sum_at_index_one(seed, k), (seed, k)
+
+    def test_even_k_matches_two_chains_on_random_seeds(self):
+        rng = random.Random(20260419)
+        for _ in range(300):
+            seed = Seed(rng.randint(-50, 50), rng.randint(-50, 50))
+            if seed == Seed(0, 0):
+                continue
+            k = 2 * rng.randint(1, 400)
+            assert gcd_sum(seed, k).value == gcd_sum_two_chains(seed, k), (seed, k)
+
+    @pytest.mark.parametrize("k", [10**5, 10**5 + 2])
+    @pytest.mark.parametrize("seed", [FIBONACCI, SEED_14])
+    def test_even_k_matches_two_chains_at_large_k(self, seed, k):
+        assert gcd_sum(seed, k).value == gcd_sum_two_chains(seed, k)
+
+    @pytest.mark.parametrize("k", [2, 20, 10**4, 10**4 + 2])
+    def test_even_k_runs_one_doubling_chain(self, monkeypatch, k):
+        calls = record_doubling_loop(monkeypatch)
+        gcd_sum(SEED_14, k)
+        assert calls == [(k // 2, None)]
+
+    def test_lucas_from_gcd_runs_one_doubling_chain(self, monkeypatch):
+        want = lucas(5001)
+        calls = record_doubling_loop(monkeypatch)
+        assert lucas_from_gcd(SEED_14, 5001) == want
+        assert calls == [(5001, None)]
+
+    @pytest.mark.parametrize("k", [1, 21, 10**4 + 1])
+    def test_odd_k_runs_one_modular_chain(self, monkeypatch, k):
+        calls = record_doubling_loop(monkeypatch)
+        gcd_sum(SEED_14, k)
+        assert calls == [(k + 1, 22)]
 
     def test_difference_gcd_is_the_same_at_every_index(self, grid25):
         # gcd(D_n, D_{n+1}) with D_n = G_{n+k} - G_n does not depend on n

@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,13 @@ from gibonacci.sequences import (
     window_sum,
 )
 
-from conftest import naive_fib, naive_gib_terms, verify_identity_pointwise
+from conftest import (
+    gib_pair_three_products,
+    naive_fib,
+    naive_gib_at,
+    naive_gib_terms,
+    verify_identity_pointwise,
+)
 
 SEED_14 = Seed(1, 4)
 
@@ -125,6 +132,36 @@ class TestGibPairModular:
     def test_is_the_plain_pair_reduced_at_large_n_and_m(self, g0, g1, n, m):
         seed = Seed(g0, g1)
         assert gib_pair(seed, n, m) == tuple(x % m for x in gib_pair(seed, n))
+
+
+# every even modulus here tests the loop's halving mod 2m; 22 is 2|d| for (1,4)
+KERNEL_MODULI = [None, 1, 2, 3, 4, 10, 22, 10**6 + 3, 2**61 + 1]
+
+
+class TestGibPairAgainstOracles:
+    """The (F, L) doubling loop against the three-product loop it replaced
+    and the naive recurrence, plain and at every modulus of KERNEL_MODULI."""
+
+    @staticmethod
+    def check(seed, terms, n):
+        for m in KERNEL_MODULI:
+            want = (terms[n], terms[n + 1])
+            if m is not None:
+                want = tuple(x % m for x in want)
+            assert gib_pair(seed, n, m) == want == gib_pair_three_products(seed, n, m), (n, m)
+
+    @pytest.mark.parametrize("seed", [FIBONACCI, LUCAS, SEED_14, Seed(-3, 7)])
+    def test_every_small_index(self, seed):
+        terms = naive_gib_terms(seed, -300, 301)
+        for n in range(-300, 301):
+            self.check(seed, terms, n)
+
+    def test_random_large_indices(self):
+        rng = random.Random(20260419)
+        indices = [rng.randint(-2 * 10**5, 2 * 10**5) for _ in range(200)]
+        terms = naive_gib_at(SEED_14, indices + [n + 1 for n in indices])
+        for n in indices:
+            self.check(SEED_14, terms, n)
 
 
 class TestWindowSum:
