@@ -1,7 +1,7 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_19.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_20.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
@@ -61,14 +61,16 @@ def convert_fib_1e6() -> Callable[[], str]:
     return partial(cli.decimal_str, fib(10**6))
 
 
-def balanced_gcd_fib_4e6() -> Callable[[], int]:
+def balanced_gcd_1_4_4e6() -> Callable[[], int]:
     """``math.gcd`` alone, bound to the two differences that ``gcd_sum``
-    takes at the balanced index for the Fibonacci seed at k = 4*10^6,
-    F_{j+s} - F_{-j+s} for s = 0, 1 and j = k/2."""
-    from gibonacci import FIBONACCI, gib_pair
+    takes at the balanced index for seed (1,4) at k = 4*10^6,
+    G_{j+s} - G_{-j+s} for s = 0, 1 and j = k/2.  At even k both are small
+    multiples of the value, 7 F_j and 6 F_j here (2 F_j and F_j for the
+    Fibonacci seed), so Euclid ends after a few divisions."""
+    from gibonacci import Seed, gib_pair
 
-    j = 2 * 10**6
-    (lo, lo1), (hi, hi1) = gib_pair(FIBONACCI, -j), gib_pair(FIBONACCI, j)
+    seed, j = Seed(1, 4), 2 * 10**6
+    (lo, lo1), (hi, hi1) = gib_pair(seed, -j), gib_pair(seed, j)
     return partial(math.gcd, hi - lo, hi1 - lo1)
 
 
@@ -103,9 +105,14 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             lambda: partial(gcd_sum_lcm, FIBONACCI, 360, bound=3000)),
         "gcd_sum_lcm_1_4_240": (
             {"seed": [1, 4], "k": 240}, lambda: partial(gcd_sum_lcm, Seed(1, 4), 240)),
+        "gcd_sum_lcm_1_4_1e5": (
+            {"seed": [1, 4], "k": 10**5}, lambda: partial(gcd_sum_lcm, Seed(1, 4), 10**5)),
         "max_modulus_exhaustive_300": (
             {"k": 300, "exhaustive": True},
             lambda: partial(max_modulus_for_period, 300, exhaustive=True)),
+        "max_modulus_exhaustive_65536": (
+            {"k": 2**16, "exhaustive": True},
+            lambda: partial(max_modulus_for_period, 2**16, exhaustive=True)),
         "gcd_sum_fib_1e6": (
             {"seed": [0, 1], "k": 10**6}, lambda: partial(gcd_sum, FIBONACCI, 10**6)),
         "gcd_sum_fib_1e6_plus_1": (  # odd k: the value divides 2|d| = 2
@@ -115,10 +122,12 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             lambda: partial(gcd_sum, Seed(1, 4), 4 * 10**6 + 1)),
         "gcd_sum_fib_4e6": (
             {"seed": [0, 1], "k": 4 * 10**6}, lambda: partial(gcd_sum, FIBONACCI, 4 * 10**6)),
-        "gcd_balanced_fib_4e6": (
-            {"seed": [0, 1], "k": 4 * 10**6, "call": "math.gcd of the two balanced differences"},
-            balanced_gcd_fib_4e6),
+        "gcd_balanced_1_4_4e6": (
+            {"seed": [1, 4], "k": 4 * 10**6, "call": "math.gcd of the two balanced differences"},
+            balanced_gcd_1_4_4e6),
         "fib_1e7": ({"n": 10**7}, lambda: partial(fib, 10**7)),
+        "parity_scan_1_4_775": (
+            {"seed": [1, 4], "m_max": 775}, lambda: partial(parity_scan, Seed(1, 4), 775)),
         "parity_scan_1_4_3000": (
             {"seed": [1, 4], "m_max": 3000}, lambda: partial(parity_scan, Seed(1, 4), 3000)),
         "parity_scan_fib_3000": (

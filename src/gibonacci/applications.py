@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import pisano
 from .factor import trial_division
 from .gcdsum import CaseRow, classify, gcd_sum
-from .pisano import pisano_period
+from .pisano import period_from_multiple, pisano_period
 from .sequences import FIBONACCI, Seed, fib, gib_pair, lucas
 
 #: Residues mod 20 of primes that can never divide an odd-k value.
@@ -119,16 +119,17 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     """The largest m with Fibonacci period exactly k, for even k >= 6.
 
     The value is ``classify``'s prediction for the Fibonacci seed: F_{k/2}
-    in row 048 (k = 0 mod 4) and L_{k/2} in row 2610 (k = 2 mod 4); its
-    period is verified directly.  With exhaustive=True, the result must
-    also equal the k-window GCD value, ``classify``'s actual.  The period
-    of m divides k iff m divides that value, so no modulus with period
-    exactly k exceeds it, and the check rules out every larger candidate
-    without a walk.
+    in row 048 (k = 0 mod 4) and L_{k/2} in row 2610 (k = 2 mod 4).  Its
+    period is verified to be exactly k by order finding from the
+    multiple k: M^k u = u, and M^(k/q) u != u for every prime q of k, the
+    primes read by trial division of k.  With exhaustive=True, the result
+    must also equal the k-window GCD value, ``classify``'s actual.  The
+    period of m divides k iff m divides that value, so no modulus with
+    period exactly k exceeds it, and the check rules out every larger
+    candidate.
 
-    The modulus has period exactly k, so at k above ``PERIOD_TABLE_CAP``
-    the period kernel would walk the cap's worth of steps and then refuse
-    it; that ValueError is raised at once instead.
+    k above ``PERIOD_TABLE_CAP`` is refused at once with a ValueError:
+    the cap stays the budget on ``classify``'s two doubling chains.
     """
     if k % 2 != 0 or k < 6:
         raise ValueError("k must be an even integer >= 6")
@@ -140,7 +141,9 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     c = classify(FIBONACCI, k)
     m_f = c.predicted
     form = "fib_half" if c.case_row is CaseRow.ROW_048 else "lucas_half"
-    period = pisano_period(FIBONACCI, m_f)
+    period = period_from_multiple(FIBONACCI, m_f, k, trial_division(k, k)[0])
+    if period is None:
+        raise AssertionError(f"period of modulus {m_f} does not divide {k}")
     if period != k:
         raise AssertionError(f"period of modulus {m_f} is {period}, expected {k}")
     if exhaustive and c.actual != m_f:

@@ -9,8 +9,9 @@ Three independent routes to the same value:
 * ``gcd_sum_bruteforce`` -- the gcd of two actual window sums, which
   already pin the value down;
 * ``gcd_sum_lcm`` -- lcm of the moduli m whose period divides k: one
-  period at the closed-formula value, or, given a bound, a scan of
-  every modulus up to it, read from one period table.
+  check that the period at the closed-formula value divides k, or,
+  given a bound, a scan of every modulus up to it, read from one period
+  table.
 
 ``classify`` predicts the value from k mod 12 and the seed parameters
 and always carries the closed-formula value alongside for comparison.
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .pisano import period_table, pisano_period
+from .pisano import period_from_multiple, period_table
 from .sequences import Seed, fib, fib_pair, gib_from_fib, gib_pair, lucas, window_sum
 
 
@@ -127,23 +128,19 @@ def gcd_sum_bruteforce(seed: Seed, k: int) -> GcdSumResult:
 def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     """LCM-over-periods characterization of the GCD of window sums.
 
-    Without a bound: take the closed-formula candidate v and find one
-    period, that of the seed mod v.  Requires a coprime seed: under that
-    convention the biconditional "period mod m divides k <=> m divides v"
-    holds, so every counted modulus divides v.  The counted set
-    { m : period mod m divides k } is closed under lcm, because the
+    Without a bound: take the closed-formula candidate v and check that
+    the period of the seed mod v divides k.  Requires a coprime seed:
+    under that convention the biconditional "period mod m divides k <=>
+    m divides v" holds, so every counted modulus divides v.  The counted
+    set { m : period mod m divides k } is closed under lcm, because the
     period mod lcm(a, b) is the lcm of the periods mod a and mod b (the
     CRT lemma of ``period_table``, through the prime powers of a and b),
-    so its lcm is itself a member.  Hence the lcm over the counted divisors
-    of v equals v exactly when the period mod v divides k, and a failure
-    raises AssertionError.  A right v has a period of at most k: v
-    divides G_{k+1} - G_1 and G_{k+2} - G_2, so the residue pair
-    (G_1, G_2) mod v recurs after k steps.  The period kernel's first
-    phase walks up to min(isqrt(6v) + 1, ``PERIOD_TABLE_CAP``) steps.
-    The first bound exceeds k at all but small k (v grows like
-    phi^(k/2)), so it finds that period with no table.  A period over
-    the cap, such as the Fibonacci seed's at even k above it (exactly
-    k), is refused with a ValueError after those steps.
+    so its lcm is itself a member.  Hence the lcm over the counted
+    divisors of v equals v exactly when the period mod v divides k, and
+    a failure raises AssertionError.  The period divides k exactly when
+    M^k u = u mod v, with M the step matrix and u the seed: one modular
+    chain (``period_from_multiple`` with no primes to strip), with no
+    walk, no factoring and no cap.
 
     With a bound: lcm over all m <= bound with period dividing k; any
     nondegenerate seed is allowed.  The periods come from one
@@ -158,7 +155,7 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     if bound is None:
         seed.require_coprime()
         candidate = gcd_sum(seed, k).value
-        if k % pisano_period(seed, candidate) != 0:
+        if period_from_multiple(seed, candidate, k) is None:
             raise AssertionError(
                 f"lcm over periods is not the closed-formula value {candidate}: "
                 f"the period mod {candidate} does not divide k = {k}"

@@ -3,26 +3,35 @@
 The period of seed (g0, g1) modulo m is the least r >= 1 with
 G_r = g0 and G_{r+1} = g1 (mod m).  The step map on residue pairs is
 invertible, so the residue sequence is purely periodic, with a period of
-at most m^2 - 1.  ``pisano_period`` asks the orbit kernel for a period.
-The lcm route calls it once, at the closed-formula value;
-``period_table``, which the parity scan and the lcm route's bounded scan
-read, calls it at prime powers only and reads every other modulus as an
-lcm of two periods it already has.  ``equivalent_up_to_shift`` asks the
-kernel for the steps from one residue pair to another, under the same cap.
+at most m^2 - 1, and the r with M^r u = u (M the step matrix, u the
+residue pair) are exactly the multiples of the period.
 
-The kernel is a baby-step giant-step search in two phases, with
-s = isqrt(6m) + 1.  Phase 1 walks up to s steps one term at a time and
-returns a period of at most s without building any table.  Phase 2
-stores the s baby-step pairs and applies M^s mod m (giant steps, M the
-step matrix) until one lands on a stored pair.  The period of every seed
-divides the Fibonacci period pi_F(m), since M^pi_F(m) = I, and
-pi_F(m) <= 6m (Freyd and Brown), so about s giant steps suffice and a
-period costs at most about 3 sqrt(6m) steps in all.  The bound 6m only
+A period is found one of two ways:
+
+* From a known multiple n, by order finding (Cohen, *A Course in
+  Computational Algebraic Number Theory*, Alg. 1.4.3):
+  ``period_from_multiple`` checks M^n u = u, then strips each prime q of
+  n while M^(n/q) u = u still holds.  Each test reads
+  M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]] from one modular ``fib_pair``
+  call, so a period costs O(Omega(n) log n) modular products and m is
+  never factored.  ``period_table`` passes Wall's multiple at each prime
+  power; the lcm route and ``max_modulus_for_period`` pass k.
+* Without one, by a baby-step giant-step search, the kernel behind
+  ``pisano_period``.  ``equivalent_up_to_shift`` asks the same kernel for
+  the steps from one residue pair to another, under the same cap.
+
+The search runs in two phases, with s = isqrt(6m) + 1.  Phase 1 walks up
+to s steps one term at a time and returns a period of at most s without
+building any table.  Phase 2 stores the s baby-step pairs and applies
+M^s mod m (giant steps) until one lands on a stored pair.  The period of
+every seed divides the Fibonacci period pi_F(m), since M^pi_F(m) = I,
+and pi_F(m) <= 6m (Freyd and Brown), so about s giant steps suffice and
+a period costs at most about 3 sqrt(6m) steps in all.  The bound 6m only
 sizes s: the giant steps run on to the m^2 state bound, so no answer
 relies on it.  Neither phase walks or stores more than
 ``PERIOD_TABLE_CAP`` pairs; a period that needs more is refused with a
-ValueError.  The kernel keeps no state between calls: every call
-computes its period.
+ValueError.  No route keeps state between calls: every call computes
+its period.
 
 The period is also the least window length whose sums m always divides.
 """
@@ -31,8 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .sequences import FIBONACCI, Seed, gib_pair
+from .sequences import FIBONACCI, Seed, fib_pair, gib_pair
 
 # The most residue pairs the period kernel walks in phase 1 or stores in
 # phase 2.  A table this full holds about 30 MB and covers every m up to
@@ -41,7 +51,7 @@ PERIOD_TABLE_CAP = 2**18
 
 # The largest m_max a period table covers: parity scans and the lcm route's
 # bounded scan refuse more before building it.  At the cap,
-# parity_scan((1, 4), 2**17) takes about 3.2 s and 23 MB peak RSS (Python 3.11.7).
+# parity_scan((1, 4), 2**17) takes about 0.5 s and 21 MB peak RSS (Python 3.11.7).
 SCAN_MODULUS_CAP = 2**17
 
 
@@ -98,8 +108,19 @@ def _residue_period(a: int, b: int, m: int, target: tuple[int, int] | None = Non
     return None
 
 
+def _residues(seed: Seed, m: int) -> tuple[int, int]:
+    """The seed mod m, for a modulus and seed that have a period."""
+    seed.require_nondegenerate()
+    if m < 1:
+        raise ValueError("modulus m must be >= 1")
+    a, b = seed.g0 % m, seed.g1 % m
+    if m > 1 and a == 0 and b == 0:
+        raise ValueError(f"seed {seed} is congruent to (0, 0) mod {m}; period undefined")
+    return a, b
+
+
 def pisano_period(seed: Seed, m: int) -> int:
-    """Period of the seed's Gibonacci sequence modulo m.
+    """Period of the seed's Gibonacci sequence modulo m, by the search kernel.
 
     m = 1 returns 1 by convention.  Errors on the seed (0, 0), and if
     the seed reduces to (0, 0) mod m: the constant-zero residue sequence
@@ -113,25 +134,84 @@ def pisano_period(seed: Seed, m: int) -> int:
     returns after s steps.  That pair lies on the seed's own orbit (the
     step map is a bijection), so the least such s is the period.
     """
-    seed.require_nondegenerate()
-    if m < 1:
-        raise ValueError("modulus m must be >= 1")
-    if m == 1:
-        return 1
-    a, b = seed.g0 % m, seed.g1 % m
-    if a == 0 and b == 0:
-        raise ValueError(f"seed {seed} is congruent to (0, 0) mod {m}; period undefined")
-    return _residue_period(a, b, m)
+    a, b = _residues(seed, m)
+    return 1 if m == 1 else _residue_period(a, b, m)
+
+
+def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int | None:
+    """Order finding on the residue pair u = (a, b) mod m from the multiple n.
+
+    None unless M^n u = u.  Otherwise the least r dividing n with
+    M^r u = u whose cofactor n / r has only the given primes: with every
+    prime of n, the period of u.  The return times of u are the
+    multiples of its period, so stripping a prime q while M^(r/q) u = u
+    leaves the period's own power of q in r.
+    """
+    def returns(r: int) -> bool:
+        f, f_next = fib_pair(r, m)  # M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]]
+        return ((f_next - f) * a + f * b) % m == a and (f * a + f_next * b) % m == b
+
+    if not returns(n):
+        return None
+    for q in primes:
+        while n % q == 0 and returns(n // q):
+            n //= q
+    return n
+
+
+def period_from_multiple(seed: Seed, m: int, n: int, primes: Iterable[int] = ()) -> int | None:
+    """The seed's period mod m read from a multiple n, None if it does not divide n.
+
+    ``primes`` are the primes of n to strip (``_order``): given all of
+    them, the result is the period; given none, it is n, so the call
+    only tests whether the period divides n.  Errors as
+    ``pisano_period`` does on the seed and m, and on n < 1.  No cap
+    applies: the cost is O(Omega(n) log n) products mod m.
+    """
+    a, b = _residues(seed, m)
+    if n < 1:
+        raise ValueError("multiple n must be >= 1")
+    return _order(a, b, m, n, primes)
+
+
+def _wall_multiple(p: int) -> int:
+    """A multiple of the Fibonacci period mod the prime p (Wall 1960)."""
+    if p == 2:
+        return 3
+    if p == 5:
+        return 20
+    return p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
 
 
 def period_table(seed: Seed, m_max: int) -> list[int]:
     """Periods of the seed mod every m in [1, m_max], as a list indexed by m.
 
     Entry m is the period mod m, or 1 where the seed is congruent to
-    (0, 0) mod m; entry 0 is unused.  ``pisano_period`` runs only at the
-    prime powers to which the seed does not reduce as (0, 0), and every
-    other entry is the lcm of two earlier ones.  An m_max above
-    ``SCAN_MODULUS_CAP`` is a ValueError, raised before any table is built.
+    (0, 0) mod m; entry 0 is unused.  At each prime power p^e to which
+    the seed does not reduce as (0, 0), the period is found by order
+    finding from the multiple p^(e-1) W(p), with W(p) Wall's multiple of
+    the Fibonacci period mod p: 3 at p = 2, 20 at p = 5, p - 1 when
+    p = +-1 (mod 5) and 2(p + 1) when p = +-2 (mod 5).  The primes of
+    that multiple are read from the table's own smallest-prime-factor
+    sieve.  Every other entry is the lcm of two earlier ones.  An m_max
+    above ``SCAN_MODULUS_CAP`` is a ValueError, raised before any table
+    is built, and a period that does not divide its multiple is an
+    AssertionError.
+
+    Lemma (Wall's multiple).  Every seed's period mod p^e divides
+    p^(e-1) W(p).  Proof.  M^r u = u for every u once M^r = I, so the
+    period divides the Fibonacci period, the order of M; it is enough
+    that M^(p^(e-1) W(p)) = I (mod p^e).  Mod p: M has characteristic
+    polynomial x^2 - x - 1, with discriminant 5.  M^3 = I (mod 2) and
+    M^20 = I (mod 5) by direct computation.  For p = +-1 (mod 5), 5 is a
+    square mod p, so the two roots lie in F_p^*, are distinct, and have
+    orders dividing p - 1; M is diagonalizable over F_p, so M^(p-1) = I.
+    For p = +-2 (mod 5), the roots lie in F_(p^2) and the Frobenius map
+    swaps them, so phi^(p+1) = phi psi = -1 and phi^(2(p+1)) = 1, and
+    likewise for psi; so M^(2(p+1)) = I.  Lift: if A = I + p^j B with
+    j >= 1, then A^p = I + p^(j+1) B + sum_(i>=2) C(p, i) p^(ij) B^i,
+    and ij >= 2j >= j + 1, so A^p = I (mod p^(j+1)).  Applied e - 1
+    times from A = M^W(p), this gives M^(p^(e-1) W(p)) = I (mod p^e).
 
     Lemma (CRT).  Write m = q * n with q = p^e the full power of a prime p
     in m, so gcd(q, n) = 1.  Then the period mod m is the lcm of the
@@ -152,11 +232,23 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
     if m_max > SCAN_MODULUS_CAP:
         raise ValueError(f"scan of every modulus up to {m_max} refused: "
                          f"over SCAN_MODULUS_CAP = {SCAN_MODULUS_CAP}")
-    # smallest prime factor: a composite m keeps its least divisor d >= 2,
-    # which is prime, from the last d with d * d <= m written over it
-    spf = list(range(m_max + 1))
-    for d in range(math.isqrt(m_max), 1, -1):
-        spf[d * d::d] = [d] * len(range(d * d, m_max + 1, d))
+    # smallest prime factor up to m_max + 1, which covers p - 1 and p + 1:
+    # a composite m keeps its least divisor d >= 2, which is prime, from
+    # the last d with d * d <= m written over it
+    top = m_max + 1
+    spf = list(range(top + 1))
+    for d in range(math.isqrt(top), 1, -1):
+        spf[d * d::d] = [d] * len(range(d * d, top + 1, d))
+
+    def primes_of(n: int) -> set[int]:  # n even or at most top
+        primes = set()
+        while n > 1:
+            q = 2 if n % 2 == 0 else spf[n]
+            primes.add(q)
+            while n % q == 0:
+                n //= q
+        return primes
+
     periods = [0, 1] + [0] * (m_max - 1)
     for m in range(2, m_max + 1):
         p = q = spf[m]
@@ -167,7 +259,12 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
         elif seed.g0 % m == 0 and seed.g1 % m == 0:
             periods[m] = 1
         else:
-            periods[m] = pisano_period(seed, m)
+            w = _wall_multiple(p)
+            n = m // p * w
+            periods[m] = _order(seed.g0 % m, seed.g1 % m, m, n, primes_of(w) | {p})
+            if periods[m] is None:
+                raise AssertionError(f"period of seed {seed} mod {m} does not divide "
+                                     f"Wall's multiple {n}")
     return periods
 
 

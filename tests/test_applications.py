@@ -81,12 +81,25 @@ class TestMaxModulus:
             max_modulus_for_period(60, exhaustive=True)
 
     def test_period_check_fails_on_a_wrong_period(self, monkeypatch):
-        monkeypatch.setattr(applications, "pisano_period", lambda seed, m: 30)
+        monkeypatch.setattr(applications, "period_from_multiple", lambda seed, m, n, primes: 30)
         with pytest.raises(AssertionError, match="period of modulus 832040 is 30, expected 60"):
             max_modulus_for_period(60)
+        monkeypatch.setattr(applications, "period_from_multiple", lambda seed, m, n, primes: None)
+        with pytest.raises(AssertionError, match="^period of modulus 832040 does not divide 60$"):
+            max_modulus_for_period(60)
+
+    def test_checks_the_exact_period_by_order_finding(self, monkeypatch):
+        # F_{k/2} at k = 2^18 (91k bits): two modular chains, no walk
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked a period")
+
+        monkeypatch.setattr(pisano, "_residue_period", no_walk)
+        result = max_modulus_for_period(2**18, exhaustive=True)
+        assert (result.verified_period, result.predicted_form) == (2**18, "fib_half")
+        assert result.m_f == fib(2**17)
 
     def test_refused_above_the_table_cap_without_a_walk(self, monkeypatch):
-        # F_32 = 2178309 has period 64, found by phase 1 within the cap
+        # F_32 = 2178309 has period 64 = the cap, checked by order finding
         monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
 
         def no_walk(a, b, m):

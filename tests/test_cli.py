@@ -193,7 +193,7 @@ def test_scan_over_the_modulus_cap_exits_1(capsys, monkeypatch, argv, fmt):
     def no_kernel(*args):
         raise AssertionError("the period kernel was called")
 
-    monkeypatch.setattr(pisano, "pisano_period", no_kernel)
+    monkeypatch.setattr(pisano, "_order", no_kernel)
     monkeypatch.setattr(pisano, "SCAN_MODULUS_CAP", 40)
     monkeypatch.setattr(sys, "argv", ["gibonacci", *argv, "--format", fmt])
     with pytest.raises(SystemExit) as exc:
@@ -360,12 +360,12 @@ def test_negative_seed_after_a_space(capsys):
 
 
 def test_verification_failure_exits_2(capsys, monkeypatch):
-    real = pisano._residue_period
+    real = gcdsum.period_from_multiple
 
-    def misreporting(a, b, m):  # period of F mod 55 is 20; report 40
-        return 2 * real(a, b, m) if m == 55 else real(a, b, m)
+    def misreporting(seed, m, n, primes=()):  # period of F mod 55 is 20; report no divisor of n
+        return None if m == 55 else real(seed, m, n, primes)
 
-    monkeypatch.setattr(pisano, "_residue_period", misreporting)
+    monkeypatch.setattr(gcdsum, "period_from_multiple", misreporting)
     with pytest.raises(AssertionError, match="closed-formula value 55"):
         gcdsum.gcd_sum_lcm(Seed(0, 1), 20)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", "lcm"])

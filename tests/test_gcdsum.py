@@ -275,17 +275,20 @@ class TestLcmCharacterization:
             for k in range(1, 121):
                 assert gcd_sum_lcm(seed, k).value == lcm_over_all_divisors(seed, k), (seed, k)
 
-    def test_walks_one_modulus_the_value(self, monkeypatch):
-        walked = []
-        real = pisano._residue_period
+    def test_never_walks_a_period(self, monkeypatch):
+        # one modular chain M^k u = u mod the value: the search kernel never runs
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked a period")
 
-        def spy(a, b, m):
-            walked.append(m)
-            return real(a, b, m)
+        monkeypatch.setattr(pisano, "_residue_period", no_walk)
+        for seed, k in ((FIBONACCI, 240), (SEED_14, 5), (LUCAS, 1), (SEED_14, 10**5)):
+            assert gcd_sum_lcm(seed, k).value == gcd_sum(seed, k).value, (seed, k)
 
-        monkeypatch.setattr(pisano, "_residue_period", spy)
-        assert gcd_sum_lcm(FIBONACCI, 240).value == fib(120)
-        assert walked == [fib(120)]
+    def test_answers_past_the_period_table_cap(self):
+        # the period mod L_131075 is exactly k = 262150 > PERIOD_TABLE_CAP = 2^18
+        k = 262150
+        assert k > pisano.PERIOD_TABLE_CAP
+        assert gcd_sum_lcm(FIBONACCI, k).value == gcd_sum(FIBONACCI, k).value == lucas(k // 2)
 
     def test_k1000_equals_the_closed_value(self):
         # 209 digits: the route must not factor the value

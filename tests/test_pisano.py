@@ -10,6 +10,7 @@ from gibonacci import pisano
 from gibonacci.pisano import (
     equivalent_up_to_shift,
     parity_scan,
+    period_from_multiple,
     period_table,
     pisano_period,
 )
@@ -159,6 +160,43 @@ def no_kernel(*args):
     raise AssertionError("the period kernel was called")
 
 
+class TestPeriodFromMultiple:
+    def test_matches_the_kernel_from_multiples_of_the_fibonacci_period(self):
+        # every residue pair mod m <= 20, from the Fibonacci period times 1, 2 and 15
+        for m in range(2, 21):
+            pi_f = pisano_period(FIBONACCI, m)
+            for a in range(m):
+                for b in range(m):
+                    if (a, b) == (0, 0):
+                        continue
+                    seed = Seed(a, b)
+                    for n in (pi_f, 2 * pi_f, 15 * pi_f):
+                        got = period_from_multiple(seed, m, n, sympy.primefactors(n))
+                        assert got == residue_period_walk(a, b, m), (a, b, m, n)
+
+    def test_strips_only_the_given_primes(self):
+        # F mod 10 has period 60 = 2^2 * 3 * 5
+        assert period_from_multiple(FIBONACCI, 10, 120) == 120
+        assert period_from_multiple(FIBONACCI, 10, 120, [2]) == 60
+        assert period_from_multiple(FIBONACCI, 10, 120, [3, 5]) == 120
+        assert period_from_multiple(FIBONACCI, 10, 120, [2, 3, 5]) == 60
+        assert period_from_multiple(FIBONACCI, 1, 120, [2, 3, 5]) == 1
+
+    def test_none_when_the_period_does_not_divide_the_multiple(self):
+        for n in (30, 59, 61, 90):
+            assert period_from_multiple(FIBONACCI, 10, n, sympy.primefactors(n)) is None, n
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="modulus m must be >= 1"):
+            period_from_multiple(FIBONACCI, 0, 60)
+        with pytest.raises(ValueError, match="multiple n must be >= 1"):
+            period_from_multiple(FIBONACCI, 10, 0)
+        with pytest.raises(ValueError, match=r"congruent to \(0, 0\) mod 2"):
+            period_from_multiple(Seed(4, 6), 2, 3)
+        with pytest.raises(ValueError, match="degenerate"):
+            period_from_multiple(Seed(0, 0), 5, 20)
+
+
 class TestPeriodTable:
     def test_matches_the_kernel_at_every_modulus(self):
         for seed in SCAN_SEEDS:
@@ -166,6 +204,23 @@ class TestPeriodTable:
                 1 if seed.g0 % m == 0 and seed.g1 % m == 0 else period_direct(seed, m)
                 for m in range(2, 501)]
             assert period_table(seed, 500) == expected, seed
+
+    @pytest.mark.parametrize("seed", [
+        SEED_14, LUCAS, Seed(1, 24),           # p | d for p = 11; 5; 19 and 29
+        Seed(3, 6), Seed(5, 10), Seed(0, 7),   # not coprime
+    ])
+    def test_matches_the_kernel_at_every_prime_power_to_3000(self, seed):
+        table = period_table(seed, 3000)
+        for q in prime_powers(3000):
+            want = 1 if seed.g0 % q == 0 and seed.g1 % q == 0 else period_direct(seed, q)
+            assert table[q] == want, (seed, q)
+
+    def test_a_wrong_multiple_raises(self, monkeypatch):
+        # p - 1 is Wall's multiple only at p = +-1 (mod 5); the period mod 3 is 8
+        monkeypatch.setattr(pisano, "_wall_multiple", lambda p: 3 if p == 2 else p - 1)
+        with pytest.raises(AssertionError,
+                           match=r"^period of seed \(1,4\) mod 3 does not divide Wall's multiple 2$"):
+            period_table(SEED_14, 10)
 
     @pytest.mark.parametrize("seed,m,period", [
         # one prime-power factor reduces the seed to (0, 0), the other does not
@@ -179,21 +234,23 @@ class TestPeriodTable:
         assert period_table(seed, 12)[m] == period
         assert residue_period_walk(seed.g0 % m, seed.g1 % m, m) == period
 
-    def test_calls_the_kernel_once_per_nondegenerate_prime_power(self, monkeypatch):
+    def test_finds_one_order_per_nondegenerate_prime_power(self, monkeypatch):
+        monkeypatch.setattr(pisano, "_residue_period", no_kernel)
+        real = pisano._order
         for seed in (SEED_14, Seed(2, 4), Seed(3, 9), Seed(6, -4)):
             called = []
 
-            def spy(s, m):
+            def spy(a, b, m, n, primes):
                 called.append(m)
-                return pisano_period(s, m)
+                return real(a, b, m, n, primes)
 
-            monkeypatch.setattr(pisano, "pisano_period", spy)
+            monkeypatch.setattr(pisano, "_order", spy)
             parity_scan(seed, 500)
             assert called == [q for q in prime_powers(500)
                               if seed.g0 % q != 0 or seed.g1 % q != 0], seed
 
     def test_refuses_past_the_cap_before_any_kernel_call(self, monkeypatch):
-        monkeypatch.setattr(pisano, "pisano_period", no_kernel)
+        monkeypatch.setattr(pisano, "_order", no_kernel)
         with pytest.raises(ValueError, match=(
                 r"^scan of every modulus up to 1000000000000 refused: "
                 rf"over SCAN_MODULUS_CAP = {pisano.SCAN_MODULUS_CAP}$")):

@@ -82,7 +82,8 @@ def test_parity_scan_reports_an_odd_period(monkeypatch):
 
 
 def test_max_modulus_reports_a_period_mismatch(monkeypatch):
-    plant(monkeypatch, applications, "pisano_period", lambda p, seed, m: 10 if m == 55 else p)
+    plant(monkeypatch, applications, "period_from_multiple",
+          lambda p, seed, m, n, primes: 10 if m == 55 else p)
     assert failed_detail(10) == "k=20: period of modulus 55 is 10, expected 20"
 
 
