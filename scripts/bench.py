@@ -1,7 +1,7 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_20.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_21.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
@@ -13,8 +13,9 @@ alternate between the two sides, and which side goes first alternates too,
 so a drift in machine speed falls on both.  Each side keeps the median of
 its REPEAT runs: a best of a few still moved untouched cases by a third on
 a VM whose speed drifts.  The cases are this script's own, so both sides
-run the same calls.  Timings are for reading, not for gating: nothing in
-the test suite reads this file.
+run the same calls.  A case that one side refuses with a ValueError (an
+input past that side's budget) reads null there.  Timings are for
+reading, not for gating: nothing in the test suite reads this file.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ def cli_quiet(argv: list[str]) -> None:
 
     with contextlib.redirect_stdout(io.StringIO()):
         cli.run(argv)
+
+
+def cli_lcm_12_json() -> Callable[[], None]:
+    """One in-process ``gcd-sum --method lcm --k 12 --format json``, whose
+    library call takes about 0.014 ms: the fixed cost of a CLI run.  The
+    CLI module is imported here, outside the timed call."""
+    from gibonacci import cli  # noqa: F401
+
+    return partial(cli_quiet, ["gcd-sum", "--method", "lcm", "--k", "12", "--format", "json"])
 
 
 def convert_fib_1e6() -> Callable[[], str]:
@@ -140,6 +150,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "pisano_fib_1e8_plus_7": (
             {"seed": [0, 1], "m": 10**8 + 7},
             lambda: partial(pisano_period, FIBONACCI, 10**8 + 7)),
+        "pisano_fib_1e12_plus_39": (  # a prime past the search's old table cap
+            {"seed": [0, 1], "m": 10**12 + 39},
+            lambda: partial(pisano_period, FIBONACCI, 10**12 + 39)),
         "shift_fib_lucas_1e6_plus_3": (  # different orbits: the search is bounded by the period
             {"seed_a": [0, 1], "seed_b": [2, 1], "m": 10**6 + 3},
             lambda: partial(equivalent_up_to_shift, FIBONACCI, LUCAS, 10**6 + 3)),
@@ -153,6 +166,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "verify_cli_json": (
             {"argv": ["verify", "--format", "json"]},
             lambda: partial(cli_quiet, ["verify", "--format", "json"])),
+        "cli_lcm_12_json": (
+            {"argv": ["gcd-sum", "--method", "lcm", "--k", "12", "--format", "json"]},
+            cli_lcm_12_json),
         "term_cli_1e6_text": (
             {"argv": term_argv + ["text"]}, lambda: partial(cli_quiet, term_argv + ["text"])),
         "term_cli_1e6_json": (
@@ -162,13 +178,16 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
     }
 
 
-def time_once(name: str) -> float:
+def time_once(name: str) -> float | None:
     """Milliseconds per call of the named case, in this process: the first
     call, or the mean of the further calls when the first is under
-    FAST_CALL_MS."""
+    FAST_CALL_MS.  None when the call is refused with a ValueError."""
     call = cases()[name][1]()
     start = time.perf_counter()
-    call()
+    try:
+        call()
+    except ValueError:
+        return None
     ms = (time.perf_counter() - start) * 1e3
     if ms >= FAST_CALL_MS:
         return ms
@@ -180,11 +199,12 @@ def time_once(name: str) -> float:
     return ms / calls
 
 
-def run_in(src: Path, name: str) -> float:
-    """One run of the named case in a fresh process importing gibonacci from src."""
+def run_in(src: Path, name: str) -> float | None:
+    """One run of the named case in a fresh process importing gibonacci from
+    src; None when it is refused."""
     out = subprocess.run([sys.executable, "-c", CHILD, str(src), __file__, name],
                          stdout=subprocess.PIPE, text=True, check=True)
-    return float(out.stdout)
+    return None if out.stdout.strip() == "None" else float(out.stdout)
 
 
 def main() -> None:
@@ -200,14 +220,15 @@ def main() -> None:
     sys.path.insert(0, str(SRC))
     runs: dict[str, dict[str, Any]] = {"before": {}, "after": {}}
     for name, (params, _) in cases().items():
-        times: dict[str, list[float]] = {"before": [], "after": []}
+        times: dict[str, list[float | None]] = {"before": [], "after": []}
         for i in range(REPEAT):
             for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
                 times[side].append(run_in(sides[side], name))
-        median = {side: statistics.median(t) for side, t in times.items()}
+        median = {side: None if None in t else round(statistics.median(t), 3)
+                  for side, t in times.items()}
         for side in runs:
-            runs[side][name] = {"ms": round(median[side], 3), "params": params}
-        print(f"{name:28s} {median['before']:12.3f} -> {median['after']:12.3f} ms", flush=True)
+            runs[side][name] = {"ms": median[side], "params": params}
+        print(f"{name:28s} {median['before']!s:>12} -> {median['after']!s:>12} ms", flush=True)
     doc = {
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},

@@ -6,31 +6,22 @@ invertible, so the residue sequence is purely periodic, with a period of
 at most m^2 - 1, and the r with M^r u = u (M the step matrix, u the
 residue pair) are exactly the multiples of the period.
 
-A period is found one of two ways:
+There is one way to a period: order finding from a known multiple n
+(Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 1.4.3).
+``_order`` checks M^n u = u, then strips from n each prime q's power
+beyond the period's.  It reads M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]]
+from modular ``fib_pair`` chains, at most two for each prime of n, so a
+period costs O(omega(n) log n + Omega(n) log q) modular products.  The lcm
+route and ``max_modulus_for_period`` pass k as the multiple
+(``period_from_multiple``).  ``pisano_period`` and ``period_table`` find
+the period at each prime power p^e of m from Wall's multiple
+p^(e-1) W(p) (``_prime_power_period``) and join the parts by the CRT
+lemma; ``pisano_period`` factors m by trial division up to
+``TRIAL_DIVISION_BOUND``, ``period_table`` reads a sieve.
 
-* From a known multiple n, by order finding (Cohen, *A Course in
-  Computational Algebraic Number Theory*, Alg. 1.4.3):
-  ``period_from_multiple`` checks M^n u = u, then strips each prime q of
-  n while M^(n/q) u = u still holds.  Each test reads
-  M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]] from one modular ``fib_pair``
-  call, so a period costs O(Omega(n) log n) modular products and m is
-  never factored.  ``period_table`` passes Wall's multiple at each prime
-  power; the lcm route and ``max_modulus_for_period`` pass k.
-* Without one, by a baby-step giant-step search, the kernel behind
-  ``pisano_period``.  ``equivalent_up_to_shift`` asks the same kernel for
-  the steps from one residue pair to another, under the same cap.
-
-The search runs in two phases, with s = isqrt(6m) + 1.  Phase 1 walks up
-to s steps one term at a time and returns a period of at most s without
-building any table.  Phase 2 stores the s baby-step pairs and applies
-M^s mod m (giant steps) until one lands on a stored pair.  The period of
-every seed divides the Fibonacci period pi_F(m), since M^pi_F(m) = I,
-and pi_F(m) <= 6m (Freyd and Brown), so about s giant steps suffice and
-a period costs at most about 3 sqrt(6m) steps in all.  The bound 6m only
-sizes s: the giant steps run on to the m^2 state bound, so no answer
-relies on it.  Neither phase walks or stores more than
-``PERIOD_TABLE_CAP`` pairs; a period that needs more is refused with a
-ValueError.  No route keeps state between calls: every call computes
+There is one search: ``equivalent_up_to_shift`` counts the steps from one
+residue pair to another by baby-step giant-step, bounded by the period
+found first.  No route keeps state between calls: every call computes
 its period.
 
 The period is also the least window length whose sums m always divides.
@@ -42,11 +33,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .sequences import FIBONACCI, Seed, fib_pair, gib_pair
+from .factor import trial_division
+from .sequences import Seed, fib_pair
 
-# The most residue pairs the period kernel walks in phase 1 or stores in
-# phase 2.  A table this full holds about 30 MB and covers every m up to
-# about 1.1e10 (s = isqrt(6m) + 1 <= 2^18).
+# The budget of ``pisano_period``: m, and Wall's multiple of each of its
+# primes, are factored by trial division up to this bound.  A cofactor
+# below (B + 1)^2 left by the division is prime, so every m below 2^42 is
+# answered, and so is each W(p)/2 <= p + 1 of its primes; above that, m
+# must be B-smooth but for one prime below 2^42.  At the bound's worst,
+# a prime m near 2^42, the division takes about 0.2 s (Python 3.11.7).
+TRIAL_DIVISION_BOUND = 2**21
+
+# The most baby-step pairs a shift search stores, about 30 MB: it covers
+# every period up to 2^36.
 PERIOD_TABLE_CAP = 2**18
 
 # The largest m_max a period table covers: parity scans and the lcm route's
@@ -56,55 +55,47 @@ SCAN_MODULUS_CAP = 2**17
 
 
 def clear_period_cache() -> None:
-    """Nothing to clear: the period kernel keeps no state between calls."""
+    """Nothing to clear: no period route keeps state between calls."""
 
 
-def _residue_period(a: int, b: int, m: int, target: tuple[int, int] | None = None) -> int | None:
-    """Least r >= 1 with M^r (a, b) = target mod m, None if the target is off
-    the orbit of (a, b); the target defaults to (a, b), giving its period.
+def _modulus_name(m: int) -> object:
+    """m itself in an error message, or its bit length when m is long."""
+    return m if m.bit_length() <= 160 else f"a {m.bit_length()}-bit modulus"
 
-    Requires m >= 2, 0 <= a, b < m and (a, b) != (0, 0); ``pisano_period``
-    and ``equivalent_up_to_shift``, the one caller with a target, check
-    that.  The period of (a, b), computed first, bounds a target search.
-    Raises ValueError when the period exceeds both s = isqrt(6m) + 1 and
-    ``PERIOD_TABLE_CAP``.
+
+def _shift_steps(start: tuple[int, int], target: tuple[int, int], m: int,
+                 period: int) -> int | None:
+    """Least r in [1, period] with M^r start = target mod m, None if the
+    target is off the orbit of the residue pair start, whose period is given.
+
+    Baby-step giant-step with s = isqrt(period - 1) + 1, so s^2 >= period:
+    the s baby pairs M^j target, j < s, are stored, and giant steps apply
+    M^s to start.  On the orbit, the baby pairs are distinct (s <= period),
+    giant step i lands on baby step j exactly when i s - j = r modulo the
+    period, and the first i with i s >= r gives r itself; so
+    ceil(period / s) giant steps decide.  Raises ValueError, before any
+    step, when s exceeds ``PERIOD_TABLE_CAP``.
     """
-    s = math.isqrt(6 * m) + 1
-    ta, tb = target or (a, b)
-    bound = m * m if target is None else _residue_period(a, b, m)  # m^2 pair states
-    # Phase 1: an r of at most s returns here, with no table to build;
-    # the lcm route's period does at all but small k.
-    x, y = a, b
-    for r in range(1, min(s, bound, PERIOD_TABLE_CAP) + 1):
-        x, y = y, (x + y) % m
-        if x == ta and y == tb:
-            return r
-    if bound <= s:  # phase 1 walked the whole orbit
-        return None
+    s = math.isqrt(period - 1) + 1
     if s > PERIOD_TABLE_CAP:
-        name = m if m.bit_length() <= 160 else f"a {m.bit_length()}-bit modulus"
         raise ValueError(
-            f"period mod {name} exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps, "
-            f"and a longer one needs a table of isqrt(6m) + 1 pairs, over the cap"
+            f"period mod {_modulus_name(m)} exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} "
+            f"squared, and a shift search over it needs a table of isqrt(period - 1) + 1 "
+            f"pairs, over the cap"
         )
-    # Phase 2: r and the period exceed s, so baby pairs M^j target, j < s, are
-    # distinct.  Giant step i lands on baby step j exactly when i*s - j = r
-    # modulo the period; the first i with i*s >= r gives r itself.
     baby: dict[int, int] = {}
-    x, y = ta, tb
+    x, y = target
     for j in range(s):
         baby[x * m + y] = j
         x, y = y, (x + y) % m
-    f, f_next = gib_pair(FIBONACCI, s, m)  # M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]]
+    f, f_next = fib_pair(s, m)  # M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]]
     f_prev = (f_next - f) % m
-    x, y = a, b
-    for i in range(1, bound // s + 2):
+    x, y = start
+    for i in range(1, -(-period // s) + 1):
         x, y = (f_prev * x + f * y) % m, (f * x + f_next * y) % m
         j = baby.get(x * m + y)
         if j is not None:
             return i * s - j
-    if target is None:
-        raise AssertionError(f"residue pair ({a}, {b}) failed to cycle within {m}^2 steps")
     return None
 
 
@@ -119,13 +110,33 @@ def _residues(seed: Seed, m: int) -> tuple[int, int]:
     return a, b
 
 
+def _factored(n: int, m: int, what: str) -> dict[int, int]:
+    """The primes of n, with their exponents, by trial division up to
+    ``TRIAL_DIVISION_BOUND``; a ValueError on the period mod m, naming
+    what n is, when the division leaves n with an unfactored cofactor."""
+    factors, cofactor = trial_division(n, TRIAL_DIVISION_BOUND)
+    if cofactor > 1:
+        raise ValueError(
+            f"period mod {_modulus_name(m)} refused: trial division up to "
+            f"TRIAL_DIVISION_BOUND = {TRIAL_DIVISION_BOUND} does not factor {what}"
+        )
+    return factors
+
+
 def pisano_period(seed: Seed, m: int) -> int:
-    """Period of the seed's Gibonacci sequence modulo m, by the search kernel.
+    """Period of the seed's Gibonacci sequence modulo m, by order finding.
+
+    m is factored by trial division up to ``TRIAL_DIVISION_BOUND`` = B,
+    and so is Wall's multiple W(p) of each prime p of m; the period mod
+    each prime power p^e comes from the multiple p^(e-1) W(p), and the
+    period mod m is the lcm of those periods (both lemmas are proved at
+    ``period_table``).  Every m below 2^42 is answered.  An m, or a W(p),
+    that the division leaves with a cofactor of (B + 1)^2 or more is
+    refused with a ValueError naming B, before any doubling chain runs.
 
     m = 1 returns 1 by convention.  Errors on the seed (0, 0), and if
     the seed reduces to (0, 0) mod m: the constant-zero residue sequence
-    is excluded.  Also a ValueError when the period exceeds
-    ``PERIOD_TABLE_CAP`` and so does isqrt(6m) + 1, the table it would need.
+    is excluded.
 
     The period is also the least s >= 1 such that m divides every sum of
     s consecutive terms.  A window sum starting at n >= 1 is
@@ -134,8 +145,12 @@ def pisano_period(seed: Seed, m: int) -> int:
     returns after s steps.  That pair lies on the seed's own orbit (the
     step map is a bijection), so the least such s is the period.
     """
-    a, b = _residues(seed, m)
-    return 1 if m == 1 else _residue_period(a, b, m)
+    _residues(seed, m)
+    parts = []  # (p, p^e, the primes of W(p)), all factored before any chain runs
+    for p, e in _factored(m, m, "it").items():
+        w = _wall_multiple(p)
+        parts.append((p, p**e, _factored(w, m, f"Wall's multiple {w} of its prime {p}")))
+    return math.lcm(*(_prime_power_period(seed, p, q, primes) for p, q, primes in parts))
 
 
 def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int | None:
@@ -145,17 +160,42 @@ def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int | None:
     M^r u = u whose cofactor n / r has only the given primes: with every
     prime of n, the period of u.  The return times of u are the
     multiples of its period, so stripping a prime q while M^(r/q) u = u
-    leaves the period's own power of q in r.
+    leaves the period's own power of q in r.  One chain tests the first
+    strip of each q.  Where it holds and q^v (v >= 1) is left in r, a
+    second chain gives M^(r/q^v), and the least t <= v with
+    M^(r q^(t-v)) u = u is found by raising that to the q-th power, in
+    log q products of M^r as the pair (F_r, F_{r+1}), since
+    M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]].  So a prime costs at most two
+    chains, however high its power in n.
     """
-    def returns(r: int) -> bool:
-        f, f_next = fib_pair(r, m)  # M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]]
-        return ((f_next - f) * a + f * b) % m == a and (f * a + f_next * b) % m == b
+    def returns(f: int, g: int) -> bool:  # M^r u = u, with (f, g) = (F_r, F_{r+1})
+        return ((g - f) * a + f * b) % m == a and (f * a + g * b) % m == b
 
-    if not returns(n):
+    def times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:  # M^r M^s
+        (f, g), (h, k) = x, y
+        return (f * k + (g - f) * h) % m, (f * h + g * k) % m
+
+    if not returns(*fib_pair(n, m)):
         return None
     for q in primes:
-        while n % q == 0 and returns(n // q):
-            n //= q
+        if n % q or not returns(*fib_pair(n // q, m)):
+            continue
+        n //= q
+        v = 0  # the power of q left in n, which the period may lack
+        while n % q == 0:
+            n, v = n // q, v + 1
+        if not v:
+            continue
+        power = fib_pair(n, m)
+        while not returns(*power):
+            n, v = n * q, v - 1
+            if not v:  # M^n u = u is known
+                break
+            base = power
+            for bit in bin(q)[3:]:  # power^q, by square and multiply
+                power = times(power, power)
+                if bit == "1":
+                    power = times(power, base)
     return n
 
 
@@ -166,7 +206,8 @@ def period_from_multiple(seed: Seed, m: int, n: int, primes: Iterable[int] = ())
     them, the result is the period; given none, it is n, so the call
     only tests whether the period divides n.  Errors as
     ``pisano_period`` does on the seed and m, and on n < 1.  No cap
-    applies: the cost is O(Omega(n) log n) products mod m.
+    applies: the cost is at most two chains of O(log n) products mod m
+    for each prime, and O(log q) products for each further power of q.
     """
     a, b = _residues(seed, m)
     if n < 1:
@@ -183,20 +224,35 @@ def _wall_multiple(p: int) -> int:
     return p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
 
 
+def _prime_power_period(seed: Seed, p: int, q: int, wall_primes: Iterable[int]) -> int:
+    """The seed's period mod the prime power q = p^e, or 1 where the seed
+    is (0, 0) mod q: order finding from Wall's multiple (q / p) W(p), given
+    the primes of W(p).  A period that does not divide the multiple is an
+    AssertionError."""
+    a, b = seed.g0 % q, seed.g1 % q
+    if a == 0 and b == 0:
+        return 1
+    n = q // p * _wall_multiple(p)
+    period = _order(a, b, q, n, {p, *wall_primes})
+    if period is None:
+        raise AssertionError(f"period of seed {seed} mod {q} does not divide Wall's multiple {n}")
+    return period
+
+
 def period_table(seed: Seed, m_max: int) -> list[int]:
     """Periods of the seed mod every m in [1, m_max], as a list indexed by m.
 
     Entry m is the period mod m, or 1 where the seed is congruent to
     (0, 0) mod m; entry 0 is unused.  At each prime power p^e to which
-    the seed does not reduce as (0, 0), the period is found by order
-    finding from the multiple p^(e-1) W(p), with W(p) Wall's multiple of
-    the Fibonacci period mod p: 3 at p = 2, 20 at p = 5, p - 1 when
-    p = +-1 (mod 5) and 2(p + 1) when p = +-2 (mod 5).  The primes of
-    that multiple are read from the table's own smallest-prime-factor
-    sieve.  Every other entry is the lcm of two earlier ones.  An m_max
-    above ``SCAN_MODULUS_CAP`` is a ValueError, raised before any table
-    is built, and a period that does not divide its multiple is an
-    AssertionError.
+    the seed does not reduce as (0, 0), ``_prime_power_period`` finds
+    the period by order finding from the multiple p^(e-1) W(p), with W(p)
+    Wall's multiple of the Fibonacci period mod p: 3 at p = 2, 20 at
+    p = 5, p - 1 when p = +-1 (mod 5) and 2(p + 1) when p = +-2 (mod 5).
+    The primes of that multiple are read from the table's own
+    smallest-prime-factor sieve.  Every other entry is the lcm of two
+    earlier ones.  An m_max above ``SCAN_MODULUS_CAP`` is a ValueError,
+    raised before any table is built, and a period that does not divide
+    its multiple is an AssertionError.
 
     Lemma (Wall's multiple).  Every seed's period mod p^e divides
     p^(e-1) W(p).  Proof.  M^r u = u for every u once M^r = I, so the
@@ -256,15 +312,8 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
             q *= p
         if q < m:
             periods[m] = math.lcm(periods[q], periods[m // q])
-        elif seed.g0 % m == 0 and seed.g1 % m == 0:
-            periods[m] = 1
         else:
-            w = _wall_multiple(p)
-            n = m // p * w
-            periods[m] = _order(seed.g0 % m, seed.g1 % m, m, n, primes_of(w) | {p})
-            if periods[m] is None:
-                raise AssertionError(f"period of seed {seed} mod {m} does not divide "
-                                     f"Wall's multiple {n}")
+            periods[m] = _prime_power_period(seed, p, m, primes_of(_wall_multiple(p)))
     return periods
 
 
@@ -308,8 +357,10 @@ def equivalent_up_to_shift(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, in
     (True, r) with the least r >= 0 such that A_{r+n} = B_n (mod m) for
     all n, else (False, None).  A residue pair determines the whole
     sequence, so r counts the steps from (A_0, A_1) to (B_0, B_1) on A's
-    orbit, found by the period kernel under its cap.  Equal periods
-    follow: the two sequences then share one orbit.
+    orbit, found by a baby-step giant-step search over A's period
+    (``pisano_period``, under its budget) with a table of about
+    sqrt(period) pairs, under ``PERIOD_TABLE_CAP``.  Equal periods follow:
+    the two sequences then share one orbit.
     """
     if m < 2:
         raise ValueError("modulus m must be >= 2")
@@ -320,5 +371,5 @@ def equivalent_up_to_shift(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, in
     target = (seed_b.g0 % m, seed_b.g1 % m)
     if start == target:
         return True, 0
-    r = _residue_period(*start, m, target=target)
+    r = _shift_steps(start, target, m, pisano_period(seed_a, m))
     return (False, None) if r is None else (True, r)

@@ -179,7 +179,7 @@ def verify_identity_pointwise(identity: Identity, ranges: dict[str, tuple[int, i
 def residue_period_walk(a: int, b: int, m: int) -> int:
     """Least r >= 1 returning the residue pair (a, b) to itself mod m, by
     stepping the pair one term at a time: the reference for the
-    baby-step giant-step period kernel."""
+    baby-step giant-step oracle ``residue_period_bsgs``."""
     x, y = a, b
     r = 0
     while True:
@@ -196,10 +196,74 @@ SCAN_SEEDS = tuple(
      if s != Seed(0, 0)] + [Seed(3, 9)])
 
 
+def residue_period_bsgs(a: int, b: int, m: int) -> int:
+    """Least r >= 1 returning the residue pair (a, b) != (0, 0) to itself
+    mod m, by a baby-step giant-step search that needs no factoring: the
+    reference for the order-finding ``pisano_period``.
+
+    With s = isqrt(6m) + 1, phase 1 walks up to s steps one term at a
+    time.  Phase 2 stores the s baby pairs M^j (a, b), j < s, which are
+    distinct since the period exceeds s, and applies M^s (giant steps)
+    until one lands on a stored pair: giant step i lands on baby step j
+    exactly when i s - j is a multiple of the period, and the first such
+    i gives the period itself.  Every period divides the Fibonacci
+    period, which is at most 6m (Freyd and Brown), so about s giant steps
+    suffice; they run on to the m^2 state bound, so no answer relies on
+    that bound.  M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]] comes from the
+    walk, not from fast doubling.
+    """
+    s = math.isqrt(6 * m) + 1
+    x, y = a, b
+    for r in range(1, s + 1):
+        x, y = y, (x + y) % m
+        if x == a and y == b:
+            return r
+    baby: dict[int, int] = {}
+    x, y = a, b
+    f, f_next = 0, 1  # (F_j, F_{j+1}) mod m, walked up to j = s
+    for j in range(s):
+        baby[x * m + y] = j
+        x, y = y, (x + y) % m
+        f, f_next = f_next, (f + f_next) % m
+    f_prev = (f_next - f) % m
+    x, y = a, b
+    for i in range(1, m * m // s + 2):
+        x, y = (f_prev * x + f * y) % m, (f * x + f_next * y) % m
+        j = baby.get(x * m + y)
+        if j is not None:
+            return i * s - j
+    raise AssertionError(f"residue pair ({a}, {b}) failed to cycle within {m}^2 steps")
+
+
+def certify_period(seed: Seed, m: int, r: int) -> None:
+    """r is the seed's period mod m: M^r u = u, and M^(r/q) u != u for each
+    prime q of r, with the primes from sympy and M^n by square and multiply
+    on the step matrix M = [[0, 1], [1, 1]]."""
+    def mul(x, y):
+        return ((x[0] * y[0] + x[1] * y[2]) % m, (x[0] * y[1] + x[1] * y[3]) % m,
+                (x[2] * y[0] + x[3] * y[2]) % m, (x[2] * y[1] + x[3] * y[3]) % m)
+
+    def returns(n: int) -> bool:
+        power, base = (1, 0, 0, 1), (0, 1, 1, 1)
+        while n:
+            if n & 1:
+                power = mul(power, base)
+            base, n = mul(base, base), n >> 1
+        a, b = seed.g0 % m, seed.g1 % m
+        return ((power[0] * a + power[1] * b - a) % m == 0
+                and (power[2] * a + power[3] * b - b) % m == 0)
+
+    assert returns(r), (seed, m, r)
+    for q in sympy.primefactors(r):
+        assert not returns(r // q), (seed, m, r, q)
+
+
 @functools.cache
 def period_direct(seed: Seed, m: int) -> int:
-    """The seed's period mod m from the kernel, one call per (seed, m)."""
-    return pisano_period(seed, m)
+    """The seed's period mod m (1 where the seed is (0, 0) mod m) from the
+    baby-step giant-step oracle, one call per (seed, m)."""
+    a, b = seed.g0 % m, seed.g1 % m
+    return 1 if a == 0 and b == 0 else residue_period_bsgs(a, b, m)
 
 
 def parity_scan_direct(seed: Seed, m_max: int) -> ParityScanReport:
@@ -309,7 +373,7 @@ def naive_shift_equivalence(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, i
 def shift_walk(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, int | None]:
     """Least shift r >= 0 with A_{r+n} = B_n (mod m), by walking A's residue
     pair one step at a time until it meets B's pair or returns to its
-    start: the reference for the kernel's baby-step giant-step search."""
+    start: the reference for the baby-step giant-step shift search."""
     start = (seed_a.g0 % m, seed_a.g1 % m)
     target = (seed_b.g0 % m, seed_b.g1 % m)
     x, y = start

@@ -93,7 +93,7 @@ class TestMaxModulus:
         def no_walk(*args, **kwargs):
             raise AssertionError("walked a period")
 
-        monkeypatch.setattr(pisano, "_residue_period", no_walk)
+        monkeypatch.setattr(pisano, "_shift_steps", no_walk)
         result = max_modulus_for_period(2**18, exhaustive=True)
         assert (result.verified_period, result.predicted_form) == (2**18, "fib_half")
         assert result.m_f == fib(2**17)
@@ -102,14 +102,14 @@ class TestMaxModulus:
         # F_32 = 2178309 has period 64 = the cap, checked by order finding
         monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
 
-        def no_walk(a, b, m):
-            raise AssertionError(f"walked mod {m}")
+        def no_walk(*args):
+            raise AssertionError("searched a period")
 
         def no_term(*args):
             raise AssertionError(f"computed a term at {args}")
 
         assert max_modulus_for_period(64).m_f == fib(32)
-        monkeypatch.setattr(pisano, "_residue_period", no_walk)
+        monkeypatch.setattr(pisano, "_shift_steps", no_walk)
         monkeypatch.setattr(applications, "classify", no_term)
         monkeypatch.setattr(sequences, "gib_pair", no_term)
         with pytest.raises(ValueError, match=r"^period k = 66 exceeds PERIOD_TABLE_CAP = 64 steps"):

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from gibonacci.cli import (
 from gibonacci.gcdsum import classify
 from gibonacci.sequences import Seed
 
-from conftest import naive_fib, record_doubling_loop
+from conftest import certify_period, naive_fib, record_doubling_loop
 
 
 def invoke(capsys, *argv):
@@ -291,16 +292,38 @@ def test_degenerate_seed_has_no_period(capsys, monkeypatch, argv):
     assert captured.err == "error: seed (0, 0) is degenerate\n"
 
 
-def test_pisano_over_the_table_cap_is_refused(capsys, monkeypatch):
-    m = 10**40  # s = isqrt(6m) + 1 is about 2.4e20 pairs; the walk stops at the cap
+def test_pisano_of_a_smooth_modulus_past_the_old_table_cap(capsys):
+    # 10^40 = 2^40 5^40 factors at once: lcm(3 * 2^39, 20 * 5^39)
+    code, out = invoke(capsys, "pisano", "--m", str(10**40))
+    assert code == 0 and out == f"{15 * 10**39}\n"
+
+
+def test_pisano_of_a_prime_past_the_old_table_cap_is_certified(capsys):
+    m = 10**12 + 39
+    code, out = invoke(capsys, "pisano", "--m", str(m), "--format", "json")
+    assert code == 0
+    record = json.loads(out)["record"]
+    assert record["modulus"] == str(m)
+    certify_period(Seed(0, 1), m, int(record["period"]))
+
+
+def test_pisano_past_the_trial_division_bound_exits_1_before_any_chain(capsys, monkeypatch):
+    bound = pisano.TRIAL_DIVISION_BOUND
+    p = sympy.nextprime(bound)
+    m = p * sympy.nextprime(p)
+
+    def no_chain(*args):
+        raise AssertionError(f"ran a doubling chain at {args}")
+
+    monkeypatch.setattr(pisano, "fib_pair", no_chain)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "pisano", "--m", str(m)])
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: period mod {m} exceeds PERIOD_TABLE_CAP = "
-                                   f"{pisano.PERIOD_TABLE_CAP} steps")
+    assert captured.err == (f"error: period mod {m} refused: trial division up to "
+                            f"TRIAL_DIVISION_BOUND = {bound} does not factor it\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -482,6 +505,39 @@ def test_parser_lists_all_subcommands():
                  "max-modulus", "lucas-odd", "primes-check", "squares",
                  "identities", "verify"):
         assert name in text
+
+
+def test_the_parser_is_built_once_for_many_runs(capsys):
+    build_parser.cache_clear()
+    for argv in (["term", "--n", "7"], ["pisano", "--m", "10"], ["gcd-sum", "--k", "12"]):
+        assert invoke(capsys, *argv)[0] == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(capsys):
+    argv = ["gcd-sum", "--method", "lcm", "--k", "12"]
+    build_parser.cache_clear()
+    fresh = invoke(capsys, *argv)
+    assert fresh == (0, "lcm_periods: 8\n")
+    with pytest.raises(SystemExit) as exc:  # a usage error, then a valid call
+        run(["gcd-sum", "--seed", "1,4", "--k", "x", "--format", "json"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert invoke(capsys, *argv) == fresh
+    # options set by one call fall back to their defaults in the next
+    invoke(capsys, "gcd-sum", "--seed", "1,4", "--k", "5", "--method", "all", "--bound", "11",
+           "--format", "json")
+    assert invoke(capsys, *argv) == fresh
+    assert build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import gibonacci.cli as c; print(c.build_parser.cache_info().misses)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
 
 
 def edge_values(widths, powers_of_ten):

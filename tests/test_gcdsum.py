@@ -280,7 +280,7 @@ class TestLcmCharacterization:
         def no_walk(*args, **kwargs):
             raise AssertionError("walked a period")
 
-        monkeypatch.setattr(pisano, "_residue_period", no_walk)
+        monkeypatch.setattr(pisano, "_shift_steps", no_walk)
         for seed, k in ((FIBONACCI, 240), (SEED_14, 5), (LUCAS, 1), (SEED_14, 10**5)):
             assert gcd_sum_lcm(seed, k).value == gcd_sum(seed, k).value, (seed, k)
 

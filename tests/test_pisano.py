@@ -18,11 +18,13 @@ from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid, fib, 
 
 from conftest import (
     SCAN_SEEDS,
+    certify_period,
     minimal_window_length_scan,
     naive_gib_terms,
     naive_shift_equivalence,
     parity_scan_direct,
     period_direct,
+    residue_period_bsgs,
     residue_period_walk,
     shift_walk,
 )
@@ -78,7 +80,7 @@ class TestPisanoPeriod:
 
 
 class TestPeriodKernel:
-    # baby-step giant-step against the one-step walk
+    # order finding against the one-step walk
 
     def test_matches_walk_on_every_residue_pair(self):
         for m in range(2, 41):
@@ -108,18 +110,93 @@ class TestPeriodKernel:
         ],
     )
     def test_periods_at_the_edges_of_the_giant_step(self, seed, m, s, period):
+        # the edges of the baby-step giant-step oracle's two phases
+        a, b = seed.g0 % m, seed.g1 % m
         assert math.isqrt(6 * m) + 1 == s
-        assert pisano_period(seed, m) == residue_period_walk(seed.g0 % m, seed.g1 % m, m) == period
+        assert residue_period_bsgs(a, b, m) == residue_period_walk(a, b, m) == period
+        assert pisano_period(seed, m) == period
 
     def test_large_prime_modulus(self):
         assert pisano_period(FIBONACCI, 10**9 + 7) == 2 * (10**9 + 8)
 
-    def test_table_cap(self, monkeypatch):
-        # s = isqrt(6m) + 1 is 2235 at m = 832040 and 2450 at m = 10^6
-        monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
-        assert pisano_period(FIBONACCI, 832040) == 60  # phase 1 finds it under the cap
-        with pytest.raises(ValueError, match=r"period mod 1000000 exceeds PERIOD_TABLE_CAP = 64 "):
-            pisano_period(FIBONACCI, 10**6)
+
+
+class TestFactoredPeriod:
+    # order finding at the prime powers of a factored m, against the
+    # baby-step giant-step oracle, which factors nothing
+
+    @pytest.mark.parametrize("seed", [
+        FIBONACCI, LUCAS, SEED_14, Seed(1, 24), Seed(-3, 7),   # p | d for 5; 11; 19, 29; 5
+        Seed(3, 6), Seed(5, 10), Seed(0, 7), Seed(3, 9),     # not coprime
+    ])
+    def test_matches_the_oracle_at_every_modulus_to_3000(self, seed):
+        for m in range(1, 3001):
+            if m == 1 or seed.g0 % m != 0 or seed.g1 % m != 0:
+                assert pisano_period(seed, m) == period_direct(seed, m), (seed, m)
+
+    def test_matches_the_oracle_at_every_modulus_to_300_on_every_scan_seed(self):
+        for seed in SCAN_SEEDS:
+            for m in range(1, 301):
+                if m == 1 or seed.g0 % m != 0 or seed.g1 % m != 0:
+                    assert pisano_period(seed, m) == period_direct(seed, m), (seed, m)
+
+    def test_matches_the_oracle_at_random_moduli_up_to_the_old_cap(self):
+        # log-uniform m up to 1.1e10, where the oracle once refused
+        rng = random.Random(21)
+        for _ in range(8):
+            m = int(math.exp(rng.uniform(math.log(10**4), math.log(1.1e10))))
+            seed = rng.choice(SCAN_SEEDS[::5])
+            if seed.g0 % m != 0 or seed.g1 % m != 0:
+                assert pisano_period(seed, m) == period_direct(seed, m), (seed, m)
+
+    @pytest.mark.parametrize("seed,p,e_max", [
+        (SEED_14, 11, 5), (LUCAS, 5, 8), (Seed(1, 24), 19, 4), (Seed(1, 24), 29, 3),
+        (Seed(3, 6), 3, 9), (Seed(3, 9), 3, 9),
+    ])
+    def test_matches_the_oracle_at_prime_powers_with_p_dividing_d(self, seed, p, e_max):
+        for e in range(1, e_max + 1):
+            q = p**e
+            if seed.g0 % q != 0 or seed.g1 % q != 0:
+                assert pisano_period(seed, q) == period_direct(seed, q), (seed, q)
+                assert pisano_period(seed, 2 * q) == period_direct(seed, 2 * q), (seed, 2 * q)
+
+    @pytest.mark.parametrize("m,period", [
+        (10**12 + 39, 333333333346),                     # a prime past the old cap
+        (2**40 + 15, 2**40 + 14),
+        (10**40, 15 * 10**39),                           # smooth
+    ])
+    def test_answers_past_the_old_cap(self, m, period):
+        assert pisano_period(FIBONACCI, m) == period
+        certify_period(FIBONACCI, m, period)
+
+    def test_a_high_prime_power_costs_two_chains_a_prime(self, monkeypatch):
+        # (0, 2^199) mod 2^200 has period 3; Wall's multiple is 3 * 2^199, so
+        # stripping one 2 per chain would take 200 chains
+        real, chains = pisano.fib_pair, []
+        monkeypatch.setattr(pisano, "fib_pair", lambda j, m: chains.append(j) or real(j, m))
+        assert pisano_period(Seed(0, 2**199), 2**200) == 3
+        assert len(chains) == 4  # the multiple, then at most two for each of 2 and 3
+        assert period_from_multiple(Seed(0, 2**199), 2**200, 3 * 2**199 * 5**40, [2, 3, 5]) == 3
+
+    def test_an_unfactored_wall_multiple_is_refused_before_any_chain(self, monkeypatch):
+        # A real W(p) always factors, since W(p)/2 <= p + 1 < (B + 1)^2 for
+        # any p the division finds; a planted one, 101 * 103, does not at B = 100.
+        monkeypatch.setattr(pisano, "TRIAL_DIVISION_BOUND", 100)
+        monkeypatch.setattr(pisano, "_wall_multiple", lambda p: 101 * 103 if p > 100 else 3)
+
+        def no_chain(*args):
+            raise AssertionError(f"ran a doubling chain at {args}")
+
+        monkeypatch.setattr(pisano, "fib_pair", no_chain)
+        with pytest.raises(ValueError, match=(
+                r"^period mod 19946 refused: trial division up to TRIAL_DIVISION_BOUND = 100 "
+                r"does not factor Wall's multiple 10403 of its prime 9973$")):
+            pisano_period(FIBONACCI, 2 * 9973)
+
+    def test_a_huge_modulus_is_named_by_its_bit_length(self):
+        m = 2**200 * sympy.nextprime(2**50) ** 2
+        with pytest.raises(ValueError, match=rf"^period mod a {m.bit_length()}-bit modulus refused: "):
+            pisano_period(FIBONACCI, m)
 
 
 class TestMinimalWindowLength:
@@ -162,7 +239,7 @@ def no_kernel(*args):
 
 class TestPeriodFromMultiple:
     def test_matches_the_kernel_from_multiples_of_the_fibonacci_period(self):
-        # every residue pair mod m <= 20, from the Fibonacci period times 1, 2 and 15
+        # every residue pair mod m <= 20, from the Fibonacci period times 1, 2, 15 and 2^6 3^4
         for m in range(2, 21):
             pi_f = pisano_period(FIBONACCI, m)
             for a in range(m):
@@ -170,7 +247,7 @@ class TestPeriodFromMultiple:
                     if (a, b) == (0, 0):
                         continue
                     seed = Seed(a, b)
-                    for n in (pi_f, 2 * pi_f, 15 * pi_f):
+                    for n in (pi_f, 2 * pi_f, 15 * pi_f, 2**6 * 3**4 * pi_f):
                         got = period_from_multiple(seed, m, n, sympy.primefactors(n))
                         assert got == residue_period_walk(a, b, m), (a, b, m, n)
 
@@ -235,7 +312,7 @@ class TestPeriodTable:
         assert residue_period_walk(seed.g0 % m, seed.g1 % m, m) == period
 
     def test_finds_one_order_per_nondegenerate_prime_power(self, monkeypatch):
-        monkeypatch.setattr(pisano, "_residue_period", no_kernel)
+        monkeypatch.setattr(pisano, "_shift_steps", no_kernel)
         real = pisano._order
         for seed in (SEED_14, Seed(2, 4), Seed(3, 9), Seed(6, -4)):
             called = []
@@ -350,8 +427,8 @@ class TestShiftEquivalence:
         assert equal_periods_not_equivalent == 3408
 
     def test_matches_the_walk_on_random_pairs(self):
-        # s = isqrt(6m) + 1 <= 50 here while periods reach 6m, so phase 2 runs;
-        # half the targets are put on A's orbit, since a random pair rarely is
+        # periods reach 6m <= 2400 here, so most searches take several giant
+        # steps; half the targets are put on A's orbit, since a random pair rarely is
         rng = random.Random(16)
         found = 0
         for _ in range(1500):
@@ -362,10 +439,10 @@ class TestShiftEquivalence:
             want = shift_walk(a, b, m)
             assert equivalent_up_to_shift(a, b, m) == want, (a, b, m)
             found += want[0] and want[1] > math.isqrt(6 * m) + 1
-        assert found > 300  # most on-orbit shifts need phase 2
+        assert found > 300  # most on-orbit shifts are longer than the table
 
     @pytest.mark.parametrize("seed", [FIBONACCI, Seed(1, 4)])
-    @pytest.mark.parametrize("t", [1, 2 * 10**9 + 15, 10**10])  # phase 1, period - 1, past it
+    @pytest.mark.parametrize("t", [1, 2 * 10**9 + 15, 10**10])  # 1, period - 1, past it
     def test_finds_the_shift_to_a_pair_on_the_orbit_at_a_large_prime(self, seed, t):
         m = 10**9 + 7
         period = pisano_period(seed, m)
@@ -376,13 +453,14 @@ class TestShiftEquivalence:
         assert equivalent_up_to_shift(FIBONACCI, LUCAS, m) == (False, None)
 
     def test_a_short_period_past_the_cap_is_searched_whole_in_phase_1(self):
-        # s is about 6e10 at m = F_100, far over the cap, but the period is 200
+        # isqrt(6m) + 1 is about 6e10 at m = F_100, far over the cap, but the
+        # search is sized by the period, 200
         m = fib(100)
         assert equivalent_up_to_shift(FIBONACCI, LUCAS, m) == (False, None)
         assert equivalent_up_to_shift(FIBONACCI, Seed(*gib_pair(FIBONACCI, 177, m)), m) == (True, 177)
 
     def test_shares_the_period_kernels_cap(self, monkeypatch):
-        # s = isqrt(6 * 10007) + 1 = 246 > 64, and the period mod 10007 is longer
+        # the period mod 10007 is 20016 > 64^2, so the table would need 142 pairs
         monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
         with pytest.raises(ValueError, match=r"period mod 10007 exceeds PERIOD_TABLE_CAP = 64 "):
             equivalent_up_to_shift(FIBONACCI, LUCAS, 10007)

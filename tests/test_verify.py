@@ -59,8 +59,12 @@ def test_method_agreement_reports_an_lcm_mismatch(monkeypatch):
 
 def test_divisibility_biconditional_reports_a_violation(monkeypatch):
     # F_8 = 21 is the k = 16 value: 7 divides it, so the period mod 7 must divide 16
-    plant(monkeypatch, pisano, "pisano_period",
-          lambda p, seed, m: 17 if (seed, m) == (FIBONACCI, 7) else p)
+    def entry_7_reads_17(periods, seed, m_max):
+        if seed == FIBONACCI:
+            periods[7] = 17
+        return periods
+
+    plant(monkeypatch, pisano, "period_table", entry_7_reads_17)
     assert failed_detail(6).startswith("violations=[(Seed(g0=0, g1=1), 7, 16), ")
 
 
