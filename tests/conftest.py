@@ -314,12 +314,26 @@ def squares_gcd_direct(seed: Seed, k: int, num_windows: int) -> int:
     return value
 
 
+def period_divides_by_walk(seed: Seed, m: int, k: int) -> bool:
+    """Whether the seed's period mod m divides k, by stepping the residue
+    pair at most k times: a period that divides k is at most k, so the
+    first return within k steps is the period, and no return means the
+    period exceeds k.  It needs no factoring, so no modulus is refused."""
+    a, b = seed.g0 % m, seed.g1 % m
+    x, y = a, b
+    for r in range(1, k + 1):
+        x, y = y, (x + y) % m
+        if x == a and y == b:
+            return k % r == 0
+    return False
+
+
 def lcm_over_all_divisors(seed: Seed, k: int) -> int:
     """The lcm route over every divisor of the closed-formula value, not
-    just the value itself: one period walk per divisor."""
+    just the value itself: one bounded period walk per divisor."""
     value = 1
     for d in sympy.divisors(gcd_sum(seed, k).value):
-        if k % pisano_period(seed, d) == 0:
+        if period_divides_by_walk(seed, d, k):
             value = math.lcm(value, d)
     return value
 

@@ -2,14 +2,21 @@
 
 import math
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibonacci.gcdsum import gcd_sum, gcd_sum_bruteforce, gcd_sum_lcm
-from gibonacci.pisano import pisano_period
+from gibonacci.pisano import TRIAL_DIVISION_BOUND, pisano_period
 from gibonacci.sequences import Seed, fib, gib_pair, gib_term, lucas, window_sum
 
-from conftest import gcd_sum_at_index_one, lcm_over_all_divisors, naive_fib, naive_gib_terms
+from conftest import (
+    gcd_sum_at_index_one,
+    lcm_over_all_divisors,
+    naive_fib,
+    naive_gib_terms,
+    period_divides_by_walk,
+)
 
 coprime_seeds = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50)
@@ -86,3 +93,12 @@ def test_divisibility_biconditional(seed, m, k):
 @settings(max_examples=60, deadline=None)
 def test_lcm_route_matches_the_all_divisors_route(seed, k):
     assert gcd_sum_lcm(seed, k).value == lcm_over_all_divisors(seed, k)
+
+
+@given(small_coprime_seeds, st.integers(1, 150))
+@settings(max_examples=30, deadline=None)
+def test_period_divides_k_on_divisors_as_the_walk_says(seed, k):
+    # every divisor of the value below TRIAL_DIVISION_BOUND^2 is answered
+    for d in sympy.divisors(gcd_sum(seed, k).value):
+        if d < TRIAL_DIVISION_BOUND**2:
+            assert (k % pisano_period(seed, d) == 0) == period_divides_by_walk(seed, d, k), d
