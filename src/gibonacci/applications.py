@@ -83,7 +83,8 @@ def pisano_of_fib_lucas_moduli(i_max: int) -> FibLucasPeriodReport:
 
     Predictions: period at modulus F_i is 2i for even i >= 4 and 4i for
     odd i >= 5; at modulus L_i it is 4i for even i >= 2 and 2i for odd
-    i >= 3.
+    i >= 3.  i_max runs up to 737: L_738 is over ``pisano.MODULUS_BIT_CAP``
+    and is refused with a ValueError.
     """
     if i_max < 5:
         raise ValueError("i_max must be >= 5")

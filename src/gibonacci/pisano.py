@@ -6,8 +6,8 @@ invertible, so the residue sequence is purely periodic, with a period of
 at most m^2 - 1, and the r with M^r u = u (M the step matrix, u the
 residue pair) are exactly the multiples of the period.
 
-There is one way to a period: order finding from a known multiple n
-(Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 1.4.3).
+A period is found by order finding from a known multiple n (Cohen, *A
+Course in Computational Algebraic Number Theory*, Alg. 1.4.3).
 ``_order`` checks M^n u = u, then strips from n each prime q's power
 beyond the period's.  It reads M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]]
 from modular ``fib_pair`` chains, at most two for each prime of n, so a
@@ -17,7 +17,11 @@ route and ``max_modulus_for_period`` pass k as the multiple
 the period at each prime power p^e of m from Wall's multiple
 p^(e-1) W(p) (``_prime_power_period``) and join the parts by the CRT
 lemma; ``pisano_period`` factors m by trial division up to
-``TRIAL_DIVISION_BOUND``, ``period_table`` reads a sieve.
+``TRIAL_DIVISION_BOUND``, ``period_table`` reads a sieve.  An m that the
+division may leave unfactored (m >= (B + 1)^2) is first walked one term
+at a time, up to ``PERIOD_TABLE_CAP`` steps: such m often have short
+periods (F_n and L_n, divisors of GCD-of-sums values), which the walk
+finds whether or not m factors.
 
 There is one search: ``equivalent_up_to_shift`` counts the steps from one
 residue pair to another by baby-step giant-step, bounded by the period
@@ -39,13 +43,19 @@ from .sequences import Seed, fib_pair
 # The budget of ``pisano_period``: m, and Wall's multiple of each of its
 # primes, are factored by trial division up to this bound.  A cofactor
 # below (B + 1)^2 left by the division is prime, so every m below 2^42 is
-# answered, and so is each W(p)/2 <= p + 1 of its primes; above that, m
+# factored, and so is each W(p)/2 <= p + 1 of its primes; above that, m
 # must be B-smooth but for one prime below 2^42.  At the bound's worst,
-# a prime m near 2^42, the division takes about 0.2 s (Python 3.11.7).
+# a prime m near 2^42, the division takes about 0.15 s (Python 3.11.7).
 TRIAL_DIVISION_BOUND = 2**21
 
-# The most baby-step pairs a shift search stores, about 30 MB: it covers
-# every period up to 2^36.
+# The longest m, in bits, that ``pisano_period`` takes; a longer one is
+# refused at once, since the division and the walk both slow with m's
+# length.  At the cap, a division that finds no prime takes about 0.3 s
+# and a walk of PERIOD_TABLE_CAP steps about 0.04 s (Python 3.11.7).
+MODULUS_BIT_CAP = 512
+
+# The most steps a period walk takes, and the most baby-step pairs a
+# shift search stores (about 30 MB, which covers every period up to 2^36).
 PERIOD_TABLE_CAP = 2**18
 
 # The largest m_max a period table covers: parity scans and the lcm route's
@@ -110,15 +120,29 @@ def _residues(seed: Seed, m: int) -> tuple[int, int]:
     return a, b
 
 
-def _factored(n: int, m: int, what: str) -> dict[int, int]:
+def _walk_period(a: int, b: int, m: int) -> int | None:
+    """The period of the residue pair (a, b) mod m, by stepping the pair
+    one term at a time, if it is at most ``PERIOD_TABLE_CAP``; else None."""
+    x, y = a, b
+    for r in range(1, PERIOD_TABLE_CAP + 1):
+        x, y = y, (x + y) % m
+        if x == a and y == b:
+            return r
+    return None
+
+
+def _factored(n: int, m: int, what: str, walked: bool) -> dict[int, int]:
     """The primes of n, with their exponents, by trial division up to
     ``TRIAL_DIVISION_BOUND``; a ValueError on the period mod m, naming
-    what n is, when the division leaves n with an unfactored cofactor."""
+    what n is (and the walk, if one ran), when the division leaves n with
+    an unfactored cofactor."""
     factors, cofactor = trial_division(n, TRIAL_DIVISION_BOUND)
     if cofactor > 1:
         raise ValueError(
             f"period mod {_modulus_name(m)} refused: trial division up to "
             f"TRIAL_DIVISION_BOUND = {TRIAL_DIVISION_BOUND} does not factor {what}"
+            + (f", and the period exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps"
+               if walked else "")
         )
     return factors
 
@@ -130,9 +154,13 @@ def pisano_period(seed: Seed, m: int) -> int:
     and so is Wall's multiple W(p) of each prime p of m; the period mod
     each prime power p^e comes from the multiple p^(e-1) W(p), and the
     period mod m is the lcm of those periods (both lemmas are proved at
-    ``period_table``).  Every m below 2^42 is answered.  An m, or a W(p),
-    that the division leaves with a cofactor of (B + 1)^2 or more is
-    refused with a ValueError naming B, before any doubling chain runs.
+    ``period_table``).  Every m below (B + 1)^2, so every m below 2^42,
+    factors.  A larger m is first walked up to ``PERIOD_TABLE_CAP``
+    steps, which returns any period that short, factored or not; an m,
+    or a W(p), that the division then leaves with a cofactor of
+    (B + 1)^2 or more is refused with a ValueError naming B, before any
+    doubling chain runs.  An m of more than ``MODULUS_BIT_CAP`` bits is
+    refused at once.
 
     m = 1 returns 1 by convention.  Errors on the seed (0, 0), and if
     the seed reduces to (0, 0) mod m: the constant-zero residue sequence
@@ -145,12 +173,20 @@ def pisano_period(seed: Seed, m: int) -> int:
     returns after s steps.  That pair lies on the seed's own orbit (the
     step map is a bijection), so the least such s is the period.
     """
-    _residues(seed, m)
-    parts = []  # (p, p^e, the primes of W(p)), all factored before any chain runs
-    for p, e in _factored(m, m, "it").items():
+    a, b = _residues(seed, m)
+    if m.bit_length() > MODULUS_BIT_CAP:
+        raise ValueError(f"period mod {_modulus_name(m)} refused: over "
+                         f"MODULUS_BIT_CAP = {MODULUS_BIT_CAP} bits")
+    walked = m >= (TRIAL_DIVISION_BOUND + 1) ** 2
+    if walked and (r := _walk_period(a, b, m)) is not None:
+        return r
+    parts = []  # (p, p^e, the primes of p W(p)), all factored before any chain runs
+    for p, e in _factored(m, m, "it", walked).items():
         w = _wall_multiple(p)
-        parts.append((p, p**e, _factored(w, m, f"Wall's multiple {w} of its prime {p}")))
-    return math.lcm(*(_prime_power_period(seed, p, q, primes) for p, q, primes in parts))
+        parts.append((p, p**e, {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}",
+                                              walked)}))
+    return math.lcm(*(_prime_power_period(seed, p, q, a % q, b % q, primes)
+                      if a % q or b % q else 1 for p, q, primes in parts))
 
 
 def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int | None:
@@ -224,16 +260,13 @@ def _wall_multiple(p: int) -> int:
     return p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
 
 
-def _prime_power_period(seed: Seed, p: int, q: int, wall_primes: Iterable[int]) -> int:
-    """The seed's period mod the prime power q = p^e, or 1 where the seed
-    is (0, 0) mod q: order finding from Wall's multiple (q / p) W(p), given
-    the primes of W(p).  A period that does not divide the multiple is an
-    AssertionError."""
-    a, b = seed.g0 % q, seed.g1 % q
-    if a == 0 and b == 0:
-        return 1
+def _prime_power_period(seed: Seed, p: int, q: int, a: int, b: int, primes: Iterable[int]) -> int:
+    """The seed's period mod the prime power q = p^e, given the seed mod q
+    as (a, b) != (0, 0) and the primes of p W(p): order finding from
+    Wall's multiple (q / p) W(p).  A period that does not divide the
+    multiple is an AssertionError."""
     n = q // p * _wall_multiple(p)
-    period = _order(a, b, q, n, {p, *wall_primes})
+    period = _order(a, b, q, n, primes)
     if period is None:
         raise AssertionError(f"period of seed {seed} mod {q} does not divide Wall's multiple {n}")
     return period
@@ -313,7 +346,9 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
         if q < m:
             periods[m] = math.lcm(periods[q], periods[m // q])
         else:
-            periods[m] = _prime_power_period(seed, p, m, primes_of(_wall_multiple(p)))
+            a, b = seed.g0 % m, seed.g1 % m
+            periods[m] = (_prime_power_period(seed, p, m, a, b, primes_of(_wall_multiple(p)) | {p})
+                          if a or b else 1)
     return periods
 
 
@@ -358,7 +393,7 @@ def equivalent_up_to_shift(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, in
     all n, else (False, None).  A residue pair determines the whole
     sequence, so r counts the steps from (A_0, A_1) to (B_0, B_1) on A's
     orbit, found by a baby-step giant-step search over A's period
-    (``pisano_period``, under its budget) with a table of about
+    (``pisano_period``, under its budgets) with a table of about
     sqrt(period) pairs, under ``PERIOD_TABLE_CAP``.  Equal periods follow:
     the two sequences then share one orbit.
     """

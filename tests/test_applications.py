@@ -56,6 +56,16 @@ class TestFibLucasModuliPeriods:
         with pytest.raises(ValueError):
             pisano_of_fib_lucas_moduli(4)
 
+    def test_moduli_that_trial_division_leaves_unfactored(self):
+        # F_73 = 9375829 * 86020717 is the first with two primes above 2^21
+        assert pisano_of_fib_lucas_moduli(100).all_match
+
+    def test_the_range_ends_at_the_modulus_bit_cap(self):
+        # L_737 has 512 bits, L_738 one more
+        assert lucas(737).bit_length() == pisano.MODULUS_BIT_CAP < lucas(738).bit_length()
+        with pytest.raises(ValueError, match=r"^period mod a 513-bit modulus refused: "):
+            pisano_of_fib_lucas_moduli(738)
+
 
 class TestMaxModulus:
     @pytest.mark.parametrize(

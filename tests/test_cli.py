@@ -323,7 +323,33 @@ def test_pisano_past_the_trial_division_bound_exits_1_before_any_chain(capsys, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: period mod {m} refused: trial division up to "
-                            f"TRIAL_DIVISION_BOUND = {bound} does not factor it\n")
+                            f"TRIAL_DIVISION_BOUND = {bound} does not factor it, and the period "
+                            f"exceeds PERIOD_TABLE_CAP = {pisano.PERIOD_TABLE_CAP} steps\n")
+
+
+def test_pisano_of_an_unfactored_modulus_with_a_short_period(capsys):
+    # F_83, a prime above 2^56, has Fibonacci period 4 * 83
+    m = 99194853094755497
+    assert sympy.isprime(m) and m > pisano.TRIAL_DIVISION_BOUND**2
+    assert invoke(capsys, "pisano", "--m", str(m)) == (0, "332\n")
+
+
+def test_pisano_over_the_modulus_bit_cap_exits_1_at_once(capsys, monkeypatch):
+    m = 10**3999 + 7  # 13,285 bits
+
+    def no_work(*args):
+        raise AssertionError(f"started work at {args}")
+
+    for name in ("trial_division", "fib_pair", "_walk_period"):
+        monkeypatch.setattr(pisano, name, no_work)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "pisano", "--m", str(m)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: period mod a {m.bit_length()}-bit modulus refused: over "
+                            f"MODULUS_BIT_CAP = {pisano.MODULUS_BIT_CAP} bits\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -163,7 +163,7 @@ class TestFactoredPeriod:
     @pytest.mark.parametrize("m,period", [
         (10**12 + 39, 333333333346),                     # a prime past the old cap
         (2**40 + 15, 2**40 + 14),
-        (10**40, 15 * 10**39),                           # smooth
+        (10**40, 15 * 10**39),                           # smooth, walked to the cap first
     ])
     def test_answers_past_the_old_cap(self, m, period):
         assert pisano_period(FIBONACCI, m) == period
@@ -174,14 +174,16 @@ class TestFactoredPeriod:
         # stripping one 2 per chain would take 200 chains
         real, chains = pisano.fib_pair, []
         monkeypatch.setattr(pisano, "fib_pair", lambda j, m: chains.append(j) or real(j, m))
-        assert pisano_period(Seed(0, 2**199), 2**200) == 3
+        assert period_from_multiple(Seed(0, 2**199), 2**200, 3 * 2**199, [2, 3]) == 3
         assert len(chains) == 4  # the multiple, then at most two for each of 2 and 3
         assert period_from_multiple(Seed(0, 2**199), 2**200, 3 * 2**199 * 5**40, [2, 3, 5]) == 3
 
     def test_an_unfactored_wall_multiple_is_refused_before_any_chain(self, monkeypatch):
         # A real W(p) always factors, since W(p)/2 <= p + 1 < (B + 1)^2 for
         # any p the division finds; a planted one, 101 * 103, does not at B = 100.
+        # m = 19946 is not below (B + 1)^2, so it is walked first, here up to 64 steps.
         monkeypatch.setattr(pisano, "TRIAL_DIVISION_BOUND", 100)
+        monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
         monkeypatch.setattr(pisano, "_wall_multiple", lambda p: 101 * 103 if p > 100 else 3)
 
         def no_chain(*args):
@@ -190,13 +192,37 @@ class TestFactoredPeriod:
         monkeypatch.setattr(pisano, "fib_pair", no_chain)
         with pytest.raises(ValueError, match=(
                 r"^period mod 19946 refused: trial division up to TRIAL_DIVISION_BOUND = 100 "
-                r"does not factor Wall's multiple 10403 of its prime 9973$")):
+                r"does not factor Wall's multiple 10403 of its prime 9973, and the period "
+                r"exceeds PERIOD_TABLE_CAP = 64 steps$")):
             pisano_period(FIBONACCI, 2 * 9973)
 
     def test_a_huge_modulus_is_named_by_its_bit_length(self):
         m = 2**200 * sympy.nextprime(2**50) ** 2
         with pytest.raises(ValueError, match=rf"^period mod a {m.bit_length()}-bit modulus refused: "):
             pisano_period(FIBONACCI, m)
+
+    @pytest.mark.parametrize("i,period", [(73, 292), (83, 332), (100, 200)])
+    def test_a_short_period_is_walked_when_m_does_not_factor(self, monkeypatch, i, period):
+        # F_73 = 9375829 * 86020717 and the prime F_83 do not factor under B;
+        # F_100 does, but is walked first, being above (B + 1)^2
+        def no_chain(*args):
+            raise AssertionError(f"ran a doubling chain at {args}")
+
+        monkeypatch.setattr(pisano, "fib_pair", no_chain)
+        assert pisano_period(FIBONACCI, fib(i)) == period
+
+    def test_the_modulus_bit_cap(self, monkeypatch):
+        cap = pisano.MODULUS_BIT_CAP
+        assert pisano_period(FIBONACCI, 2 ** (cap - 1)) == 3 * 2 ** (cap - 2)
+
+        def no_work(*args):
+            raise AssertionError(f"started work at {args}")
+
+        for name in ("trial_division", "fib_pair", "_walk_period"):
+            monkeypatch.setattr(pisano, name, no_work)
+        with pytest.raises(ValueError, match=(
+                rf"^period mod a {cap + 1}-bit modulus refused: over MODULUS_BIT_CAP = {cap} bits$")):
+            pisano_period(FIBONACCI, 2**cap)
 
 
 class TestMinimalWindowLength:

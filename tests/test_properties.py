@@ -3,11 +3,11 @@
 import math
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gibonacci.gcdsum import gcd_sum, gcd_sum_bruteforce, gcd_sum_lcm
-from gibonacci.pisano import TRIAL_DIVISION_BOUND, pisano_period
+from gibonacci.pisano import pisano_period
 from gibonacci.sequences import Seed, fib, gib_pair, gib_term, lucas, window_sum
 
 from conftest import (
@@ -96,9 +96,10 @@ def test_lcm_route_matches_the_all_divisors_route(seed, k):
 
 
 @given(small_coprime_seeds, st.integers(1, 150))
+@example(Seed(0, 1), 142)  # the divisor 688846502588399, a prime above 2^42
 @settings(max_examples=30, deadline=None)
 def test_period_divides_k_on_divisors_as_the_walk_says(seed, k):
-    # every divisor of the value below TRIAL_DIVISION_BOUND^2 is answered
+    # every divisor is answered: one that trial division leaves unfactored
+    # is at least (B + 1)^2, and a period dividing k is found by the walk
     for d in sympy.divisors(gcd_sum(seed, k).value):
-        if d < TRIAL_DIVISION_BOUND**2:
-            assert (k % pisano_period(seed, d) == 0) == period_divides_by_walk(seed, d, k), d
+        assert (k % pisano_period(seed, d) == 0) == period_divides_by_walk(seed, d, k), d
