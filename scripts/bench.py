@@ -1,7 +1,7 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_21.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_22.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
@@ -153,6 +153,10 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "pisano_fib_1e12_plus_39": (  # a prime past the search's old table cap
             {"seed": [0, 1], "m": 10**12 + 39},
             lambda: partial(pisano_period, FIBONACCI, 10**12 + 39)),
+        "pisano_fib_1e40": (  # m >= (B + 1)^2: probed first, then 2^40 5^40 factors
+            {"seed": [0, 1], "m": 10**40}, lambda: partial(pisano_period, FIBONACCI, 10**40)),
+        "pisano_fib_f83": (  # the prime F_83: the probe returns its period, 332
+            {"seed": [0, 1], "m": "F_83"}, lambda: partial(pisano_period, FIBONACCI, fib(83))),
         "shift_fib_lucas_1e6_plus_3": (  # different orbits: the search is bounded by the period
             {"seed_a": [0, 1], "seed_b": [2, 1], "m": 10**6 + 3},
             lambda: partial(equivalent_up_to_shift, FIBONACCI, LUCAS, 10**6 + 3)),

@@ -89,18 +89,12 @@ def pisano_of_fib_lucas_moduli(i_max: int) -> FibLucasPeriodReport:
     if i_max < 5:
         raise ValueError("i_max must be >= 5")
     report = FibLucasPeriodReport(i_max)
-    for i in range(4, i_max + 1):
-        predicted = 2 * i if i % 2 == 0 else 4 * i
-        m = fib(i)
-        report.entries.append(
-            FibLucasPeriodEntry("F", i, m, predicted, pisano_period(FIBONACCI, m))
-        )
-    for i in range(2, i_max + 1):
-        predicted = 4 * i if i % 2 == 0 else 2 * i
-        m = lucas(i)
-        report.entries.append(
-            FibLucasPeriodEntry("L", i, m, predicted, pisano_period(FIBONACCI, m))
-        )
+    # (kind, term, first index, period factor at even and odd i)
+    for kind, term, first, factor in (("F", fib, 4, (2, 4)), ("L", lucas, 2, (4, 2))):
+        for i in range(first, i_max + 1):
+            m = term(i)
+            report.entries.append(FibLucasPeriodEntry(kind, i, m, factor[i % 2] * i,
+                                                      pisano_period(FIBONACCI, m)))
     return report
 
 

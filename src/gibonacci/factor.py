@@ -1,7 +1,10 @@
 """Trial division, the only factoring the library does.
 
 ``applications.prime_restriction_check`` strips the small primes off a
-GCD-of-sums value and reports whatever cofactor is left unfactored.
+GCD-of-sums value and reports whatever cofactor is left unfactored;
+``pisano.pisano_period`` factors m, and Wall's multiple of each of its
+primes, up to ``pisano.TRIAL_DIVISION_BOUND``; and
+``applications.max_modulus_for_period`` factors k whole.
 """
 
 from __future__ import annotations

@@ -18,15 +18,14 @@ the period at each prime power p^e of m from Wall's multiple
 p^(e-1) W(p) (``_prime_power_period``) and join the parts by the CRT
 lemma; ``pisano_period`` factors m by trial division up to
 ``TRIAL_DIVISION_BOUND``, ``period_table`` reads a sieve.  An m that the
-division may leave unfactored (m >= (B + 1)^2) is first walked one term
-at a time, up to ``PERIOD_TABLE_CAP`` steps: such m often have short
-periods (F_n and L_n, divisors of GCD-of-sums values), which the walk
+division may leave unfactored (m >= (B + 1)^2) is first probed for a
+period of at most ``PERIOD_TABLE_CAP`` steps: such m often have short
+periods (F_n and L_n, divisors of GCD-of-sums values), which the probe
 finds whether or not m factors.
 
-There is one search: ``equivalent_up_to_shift`` counts the steps from one
-residue pair to another by baby-step giant-step, bounded by the period
-found first.  No route keeps state between calls: every call computes
-its period.
+There is one search, ``_shift_steps``, baby-step giant-step from one
+residue pair to another: the probe's, from a pair back to itself, and
+``equivalent_up_to_shift``'s.  No route keeps state between calls.
 
 The period is also the least window length whose sums m always divides.
 """
@@ -49,13 +48,13 @@ from .sequences import Seed, fib_pair
 TRIAL_DIVISION_BOUND = 2**21
 
 # The longest m, in bits, that ``pisano_period`` takes; a longer one is
-# refused at once, since the division and the walk both slow with m's
+# refused at once, since the division and the probe both slow with m's
 # length.  At the cap, a division that finds no prime takes about 0.3 s
-# and a walk of PERIOD_TABLE_CAP steps about 0.04 s (Python 3.11.7).
+# (Python 3.11.7).
 MODULUS_BIT_CAP = 512
 
-# The most steps a period walk takes, and the most baby-step pairs a
-# shift search stores (about 30 MB, which covers every period up to 2^36).
+# The longest period ``pisano_period`` probes for (512 baby and giant steps),
+# and the most baby-step pairs a shift search stores (about 30 MB, so 2^36).
 PERIOD_TABLE_CAP = 2**18
 
 # The largest m_max a period table covers: parity scans and the lcm route's
@@ -74,25 +73,25 @@ def _modulus_name(m: int) -> object:
 
 
 def _shift_steps(start: tuple[int, int], target: tuple[int, int], m: int,
-                 period: int) -> int | None:
-    """Least r in [1, period] with M^r start = target mod m, None if the
-    target is off the orbit of the residue pair start, whose period is given.
+                 bound: int) -> int | None:
+    """Least r in [1, bound] with M^r start = target mod m, else None; with
+    target = start, the period of start if it is at most bound.
 
-    Baby-step giant-step with s = isqrt(period - 1) + 1, so s^2 >= period:
-    the s baby pairs M^j target, j < s, are stored, and giant steps apply
-    M^s to start.  On the orbit, the baby pairs are distinct (s <= period),
-    giant step i lands on baby step j exactly when i s - j = r modulo the
-    period, and the first i with i s >= r gives r itself; so
-    ceil(period / s) giant steps decide.  Raises ValueError, before any
-    step, when s exceeds ``PERIOD_TABLE_CAP``.
+    Baby-step giant-step with s = isqrt(bound - 1) + 1: a dict maps each
+    baby pair M^j target, j < s, to its largest j, and giant step i, up to
+    ceil(bound / s), is M^(i s) start.  It lands on j exactly when
+    r = i s - j returns start to target, and these r fill the window
+    [(i - 1) s + 1, i s]; the windows tile [1, oo).  So the first step
+    that lands is the one whose window holds the least r, and the largest
+    j gives that r, whether or not the baby pairs repeat (a period below
+    s).  Raises ValueError, before any step, when s exceeds
+    ``PERIOD_TABLE_CAP``.
     """
-    s = math.isqrt(period - 1) + 1
+    s = math.isqrt(bound - 1) + 1
     if s > PERIOD_TABLE_CAP:
-        raise ValueError(
-            f"period mod {_modulus_name(m)} exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} "
-            f"squared, and a shift search over it needs a table of isqrt(period - 1) + 1 "
-            f"pairs, over the cap"
-        )
+        raise ValueError(f"period mod {_modulus_name(m)} exceeds PERIOD_TABLE_CAP = "
+                         f"{PERIOD_TABLE_CAP} squared, and a shift search over it needs a "
+                         f"table of isqrt(period - 1) + 1 pairs, over the cap")
     baby: dict[int, int] = {}
     x, y = target
     for j in range(s):
@@ -101,11 +100,11 @@ def _shift_steps(start: tuple[int, int], target: tuple[int, int], m: int,
     f, f_next = fib_pair(s, m)  # M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]]
     f_prev = (f_next - f) % m
     x, y = start
-    for i in range(1, -(-period // s) + 1):
+    for i in range(1, -(-bound // s) + 1):
         x, y = (f_prev * x + f * y) % m, (f * x + f_next * y) % m
         j = baby.get(x * m + y)
         if j is not None:
-            return i * s - j
+            return r if (r := i * s - j) <= bound else None
     return None
 
 
@@ -120,30 +119,16 @@ def _residues(seed: Seed, m: int) -> tuple[int, int]:
     return a, b
 
 
-def _walk_period(a: int, b: int, m: int) -> int | None:
-    """The period of the residue pair (a, b) mod m, by stepping the pair
-    one term at a time, if it is at most ``PERIOD_TABLE_CAP``; else None."""
-    x, y = a, b
-    for r in range(1, PERIOD_TABLE_CAP + 1):
-        x, y = y, (x + y) % m
-        if x == a and y == b:
-            return r
-    return None
-
-
-def _factored(n: int, m: int, what: str, walked: bool) -> dict[int, int]:
+def _factored(n: int, m: int, what: str) -> dict[int, int]:
     """The primes of n, with their exponents, by trial division up to
     ``TRIAL_DIVISION_BOUND``; a ValueError on the period mod m, naming
-    what n is (and the walk, if one ran), when the division leaves n with
-    an unfactored cofactor."""
+    what n is, when a cofactor is left, which by the lemma there happens
+    only for m >= (B + 1)^2, after the probe."""
     factors, cofactor = trial_division(n, TRIAL_DIVISION_BOUND)
     if cofactor > 1:
-        raise ValueError(
-            f"period mod {_modulus_name(m)} refused: trial division up to "
-            f"TRIAL_DIVISION_BOUND = {TRIAL_DIVISION_BOUND} does not factor {what}"
-            + (f", and the period exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps"
-               if walked else "")
-        )
+        raise ValueError(f"period mod {_modulus_name(m)} refused: trial division up to "
+                         f"TRIAL_DIVISION_BOUND = {TRIAL_DIVISION_BOUND} does not factor {what}, "
+                         f"and the period exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps")
     return factors
 
 
@@ -155,12 +140,12 @@ def pisano_period(seed: Seed, m: int) -> int:
     each prime power p^e comes from the multiple p^(e-1) W(p), and the
     period mod m is the lcm of those periods (both lemmas are proved at
     ``period_table``).  Every m below (B + 1)^2, so every m below 2^42,
-    factors.  A larger m is first walked up to ``PERIOD_TABLE_CAP``
-    steps, which returns any period that short, factored or not; an m,
-    or a W(p), that the division then leaves with a cofactor of
-    (B + 1)^2 or more is refused with a ValueError naming B, before any
-    doubling chain runs.  An m of more than ``MODULUS_BIT_CAP`` bits is
-    refused at once.
+    factors.  A larger m is first probed by ``_shift_steps`` from its
+    residue pair back to itself, which returns any period of at most
+    ``PERIOD_TABLE_CAP``, factored or not; an m, or a W(p), that the
+    division then leaves with a cofactor is refused with a ValueError
+    naming B and the cap, before any order finding.  An m of more than
+    ``MODULUS_BIT_CAP`` bits is refused at once.
 
     m = 1 returns 1 by convention.  Errors on the seed (0, 0), and if
     the seed reduces to (0, 0) mod m: the constant-zero residue sequence
@@ -177,14 +162,13 @@ def pisano_period(seed: Seed, m: int) -> int:
     if m.bit_length() > MODULUS_BIT_CAP:
         raise ValueError(f"period mod {_modulus_name(m)} refused: over "
                          f"MODULUS_BIT_CAP = {MODULUS_BIT_CAP} bits")
-    walked = m >= (TRIAL_DIVISION_BOUND + 1) ** 2
-    if walked and (r := _walk_period(a, b, m)) is not None:
+    if (m >= (TRIAL_DIVISION_BOUND + 1) ** 2
+            and (r := _shift_steps((a, b), (a, b), m, PERIOD_TABLE_CAP)) is not None):
         return r
-    parts = []  # (p, p^e, the primes of p W(p)), all factored before any chain runs
-    for p, e in _factored(m, m, "it", walked).items():
+    parts = []  # (p, p^e, the primes of p W(p)), all factored before any order finding
+    for p, e in _factored(m, m, "it").items():
         w = _wall_multiple(p)
-        parts.append((p, p**e, {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}",
-                                              walked)}))
+        parts.append((p, p**e, {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}")}))
     return math.lcm(*(_prime_power_period(seed, p, q, a % q, b % q, primes)
                       if a % q or b % q else 1 for p, q, primes in parts))
 

@@ -404,6 +404,20 @@ class IdentityReport:
 #: checks; a larger request is refused before any term is tabulated.
 IDENTITY_POINT_CAP = 10**7
 
+#: The most bits that one `verify_identity` call's term tables hold, F's
+#: and one seed's G's together (`_table_bits`); a larger request is refused
+#: before any term is tabulated.  At the cap (75 MB of terms), `identities
+#: --id gib_partial_sum --hi 41574` peaks at 408 MB RSS (Python 3.11.7).
+IDENTITY_TABLE_BIT_CAP = 6 * 10**8
+
+
+def _table_bits(indices: list[int]) -> int:
+    """About the bits of a table of the terms from min(indices) to max(indices):
+    G_n has about log2(phi) |n| = 0.6942 |n| bits, so [0, n] holds 0.347 n^2."""
+    def up_to(x: int) -> int:  # |0| + ... + |x|, or minus |x + 1| + ... + |-1| for x < 0
+        return (x + 1) * abs(x) // 2
+    return (up_to(max(indices)) - up_to(min(indices) - 1)) * 6942 // 10**4 if indices else 0
+
 
 def check_identity_request(
     identity: Identity,
@@ -414,9 +428,10 @@ def check_identity_request(
 
     Returns the indices its sides read, the seeds it runs and each
     parameter's axis.  A missing, empty or out-of-domain range, or a
-    request over IDENTITY_POINT_CAP points (seeds times grid points), is
-    a ValueError.  Calling this for every family first refuses a run of
-    several families before any of them builds a table.
+    request over IDENTITY_POINT_CAP points (seeds times grid points) or
+    over IDENTITY_TABLE_BIT_CAP bits of term tables, is a ValueError.
+    Calling this for every family first refuses a run of several families
+    before any of them builds a table.
     """
     if not isinstance(identity, Identity):
         raise ValueError(f"unknown identity {identity!r}")
@@ -445,9 +460,11 @@ def check_identity_request(
     axes = [range(lo, hi + 1) for lo, hi in box]
     points = len(seed_tuple) * math.prod(map(len, axes))
     if points > IDENTITY_POINT_CAP:
-        raise ValueError(
-            f"identity {identity.value} asks for {points} points, "
-            f"over the cap of {IDENTITY_POINT_CAP}")
+        raise ValueError(f"identity {identity.value} asks for {points} points, "
+                         f"over the cap of {IDENTITY_POINT_CAP}")
+    if (bits := _table_bits(reads.f) + _table_bits(reads.g)) > IDENTITY_TABLE_BIT_CAP:
+        raise ValueError(f"identity {identity.value} asks for term tables of about {bits} "
+                         f"bits, over the cap of {IDENTITY_TABLE_BIT_CAP}")
     return reads, seed_tuple, axes
 
 

@@ -1,5 +1,6 @@
 import decimal
 import json
+import math
 import os
 import random
 import re
@@ -272,6 +273,25 @@ def test_identities_over_the_point_cap_exits_1_before_any_table(capsys, monkeypa
                             f"over the cap of {sequences.IDENTITY_POINT_CAP}\n")
 
 
+def test_identities_over_the_table_bit_cap_exits_1_before_any_table(capsys, monkeypatch):
+    # 400,001 points, under the points cap, but an F table of about 55.5
+    # billion bits (about 20 GB peak RSS had it run)
+    def no_tables(*args):
+        raise AssertionError("a term table was built")
+
+    monkeypatch.setattr(sequences, "_tabulate", no_tables)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "identities", "--id", "lucas_from_fib",
+                                      "--hi", "400000"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: identity lucas_from_fib asks for term tables of about "
+                            "55536416521 bits, over the cap of "
+                            f"{sequences.IDENTITY_TABLE_BIT_CAP}\n")
+
+
 def test_domain_error_exit_code():
     with pytest.raises(ValueError):
         run(["gcd-sum", "--k", "0"])
@@ -307,15 +327,16 @@ def test_pisano_of_a_prime_past_the_old_table_cap_is_certified(capsys):
     certify_period(Seed(0, 1), m, int(record["period"]))
 
 
-def test_pisano_past_the_trial_division_bound_exits_1_before_any_chain(capsys, monkeypatch):
+def test_pisano_past_the_trial_division_bound_exits_1_before_order_finding(capsys, monkeypatch):
     bound = pisano.TRIAL_DIVISION_BOUND
     p = sympy.nextprime(bound)
     m = p * sympy.nextprime(p)
 
-    def no_chain(*args):
-        raise AssertionError(f"ran a doubling chain at {args}")
+    def no_order(*args):
+        raise AssertionError(f"ran order finding at {args}")
 
-    monkeypatch.setattr(pisano, "fib_pair", no_chain)
+    monkeypatch.setattr(pisano, "_order", no_order)
+    chains = record_doubling_loop(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "pisano", "--m", str(m)])
     with pytest.raises(SystemExit) as exc:
         main()
@@ -325,6 +346,8 @@ def test_pisano_past_the_trial_division_bound_exits_1_before_any_chain(capsys, m
     assert captured.err == (f"error: period mod {m} refused: trial division up to "
                             f"TRIAL_DIVISION_BOUND = {bound} does not factor it, and the period "
                             f"exceeds PERIOD_TABLE_CAP = {pisano.PERIOD_TABLE_CAP} steps\n")
+    # the only chain is the probe's M^s, s = isqrt(PERIOD_TABLE_CAP - 1) + 1
+    assert chains == [(math.isqrt(pisano.PERIOD_TABLE_CAP - 1) + 1, m)]
 
 
 def test_pisano_of_an_unfactored_modulus_with_a_short_period(capsys):
@@ -340,7 +363,7 @@ def test_pisano_over_the_modulus_bit_cap_exits_1_at_once(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError(f"started work at {args}")
 
-    for name in ("trial_division", "fib_pair", "_walk_period"):
+    for name in ("trial_division", "fib_pair", "_shift_steps"):
         monkeypatch.setattr(pisano, name, no_work)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "pisano", "--m", str(m)])
     with pytest.raises(SystemExit) as exc:

@@ -24,12 +24,23 @@ from conftest import (
     naive_shift_equivalence,
     parity_scan_direct,
     period_direct,
+    record_doubling_loop,
     residue_period_bsgs,
     residue_period_walk,
     shift_walk,
 )
 
 SEED_14 = Seed(1, 4)
+
+
+def probe_only(monkeypatch) -> list[tuple[int, int | None]]:
+    """Forbid order finding, and return the list that records every
+    doubling chain: the probe's one chain to M^s, if it runs."""
+    def no_order(*args):
+        raise AssertionError(f"ran order finding at {args}")
+
+    monkeypatch.setattr(pisano, "_order", no_order)
+    return record_doubling_loop(monkeypatch)
 
 
 class TestPisanoPeriod:
@@ -119,6 +130,26 @@ class TestPeriodKernel:
     def test_large_prime_modulus(self):
         assert pisano_period(FIBONACCI, 10**9 + 7) == 2 * (10**9 + 8)
 
+    @pytest.mark.parametrize("bound,cases", [
+        (64, {"below s", "at s", "up to the bound", "past the bound"}),  # s = 8
+        (10, {"below s", "at s", "up to the bound", "past the bound"}),  # s = 4, not s^2
+        (4, {"up to the bound", "past the bound"}),  # s = 2: no period is below 3
+    ])
+    def test_the_probe_finds_every_period_up_to_its_bound(self, bound, cases):
+        # the search from a residue pair back to itself, as pisano_period
+        # probes an unfactored m; past a bound that is not a square, a giant
+        # step may still land, and must read None
+        s = math.isqrt(bound - 1) + 1
+        seen = set()
+        for m in range(2, 41):
+            for u in ((a, b) for a in range(m) for b in range(m) if (a, b) != (0, 0)):
+                period = residue_period_walk(*u, m)
+                got = pisano._shift_steps(u, u, m, bound)
+                assert got == (period if period <= bound else None), (u, m, bound)
+                seen.add("below s" if period < s else "at s" if period == s
+                         else "up to the bound" if period <= bound else "past the bound")
+        assert seen == cases
+
 
 
 class TestFactoredPeriod:
@@ -178,23 +209,20 @@ class TestFactoredPeriod:
         assert len(chains) == 4  # the multiple, then at most two for each of 2 and 3
         assert period_from_multiple(Seed(0, 2**199), 2**200, 3 * 2**199 * 5**40, [2, 3, 5]) == 3
 
-    def test_an_unfactored_wall_multiple_is_refused_before_any_chain(self, monkeypatch):
+    def test_an_unfactored_wall_multiple_is_refused_before_any_order_finding(self, monkeypatch):
         # A real W(p) always factors, since W(p)/2 <= p + 1 < (B + 1)^2 for
         # any p the division finds; a planted one, 101 * 103, does not at B = 100.
-        # m = 19946 is not below (B + 1)^2, so it is walked first, here up to 64 steps.
+        # m = 19946 is not below (B + 1)^2, so it is probed first, here up to 64 steps.
         monkeypatch.setattr(pisano, "TRIAL_DIVISION_BOUND", 100)
         monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
         monkeypatch.setattr(pisano, "_wall_multiple", lambda p: 101 * 103 if p > 100 else 3)
-
-        def no_chain(*args):
-            raise AssertionError(f"ran a doubling chain at {args}")
-
-        monkeypatch.setattr(pisano, "fib_pair", no_chain)
+        chains = probe_only(monkeypatch)
         with pytest.raises(ValueError, match=(
                 r"^period mod 19946 refused: trial division up to TRIAL_DIVISION_BOUND = 100 "
                 r"does not factor Wall's multiple 10403 of its prime 9973, and the period "
                 r"exceeds PERIOD_TABLE_CAP = 64 steps$")):
             pisano_period(FIBONACCI, 2 * 9973)
+        assert chains == [(math.isqrt(64 - 1) + 1, 2 * 9973)]  # the probe's M^s
 
     def test_a_huge_modulus_is_named_by_its_bit_length(self):
         m = 2**200 * sympy.nextprime(2**50) ** 2
@@ -202,14 +230,13 @@ class TestFactoredPeriod:
             pisano_period(FIBONACCI, m)
 
     @pytest.mark.parametrize("i,period", [(73, 292), (83, 332), (100, 200)])
-    def test_a_short_period_is_walked_when_m_does_not_factor(self, monkeypatch, i, period):
+    def test_a_short_period_is_probed_when_m_does_not_factor(self, monkeypatch, i, period):
         # F_73 = 9375829 * 86020717 and the prime F_83 do not factor under B;
-        # F_100 does, but is walked first, being above (B + 1)^2
-        def no_chain(*args):
-            raise AssertionError(f"ran a doubling chain at {args}")
-
-        monkeypatch.setattr(pisano, "fib_pair", no_chain)
-        assert pisano_period(FIBONACCI, fib(i)) == period
+        # F_100 does, but is probed first, being above (B + 1)^2
+        m = fib(i)
+        chains = probe_only(monkeypatch)
+        assert pisano_period(FIBONACCI, m) == period
+        assert chains == [(math.isqrt(pisano.PERIOD_TABLE_CAP - 1) + 1, m)]  # the probe's M^s
 
     def test_the_modulus_bit_cap(self, monkeypatch):
         cap = pisano.MODULUS_BIT_CAP
@@ -218,7 +245,7 @@ class TestFactoredPeriod:
         def no_work(*args):
             raise AssertionError(f"started work at {args}")
 
-        for name in ("trial_division", "fib_pair", "_walk_period"):
+        for name in ("trial_division", "fib_pair", "_shift_steps"):
             monkeypatch.setattr(pisano, name, no_work)
         with pytest.raises(ValueError, match=(
                 rf"^period mod a {cap + 1}-bit modulus refused: over MODULUS_BIT_CAP = {cap} bits$")):

@@ -316,6 +316,29 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError, match="identity gib_partial_sum asks for 25000000000000 points"):
             verify_identity(Identity.GIB_PARTIAL_SUM, {"n": (1, 10**12)})
 
+    def test_table_bit_cap_refuses_before_any_table(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a term table was built")
+
+        monkeypatch.setattr(sequences, "_tabulate", no_tables)
+        # L_n reads F_{n-1} and F_{n+1}: one F table over [-1, hi + 1], and
+        # 41,576 points, far under the points cap
+        sequences.check_identity_request(Identity.LUCAS_FROM_FIB, {"n": (0, 41575)})
+        with pytest.raises(ValueError, match=(
+                r"^identity lucas_from_fib asks for term tables of about 600027781 bits, "
+                rf"over the cap of {sequences.IDENTITY_TABLE_BIT_CAP}$")):
+            verify_identity(Identity.LUCAS_FROM_FIB, {"n": (0, 41576)})
+
+    def test_table_bits_estimate_the_terms_bit_lengths(self):
+        # within a bit a term, on spans on either side of 0 and across it
+        rng = random.Random(22)
+        for _ in range(100):
+            lo = rng.randrange(-3000, 3000)
+            hi = lo + rng.randrange(3000)
+            exact = sum(abs(fib(n)).bit_length() for n in range(lo, hi + 1))
+            assert abs(sequences._table_bits([hi, lo, hi]) - exact) <= hi - lo + 1, (lo, hi)
+        assert sequences._table_bits([]) == 0
+
 
 def _differential_cases():
     seeds = (FIBONACCI, Seed(-3, 7))
