@@ -91,6 +91,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
     from gibonacci import (
         FIBONACCI,
         LUCAS,
+        Identity,
         Seed,
         equivalent_up_to_shift,
         fib,
@@ -100,10 +101,10 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         parity_scan,
         pisano_period,
         verify,
+        verify_identity,
     )
-    from gibonacci.sequences import Identity, default_identity_ranges, verify_identity
 
-    addition = default_identity_ranges(Identity.GIB_ADDITION)
+    addition = {"m": (1, 200), "n": (1, 200)}
     term_argv = ["term", "--n", str(10**6), "--format"]
     return {
         "gcd_sum_lcm_fib_360": (

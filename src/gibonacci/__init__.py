@@ -25,6 +25,7 @@ from .gcdsum import (
     gcd_sum_bruteforce,
     gcd_sum_lcm,
 )
+from .identities import Identity, IdentityReport, verify_identity
 from .pisano import (
     ParityScanReport,
     equivalent_up_to_shift,
@@ -34,15 +35,12 @@ from .pisano import (
 from .sequences import (
     FIBONACCI,
     LUCAS,
-    Identity,
-    IdentityReport,
     Seed,
     coprime_seed_grid,
     fib,
     gib_pair,
     gib_term,
     lucas,
-    verify_identity,
     window_sum,
 )
 

@@ -131,7 +131,7 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     if k > pisano.PERIOD_TABLE_CAP:
         raise ValueError(
             f"period k = {k} exceeds PERIOD_TABLE_CAP = {pisano.PERIOD_TABLE_CAP} steps, "
-            f"so its modulus is refused without a walk"
+            f"the cap that stands in for a budget on classify's two doubling chains"
         )
     c = classify(FIBONACCI, k)
     m_f = c.predicted

@@ -16,7 +16,7 @@ import re
 import sys
 from typing import Any, Callable
 
-from . import applications, gcdsum, pisano, sequences, verify
+from . import applications, gcdsum, identities, pisano, sequences, verify
 from .sequences import Seed
 
 
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     p = add("identities", "run one or all identity families", _identities, seeded=False)
-    p.add_argument("--id", choices=[i.value for i in sequences.Identity])
+    p.add_argument("--id", choices=[i.value for i in identities.Identity])
     p.add_argument("--lo", type=int, default=None,
                    help="low end of every range (default 0; -10 for fib_shift_family)")
     p.add_argument("--hi", type=int, default=None,
@@ -255,11 +255,8 @@ def _squares(a: argparse.Namespace) -> Outcome:
 
 
 def _identities(a: argparse.Namespace) -> Outcome:
-    idents = [sequences.Identity(a.id)] if a.id else list(sequences.Identity)
-    requests = [(i, sequences.default_identity_ranges(i, a.lo, a.hi)) for i in idents]
-    for i, ranges in requests:  # refuse before any family builds a table
-        sequences.check_identity_request(i, ranges)
-    reports = [sequences.verify_identity(i, ranges) for i, ranges in requests]
+    idents = [identities.Identity(a.id)] if a.id else list(identities.Identity)
+    reports = identities.run_families(idents, a.lo, a.hi)
     payload = {"reports": [
         {"identity": r.identity.value, "ranges": r.ranges, "checked": r.checked,
          "failures": [(s, list(pt), lhs, rhs) for s, pt, lhs, rhs in r.failures[:10]]}

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import applications, gcdsum, pisano, sequences
+from . import applications, gcdsum, identities, pisano, sequences
 from .sequences import FIBONACCI, LUCAS, Seed
 
 SEED_14 = Seed(1, 4)
@@ -115,15 +115,9 @@ def check_divisibility_biconditional() -> tuple[bool, str]:
 
 
 def check_identity_suite() -> tuple[bool, str]:
-    failing = []
-    checked = 0
-    for ident in sequences.Identity:
-        ranges = sequences.default_identity_ranges(ident)
-        report = sequences.verify_identity(ident, ranges)
-        checked += report.checked
-        if not report.ok:
-            failing.append((ident.value, report.failures[:2]))
-    return not failing, f"points={checked} failing_families={failing}"
+    reports = identities.run_families(identities.Identity)
+    failing = [(r.identity.value, r.failures[:2]) for r in reports if not r.ok]
+    return not failing, f"points={sum(r.checked for r in reports)} failing_families={failing}"
 
 
 def check_parity_scan() -> tuple[bool, str]:

@@ -11,17 +11,9 @@ import gibonacci
 from gibonacci import sequences
 from gibonacci.applications import MaxModulusResult
 from gibonacci.gcdsum import gcd_sum
+from gibonacci.identities import Identity, IdentityReport, _Progression, _Row
 from gibonacci.pisano import ParityScanReport, pisano_period
-from gibonacci.sequences import (
-    FIBONACCI,
-    LUCAS,
-    Identity,
-    IdentityReport,
-    Seed,
-    _Progression,
-    _Row,
-    gib_pair,
-)
+from gibonacci.sequences import FIBONACCI, LUCAS, Seed, gib_pair
 
 
 @functools.cache
@@ -402,7 +394,7 @@ def shift_walk(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, int | None]:
 
 @pytest.fixture(scope="session")
 def grid25():
-    from gibonacci.sequences import SMALL_SEED_GRID
+    from gibonacci.identities import SMALL_SEED_GRID
 
     assert len(SMALL_SEED_GRID) == 25
     assert all(math.gcd(s.g0, s.g1) == 1 for s in SMALL_SEED_GRID)

@@ -122,7 +122,9 @@ class TestMaxModulus:
         monkeypatch.setattr(pisano, "_shift_steps", no_walk)
         monkeypatch.setattr(applications, "classify", no_term)
         monkeypatch.setattr(sequences, "gib_pair", no_term)
-        with pytest.raises(ValueError, match=r"^period k = 66 exceeds PERIOD_TABLE_CAP = 64 steps"):
+        with pytest.raises(ValueError, match=(
+                r"^period k = 66 exceeds PERIOD_TABLE_CAP = 64 steps, the cap that stands in "
+                r"for a budget on classify's two doubling chains$")):
             max_modulus_for_period(66)
 
     def test_rejects_odd_and_small_k(self):

@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibonacci import cli, gcdsum, pisano, sequences, verify
+from gibonacci import cli, gcdsum, identities, pisano, sequences, verify
 from gibonacci.cli import (
     DECIMAL_STR_CUTOFF,
     build_parser,
@@ -250,9 +250,9 @@ def test_identities_without_id_checks_every_cap_before_any_table(monkeypatch):
     def no_tables(*args):
         raise AssertionError("a term table was built")
 
-    monkeypatch.setattr(sequences, "_tabulate", no_tables)
+    monkeypatch.setattr(identities, "_tabulate", no_tables)
     with pytest.raises(ValueError, match=r"^identity gib_addition asks for 10000000000 points, "
-                                         rf"over the cap of {sequences.IDENTITY_POINT_CAP}$"):
+                                         rf"over the cap of {identities.IDENTITY_POINT_CAP}$"):
         run(["identities", "--hi", "20000"])
 
 
@@ -261,7 +261,7 @@ def test_identities_over_the_point_cap_exits_1_before_any_table(capsys, monkeypa
     def no_tables(*args):
         raise AssertionError("a term table was built")
 
-    monkeypatch.setattr(sequences, "_tabulate", no_tables)
+    monkeypatch.setattr(identities, "_tabulate", no_tables)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "identities", "--id", "gib_addition",
                                       "--hi", "10000"])
     with pytest.raises(SystemExit) as exc:
@@ -270,7 +270,7 @@ def test_identities_over_the_point_cap_exits_1_before_any_table(capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: identity gib_addition asks for 2500000000 points, "
-                            f"over the cap of {sequences.IDENTITY_POINT_CAP}\n")
+                            f"over the cap of {identities.IDENTITY_POINT_CAP}\n")
 
 
 def test_identities_over_the_table_bit_cap_exits_1_before_any_table(capsys, monkeypatch):
@@ -279,7 +279,7 @@ def test_identities_over_the_table_bit_cap_exits_1_before_any_table(capsys, monk
     def no_tables(*args):
         raise AssertionError("a term table was built")
 
-    monkeypatch.setattr(sequences, "_tabulate", no_tables)
+    monkeypatch.setattr(identities, "_tabulate", no_tables)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "identities", "--id", "lucas_from_fib",
                                       "--hi", "400000"])
     with pytest.raises(SystemExit) as exc:
@@ -289,7 +289,7 @@ def test_identities_over_the_table_bit_cap_exits_1_before_any_table(capsys, monk
     assert captured.out == ""
     assert captured.err == ("error: identity lucas_from_fib asks for term tables of about "
                             "55536416521 bits, over the cap of "
-                            f"{sequences.IDENTITY_TABLE_BIT_CAP}\n")
+                            f"{identities.IDENTITY_TABLE_BIT_CAP}\n")
 
 
 def test_domain_error_exit_code():

@@ -9,8 +9,9 @@ import dataclasses
 
 import pytest
 
-from gibonacci import applications, gcdsum, pisano, sequences, verify
-from gibonacci.sequences import FIBONACCI, LUCAS, Identity, verify_identity
+from gibonacci import applications, gcdsum, identities, pisano, verify
+from gibonacci.identities import Identity, verify_identity
+from gibonacci.sequences import FIBONACCI, LUCAS
 
 SEED_14 = verify.SEED_14
 
@@ -69,8 +70,9 @@ def test_divisibility_biconditional_reports_a_violation(monkeypatch):
 
 
 def test_identity_suite_reports_a_failing_family(monkeypatch):
-    ranges = sequences.default_identity_ranges
-    monkeypatch.setattr(sequences, "default_identity_ranges", lambda ident: ranges(ident, hi=8))
+    ranges = identities.default_identity_ranges
+    monkeypatch.setattr(identities, "default_identity_ranges",
+                        lambda ident, lo, hi: ranges(ident, lo, 8))
     # F_{2n} = F_n L_n, with L_n misread as F_n
     monkeypatch.setattr(Identity.FIB_DOUBLE, "sides", lambda t, s, n: (t.F(2 * n), t.F(n) * t.F(n)))
     detail = failed_detail(7)
