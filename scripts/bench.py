@@ -71,17 +71,17 @@ def convert_fib_1e6() -> Callable[[], str]:
     return partial(cli.decimal_str, fib(10**6))
 
 
-def balanced_gcd_1_4_4e6() -> Callable[[], int]:
-    """``math.gcd`` alone, bound to the two differences that ``gcd_sum``
-    takes at the balanced index for seed (1,4) at k = 4*10^6,
-    G_{j+s} - G_{-j+s} for s = 0, 1 and j = k/2.  At even k both are small
-    multiples of the value, 7 F_j and 6 F_j here (2 F_j and F_j for the
-    Fibonacci seed), so Euclid ends after a few divisions."""
+def index_one_gcd_1_4_1e6() -> Callable[[], int]:
+    """``math.gcd`` alone, bound to the n = 1 differences G_{k+1} - G_1 and
+    G_{k+2} - G_2 for seed (1,4) at k = 10^6, built by one ``gib_pair``
+    call.  These full-size operands are not small multiples of the value,
+    as both balanced differences are at every even k, so Euclid runs for
+    its whole length: the ``math.gcd`` kernel's own case."""
     from gibonacci import Seed, gib_pair
 
-    seed, j = Seed(1, 4), 2 * 10**6
-    (lo, lo1), (hi, hi1) = gib_pair(seed, -j), gib_pair(seed, j)
-    return partial(math.gcd, hi - lo, hi1 - lo1)
+    seed, k = Seed(1, 4), 10**6
+    g_k1, g_k2 = gib_pair(seed, k + 1)
+    return partial(math.gcd, g_k1 - seed.g1, g_k2 - seed.g0 - seed.g1)
 
 
 def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]:
@@ -133,9 +133,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             lambda: partial(gcd_sum, Seed(1, 4), 4 * 10**6 + 1)),
         "gcd_sum_fib_4e6": (
             {"seed": [0, 1], "k": 4 * 10**6}, lambda: partial(gcd_sum, FIBONACCI, 4 * 10**6)),
-        "gcd_balanced_1_4_4e6": (
-            {"seed": [1, 4], "k": 4 * 10**6, "call": "math.gcd of the two balanced differences"},
-            balanced_gcd_1_4_4e6),
+        "gcd_index_one_1_4_1e6": (
+            {"seed": [1, 4], "k": 10**6, "call": "math.gcd of the two n = 1 differences"},
+            index_one_gcd_1_4_1e6),
         "fib_1e7": ({"n": 10**7}, lambda: partial(fib, 10**7)),
         "parity_scan_1_4_775": (
             {"seed": [1, 4], "m_max": 775}, lambda: partial(parity_scan, Seed(1, 4), 775)),
@@ -151,7 +151,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "pisano_fib_1e8_plus_7": (
             {"seed": [0, 1], "m": 10**8 + 7},
             lambda: partial(pisano_period, FIBONACCI, 10**8 + 7)),
-        "pisano_fib_1e12_plus_39": (  # a prime past the search's old table cap
+        "pisano_fib_1e12_plus_39": (  # a prime m < (B + 1)^2: factored, no probe
             {"seed": [0, 1], "m": 10**12 + 39},
             lambda: partial(pisano_period, FIBONACCI, 10**12 + 39)),
         "pisano_fib_1e40": (  # m >= (B + 1)^2: probed first, then 2^40 5^40 factors

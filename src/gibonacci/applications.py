@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import pisano
 from .factor import trial_division
 from .gcdsum import CaseRow, classify, gcd_sum
-from .pisano import period_from_multiple, pisano_period
+from .pisano import _modulus_name, period_from_multiple, pisano_period
 from .sequences import FIBONACCI, Seed, fib, gib_pair, lucas
 
 #: Residues mod 20 of primes that can never divide an odd-k value.
@@ -121,7 +121,8 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     must also equal the k-window GCD value, ``classify``'s actual.  The
     period of m divides k iff m divides that value, so no modulus with
     period exactly k exceeds it, and the check rules out every larger
-    candidate.
+    candidate.  A failed check is an AssertionError, which names a
+    modulus over 160 bits by its bit length.
 
     k above ``PERIOD_TABLE_CAP`` is refused at once with a ValueError:
     the cap stays the budget on ``classify``'s two doubling chains.
@@ -137,14 +138,11 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     m_f = c.predicted
     form = "fib_half" if c.case_row is CaseRow.ROW_048 else "lucas_half"
     period = period_from_multiple(FIBONACCI, m_f, k, trial_division(k, k)[0])
-    if period is None:
-        raise AssertionError(f"period of modulus {m_f} does not divide {k}")
     if period != k:
-        raise AssertionError(f"period of modulus {m_f} is {period}, expected {k}")
+        raise AssertionError(f"period of modulus {_modulus_name(m_f)} is {period}, expected {k}")
     if exhaustive and c.actual != m_f:
-        raise AssertionError(
-            f"every modulus with period dividing {k} divides {c.actual}, expected {m_f}"
-        )
+        raise AssertionError(f"every modulus with period dividing {k} divides "
+                             f"{_modulus_name(c.actual)}, expected {_modulus_name(m_f)}")
     return MaxModulusResult(k, m_f, form, period, exhaustive)
 
 

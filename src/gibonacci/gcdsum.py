@@ -136,11 +136,11 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     period mod lcm(a, b) is the lcm of the periods mod a and mod b (the
     CRT lemma of ``period_table``, through the prime powers of a and b),
     so its lcm is itself a member.  Hence the lcm over the counted
-    divisors of v equals v exactly when the period mod v divides k, and
-    a failure raises AssertionError.  The period divides k exactly when
-    M^k u = u mod v, with M the step matrix and u the seed: one modular
-    chain (``period_from_multiple`` with no primes to strip), with no
-    walk, no factoring and no cap.
+    divisors of v equals v exactly when the period mod v divides k.  The
+    period divides k exactly when M^k u = u mod v, with M the step
+    matrix and u the seed: one modular chain (``period_from_multiple``
+    with no primes to strip), with no walk, no factoring and no cap,
+    whose failure is ``pisano._order``'s AssertionError.
 
     With a bound: lcm over all m <= bound with period dividing k; any
     nondegenerate seed is allowed.  The periods come from one
@@ -155,11 +155,7 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     if bound is None:
         seed.require_coprime()
         candidate = gcd_sum(seed, k).value
-        if period_from_multiple(seed, candidate, k) is None:
-            raise AssertionError(
-                f"lcm over periods is not the closed-formula value {candidate}: "
-                f"the period mod {candidate} does not divide k = {k}"
-            )
+        period_from_multiple(seed, candidate, k)  # raises unless the period divides k
         return GcdSumResult(seed, k, candidate, Method.LCM_PERIODS)
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -9,10 +9,12 @@ residue pair) are exactly the multiples of the period.
 A period is found by order finding from a known multiple n (Cohen, *A
 Course in Computational Algebraic Number Theory*, Alg. 1.4.3).
 ``_order`` checks M^n u = u, then strips from n each prime q's power
-beyond the period's.  It reads M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]]
-from modular ``fib_pair`` chains, at most two for each prime of n, so a
-period costs O(omega(n) log n + Omega(n) log q) modular products.  The lcm
-route and ``max_modulus_for_period`` pass k as the multiple
+beyond the period's.  Every n it is given is a multiple the theory
+guarantees, so a failed check is an AssertionError, raised there alone.
+It reads M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]] from modular
+``fib_pair`` chains, at most two for each prime of n, so a period costs
+O(omega(n) log n + Omega(n) log q) modular products.  The lcm route and
+``max_modulus_for_period`` pass k as the multiple
 (``period_from_multiple``).  ``pisano_period`` and ``period_table`` find
 the period at each prime power p^e of m from Wall's multiple
 p^(e-1) W(p) (``_prime_power_period``) and join the parts by the CRT
@@ -171,20 +173,21 @@ def pisano_period(seed: Seed, m: int) -> int:
     for p, e in _factored(m, m, "it").items():
         w = _wall_multiple(p)
         parts.append((p, p**e, {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}")}))
-    return math.lcm(*(_prime_power_period(seed, p, q, a % q, b % q, primes)
+    return math.lcm(*(_prime_power_period(p, q, a % q, b % q, primes)
                       if a % q or b % q else 1 for p, q, primes in parts))
 
 
-def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int | None:
+def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int:
     """Order finding on the residue pair u = (a, b) mod m from the multiple n.
 
-    None unless M^n u = u.  Otherwise the least r dividing n with
-    M^r u = u whose cofactor n / r has only the given primes: with every
-    prime of n, the period of u.  The return times of u are the
-    multiples of its period, so stripping a prime q while M^(r/q) u = u
-    leaves the period's own power of q in r.  One chain tests the first
-    strip of each q.  Where it holds and q^v (v >= 1) is left in r, a
-    second chain gives M^(r/q^v), and the least t <= v with
+    The least r dividing n with M^r u = u whose cofactor n / r has only
+    the given primes: with every prime of n, the period of u.  Raises
+    AssertionError, naming u, m and n, unless M^n u = u: every caller
+    passes a multiple the theory guarantees.  The return times of u are
+    the multiples of its period, so stripping a prime q while
+    M^(r/q) u = u leaves the period's own power of q in r.  One chain
+    tests the first strip of each q.  Where it holds and q^v (v >= 1) is
+    left in r, a second chain gives M^(r/q^v), and the least t <= v with
     M^(r q^(t-v)) u = u is found by raising that to the q-th power, in
     log q products of M^r as the pair (F_r, F_{r+1}), since
     M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]].  So a prime costs at most two
@@ -198,7 +201,9 @@ def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int | None:
         return (f * k + (g - f) * h) % m, (f * h + g * k) % m
 
     if not returns(*fib_pair(n, m)):
-        return None
+        pair = f"residue pair ({a}, {b})" if m.bit_length() <= 160 else "a residue pair"
+        raise AssertionError(f"period of {pair} mod {_modulus_name(m)} does not divide "
+                             f"the multiple {n}")
     for q in primes:
         if n % q or not returns(*fib_pair(n // q, m)):
             continue
@@ -221,13 +226,14 @@ def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int | None:
     return n
 
 
-def period_from_multiple(seed: Seed, m: int, n: int, primes: Iterable[int] = ()) -> int | None:
-    """The seed's period mod m read from a multiple n, None if it does not divide n.
+def period_from_multiple(seed: Seed, m: int, n: int, primes: Iterable[int] = ()) -> int:
+    """The seed's period mod m read from a multiple n of it.
 
     ``primes`` are the primes of n to strip (``_order``): given all of
     them, the result is the period; given none, it is n, so the call
-    only tests whether the period divides n.  Errors as
-    ``pisano_period`` does on the seed and m, and on n < 1.  No cap
+    only checks that the period divides n.  A period that does not is
+    ``_order``'s AssertionError.  Errors as ``pisano_period`` does on
+    the seed and m, and on n < 1.  No cap
     applies: the cost is at most two chains of O(log n) products mod m
     for each prime, and O(log q) products for each further power of q.
     """
@@ -246,16 +252,11 @@ def _wall_multiple(p: int) -> int:
     return p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
 
 
-def _prime_power_period(seed: Seed, p: int, q: int, a: int, b: int, primes: Iterable[int]) -> int:
-    """The seed's period mod the prime power q = p^e, given the seed mod q
-    as (a, b) != (0, 0) and the primes of p W(p): order finding from
-    Wall's multiple (q / p) W(p).  A period that does not divide the
-    multiple is an AssertionError."""
-    n = q // p * _wall_multiple(p)
-    period = _order(a, b, q, n, primes)
-    if period is None:
-        raise AssertionError(f"period of seed {seed} mod {q} does not divide Wall's multiple {n}")
-    return period
+def _prime_power_period(p: int, q: int, a: int, b: int, primes: Iterable[int]) -> int:
+    """The period mod the prime power q = p^e of the residue pair
+    (a, b) != (0, 0), given the primes of p W(p): order finding from
+    Wall's multiple (q / p) W(p)."""
+    return _order(a, b, q, q // p * _wall_multiple(p), primes)
 
 
 def period_table(seed: Seed, m_max: int) -> list[int]:
@@ -333,7 +334,7 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
             periods[m] = math.lcm(periods[q], periods[m // q])
         else:
             a, b = seed.g0 % m, seed.g1 % m
-            periods[m] = (_prime_power_period(seed, p, m, a, b, primes_of(_wall_multiple(p)) | {p})
+            periods[m] = (_prime_power_period(p, m, a, b, primes_of(_wall_multiple(p)) | {p})
                           if a or b else 1)
     return periods
 

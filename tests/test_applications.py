@@ -94,9 +94,6 @@ class TestMaxModulus:
         monkeypatch.setattr(applications, "period_from_multiple", lambda seed, m, n, primes: 30)
         with pytest.raises(AssertionError, match="period of modulus 832040 is 30, expected 60"):
             max_modulus_for_period(60)
-        monkeypatch.setattr(applications, "period_from_multiple", lambda seed, m, n, primes: None)
-        with pytest.raises(AssertionError, match="^period of modulus 832040 does not divide 60$"):
-            max_modulus_for_period(60)
 
     def test_checks_the_exact_period_by_order_finding(self, monkeypatch):
         # F_{k/2} at k = 2^18 (91k bits): two modular chains, no walk
@@ -108,7 +105,7 @@ class TestMaxModulus:
         assert (result.verified_period, result.predicted_form) == (2**18, "fib_half")
         assert result.m_f == fib(2**17)
 
-    def test_refused_above_the_table_cap_without_a_walk(self, monkeypatch):
+    def test_refused_above_the_period_table_cap_before_any_term(self, monkeypatch):
         # F_32 = 2178309 has period 64 = the cap, checked by order finding
         monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 import math
@@ -14,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibonacci import cli, gcdsum, identities, pisano, sequences, verify
+from gibonacci import applications, cli, gcdsum, identities, pisano, sequences, verify
 from gibonacci.cli import (
     DECIMAL_STR_CUTOFF,
     build_parser,
@@ -312,13 +313,13 @@ def test_degenerate_seed_has_no_period(capsys, monkeypatch, argv):
     assert captured.err == "error: seed (0, 0) is degenerate\n"
 
 
-def test_pisano_of_a_smooth_modulus_past_the_old_table_cap(capsys):
+def test_pisano_of_a_smooth_41_digit_modulus(capsys):
     # 10^40 = 2^40 5^40 factors at once: lcm(3 * 2^39, 20 * 5^39)
     code, out = invoke(capsys, "pisano", "--m", str(10**40))
     assert code == 0 and out == f"{15 * 10**39}\n"
 
 
-def test_pisano_of_a_prime_past_the_old_table_cap_is_certified(capsys):
+def test_pisano_of_a_13_digit_prime_is_certified(capsys):
     m = 10**12 + 39
     code, out = invoke(capsys, "pisano", "--m", str(m), "--format", "json")
     assert code == 0
@@ -431,14 +432,24 @@ def test_negative_seed_after_a_space(capsys):
     assert code == 0 and out.strip() == "3"
 
 
+def overcounting(monkeypatch):
+    """Plant gcd_sum to return twice the value.  Where the lcm route checks
+    an odd value v, the period mod 2v is the lcm of 3 and the period mod v,
+    so it does not divide the k (20, 50000) that 3 does not divide."""
+    real = gcdsum.gcd_sum
+
+    def doubled(seed, k):
+        result = real(seed, k)
+        return dataclasses.replace(result, value=2 * result.value)
+
+    monkeypatch.setattr(gcdsum, "gcd_sum", doubled)
+
+
 def test_verification_failure_exits_2(capsys, monkeypatch):
-    real = gcdsum.period_from_multiple
-
-    def misreporting(seed, m, n, primes=()):  # period of F mod 55 is 20; report no divisor of n
-        return None if m == 55 else real(seed, m, n, primes)
-
-    monkeypatch.setattr(gcdsum, "period_from_multiple", misreporting)
-    with pytest.raises(AssertionError, match="closed-formula value 55"):
+    # the period of F mod 110 is 60, which does not divide k = 20
+    overcounting(monkeypatch)
+    message = "period of residue pair (0, 1) mod 110 does not divide the multiple 20"
+    with pytest.raises(AssertionError, match=rf"^{re.escape(message)}$"):
         gcdsum.gcd_sum_lcm(Seed(0, 1), 20)
     monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--k", "20", "--method", "lcm"])
     with pytest.raises(SystemExit) as exc:
@@ -446,7 +457,40 @@ def test_verification_failure_exits_2(capsys, monkeypatch):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == f"error: verification failed: {message}\n"
+
+
+def test_must_hold_failures_raise_assertion_error_under_the_digit_limit(capsys, monkeypatch):
+    # every failure names a value past 4300 digits by its bit length, so none
+    # turns into the int/str digit limit's ValueError in library mode
+    assert sys.get_int_max_str_digits() == 4300
+    real = applications.period_from_multiple
+    monkeypatch.setattr(applications, "period_from_multiple",
+                        lambda seed, m, n, primes: real(seed, m, n, primes) // 2)
+    with pytest.raises(AssertionError, match=r"^period of modulus a \d+-bit modulus is 30000, "
+                                             r"expected 60000$"):
+        applications.max_modulus_for_period(60000, exhaustive=True)
+    monkeypatch.setattr(applications, "period_from_multiple", real)
+    monkeypatch.setattr(pisano, "_wall_multiple", lambda p: p - 1)  # Wall's only at p = +-1 mod 5
+    with pytest.raises(AssertionError, match=r"^period of residue pair \(1, 0\) mod 2 does not"):
+        pisano.period_table(Seed(1, 4), 10)
+    monkeypatch.undo()
+    overcounting(monkeypatch)
+    with pytest.raises(AssertionError, match=r"^every modulus with period dividing 60000 divides "
+                                             r"a \d+-bit modulus, expected a \d+-bit modulus$"):
+        applications.max_modulus_for_period(60000, exhaustive=True)
+    with pytest.raises(AssertionError, match=r"^period of a residue pair mod a \d+-bit modulus "
+                                             r"does not divide the multiple 50000$"):
+        gcdsum.gcd_sum_lcm(Seed(1, 4), 50000)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", "--seed", "1,4", "--k", "50000",
+                                      "--method", "lcm"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: verification failed: period of a residue pair mod a ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -261,7 +261,7 @@ class TestLcmCharacterization:
                 assert gcd_sum_lcm(seed, k, bound=bound).value == lcm_scan_direct(
                     seed, k, bound), (seed, k, bound)
 
-    def test_divisor_verified_needs_coprime_seed(self):
+    def test_unbounded_route_needs_coprime_seed(self):
         with pytest.raises(ValueError):
             gcd_sum_lcm(Seed(2, 4), 6)
 
@@ -295,7 +295,7 @@ class TestLcmCharacterization:
         assert gcd_sum_lcm(FIBONACCI, 1000).value == gcd_sum(FIBONACCI, 1000).value == fib(500)
 
 
-class TestReduceSeed:
+class TestScaling:
     def test_scaling_contract(self):
         assert gcd_sum(Seed(3, 9), 6).value == 3 * gcd_sum(Seed(1, 3), 6).value
 

@@ -171,8 +171,8 @@ class TestFactoredPeriod:
                 if m == 1 or seed.g0 % m != 0 or seed.g1 % m != 0:
                     assert pisano_period(seed, m) == period_direct(seed, m), (seed, m)
 
-    def test_matches_the_oracle_at_random_moduli_up_to_the_old_cap(self):
-        # log-uniform m up to 1.1e10, where the oracle once refused
+    def test_matches_the_oracle_at_random_moduli_up_to_1e10(self):
+        # log-uniform m from 10^4 up to 1.1e10
         rng = random.Random(21)
         for _ in range(8):
             m = int(math.exp(rng.uniform(math.log(10**4), math.log(1.1e10))))
@@ -192,11 +192,11 @@ class TestFactoredPeriod:
                 assert pisano_period(seed, 2 * q) == period_direct(seed, 2 * q), (seed, 2 * q)
 
     @pytest.mark.parametrize("m,period", [
-        (10**12 + 39, 333333333346),                     # a prime past the old cap
+        (10**12 + 39, 333333333346),                     # a prime near 2^40
         (2**40 + 15, 2**40 + 14),
-        (10**40, 15 * 10**39),                           # smooth, walked to the cap first
+        (10**40, 15 * 10**39),                           # smooth, probed to the cap first
     ])
-    def test_answers_past_the_old_cap(self, m, period):
+    def test_answers_at_moduli_of_40_bits_and_more(self, m, period):
         assert pisano_period(FIBONACCI, m) == period
         certify_period(FIBONACCI, m, period)
 
@@ -312,9 +312,11 @@ class TestPeriodFromMultiple:
         assert period_from_multiple(FIBONACCI, 10, 120, [2, 3, 5]) == 60
         assert period_from_multiple(FIBONACCI, 1, 120, [2, 3, 5]) == 1
 
-    def test_none_when_the_period_does_not_divide_the_multiple(self):
+    def test_raises_when_the_period_does_not_divide_the_multiple(self):
         for n in (30, 59, 61, 90):
-            assert period_from_multiple(FIBONACCI, 10, n, sympy.primefactors(n)) is None, n
+            with pytest.raises(AssertionError, match=(
+                    rf"^period of residue pair \(0, 1\) mod 10 does not divide the multiple {n}$")):
+                period_from_multiple(FIBONACCI, 10, n, sympy.primefactors(n))
 
     def test_errors(self):
         with pytest.raises(ValueError, match="modulus m must be >= 1"):
@@ -349,7 +351,7 @@ class TestPeriodTable:
         # p - 1 is Wall's multiple only at p = +-1 (mod 5); the period mod 3 is 8
         monkeypatch.setattr(pisano, "_wall_multiple", lambda p: 3 if p == 2 else p - 1)
         with pytest.raises(AssertionError,
-                           match=r"^period of seed \(1,4\) mod 3 does not divide Wall's multiple 2$"):
+                           match=r"^period of residue pair \(1, 1\) mod 3 does not divide the multiple 2$"):
             period_table(SEED_14, 10)
 
     @pytest.mark.parametrize("seed,m,period", [
