@@ -106,6 +106,8 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
 
     addition = {"m": (1, 200), "n": (1, 200)}
     term_argv = ["term", "--n", str(10**6), "--format"]
+    term_1e5, term_1e7 = ["term", "--n", str(10**5)], ["term", "--n", str(10**7)]
+    sum_1e7 = ["sum", "--n", str(5 * 10**6), "--k", str(5 * 10**6)]  # G_{10^7+1} - G_{5*10^6+1}
     return {
         "gcd_sum_lcm_fib_360": (
             {"seed": [0, 1], "k": 360}, lambda: partial(gcd_sum_lcm, FIBONACCI, 360)),
@@ -178,6 +180,10 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"argv": term_argv + ["text"]}, lambda: partial(cli_quiet, term_argv + ["text"])),
         "term_cli_1e6_json": (
             {"argv": term_argv + ["json"]}, lambda: partial(cli_quiet, term_argv + ["json"])),
+        "term_cli_1e5_text": (  # just above cli.TERM_DECIMAL_CUTOFF
+            {"argv": term_1e5}, lambda: partial(cli_quiet, term_1e5)),
+        "term_cli_1e7_text": ({"argv": term_1e7}, lambda: partial(cli_quiet, term_1e7)),
+        "sum_cli_1e7_text": ({"argv": sum_1e7}, lambda: partial(cli_quiet, sum_1e7)),
         "str_fib_1e6": (
             {"call": "cli.decimal_str(fib(10**6))", "n": 10**6}, convert_fib_1e6),
     }

@@ -9,12 +9,13 @@ routinely exceed 64-bit range.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import enum
 import functools
 import json
 import re
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import applications, gcdsum, identities, pisano, sequences, verify
 from .sequences import Seed
@@ -28,6 +29,26 @@ def parse_seed(text: str) -> Seed:
         return Seed(int(parts[0]), int(parts[1]))
     except ValueError:
         raise ValueError(f"seed entries must be integers, got {text!r}") from None
+
+
+@contextlib.contextmanager
+def exact_decimal() -> Iterator[Any]:
+    """Yield ``decimal.Decimal`` inside a local context wide enough to be
+    exact, with Inexact trapped, so that any rounding raises instead of
+    printing wrong digits; the caller's context is restored on exit.  The
+    rounding is set too, though nothing rounds: it also picks the sign of
+    an exact zero sum, and x - x is -0 under the caller's ROUND_FLOOR.
+
+    ``decimal`` is imported here, not at the top: it takes 1.5-2.2 ms, and
+    every CLI start imports cli.
+    """
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.rounding = decimal.ROUND_HALF_EVEN
+        ctx.traps[decimal.Inexact] = True
+        yield decimal.Decimal
 
 
 #: Bit length from which `decimal_str` splits instead of calling `str`.  On
@@ -48,35 +69,63 @@ def decimal_str(n: int) -> str:
     and a high half, each half converted the same way, and the two joined
     as lo + hi * 2^w in `decimal`, whose libmpdec multiplies in
     subquadratic time (the method of CPython 3.12's ``_pylong``).  The
-    arithmetic runs in a local context wide enough to be exact, with
-    Inexact trapped so that any rounding raises instead of printing wrong
-    digits; the caller's context is left as it was.  The sign is put on the
-    finished digits.
+    arithmetic runs in ``exact_decimal``.  The sign is put on the finished
+    digits.
     """
     if n.bit_length() < DECIMAL_STR_CUTOFF:
         return str(n)
-    import decimal  # here, not at the top: it takes 1.5-2.2 ms, and every CLI start imports cli
+    with exact_decimal() as Decimal:
+        powers: dict[int, Any] = {}  # 2^w, memoised within one call
 
-    powers: dict[int, decimal.Decimal] = {}  # 2^w, memoised within one call
+        def power(w: int) -> Any:
+            if w not in powers:
+                powers[w] = (Decimal(2) ** w if w <= _DECIMAL_BASE_BITS
+                             else power(w >> 1) * power(w - (w >> 1)))
+            return powers[w]
 
-    def power(w: int) -> decimal.Decimal:
-        if w not in powers:
-            powers[w] = (decimal.Decimal(2) ** w if w <= _DECIMAL_BASE_BITS
-                         else power(w >> 1) * power(w - (w >> 1)))
-        return powers[w]
+        def join(m: int, w: int) -> Any:  # m < 2^w
+            if w <= _DECIMAL_BASE_BITS:
+                return Decimal(m)
+            half = w >> 1
+            hi = m >> half
+            return join(m - (hi << half), half) + join(hi, w - half) * power(half)
 
-    def join(m: int, w: int) -> decimal.Decimal:  # m < 2^w
-        if w <= _DECIMAL_BASE_BITS:
-            return decimal.Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return join(m - (hi << half), half) + join(hi, w - half) * power(half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
         digits = str(join(abs(n), n.bit_length()))
     return "-" + digits if n < 0 else digits
+
+
+#: Index from which `term` and `sum` run the doubling chain on
+#: ``decimal.Decimal`` (see ``sequences.fib_pair``) and print its digits
+#: with ``str``, in place of the int chain and `decimal_str`.  In a fresh
+#: process, which also pays about 2 ms for importing `decimal`, the Decimal
+#: path overtakes between 6*10^4 and 8*10^4 (4.1 against 4.7 ms at 6*10^4,
+#: 7.0 against 5.9 ms at 8*10^4); with `decimal` loaded it is ahead from
+#: about 2*10^4 (Python 3.11.7).  At 10^6 it takes 39 ms against 166 ms.
+TERM_DECIMAL_CUTOFF = 7 * 10**4
+
+#: Largest output, in bits, that `term` and `sum` compute: G_n has about
+#: 0.6942 |n| bits (log2 of the golden ratio is 0.69424), so the cap falls
+#: near |n| = 9.67*10^7.  Checked before any doubling chain starts.
+OUTPUT_BIT_CAP = 2**26
+
+
+def _printed_term(index: int, term: Callable[[Any], Any]) -> str:
+    """The decimal digits of ``term(zero)``, a term, or a difference of
+    terms, read at indices up to |index|.
+
+    Refused with a ValueError when such a term has over OUTPUT_BIT_CAP
+    bits.  From TERM_DECIMAL_CUTOFF up, the chain runs in ``exact_decimal``
+    on a Decimal zero, and ``str`` gives the digits; below it, on an int.
+    """
+    bits = abs(index) * 6942 // 10000
+    if bits > OUTPUT_BIT_CAP:
+        size = f"about {bits}" if bits.bit_length() <= 64 else f"over 2^{bits.bit_length() - 1}"
+        raise ValueError(f"output of {size} bits refused: over "
+                         f"OUTPUT_BIT_CAP = {OUTPUT_BIT_CAP} bits")
+    if abs(index) < TERM_DECIMAL_CUTOFF:
+        return decimal_str(term(0))
+    with exact_decimal() as Decimal:
+        return str(term(Decimal(0)))
 
 
 def jsonable(value: Any) -> Any:
@@ -179,13 +228,16 @@ Outcome = tuple[dict[str, Any], Callable[[], str], int]
 
 
 def _term(a: argparse.Namespace) -> Outcome:
-    value = sequences.gib_term(a.seed, a.n)
-    return {"seed": a.seed, "n": a.n, "value": value}, lambda: decimal_str(value), 0
+    # gib_pair, not gib_term: perfbench's tracer calls bit_length() on what gib_term returns
+    digits = _printed_term(a.n, lambda zero: sequences.gib_pair(a.seed, a.n, zero=zero)[0])
+    return {"seed": a.seed, "n": a.n, "value": digits}, lambda: digits, 0
 
 
 def _sum(a: argparse.Namespace) -> Outcome:
-    value = sequences.window_sum(a.seed, a.n, a.k)
-    return {"seed": a.seed, "n": a.n, "k": a.k, "value": value}, lambda: decimal_str(value), 0
+    # an empty or misplaced window reads index 0, so window_sum refuses it first
+    top = a.n + a.k + 1 if a.n >= 1 and a.k >= 1 else 0
+    digits = _printed_term(top, lambda zero: sequences.window_sum(a.seed, a.n, a.k, zero=zero))
+    return {"seed": a.seed, "n": a.n, "k": a.k, "value": digits}, lambda: digits, 0
 
 
 def _gcd_sum(a: argparse.Namespace) -> Outcome:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ FIBONACCI = Seed(0, 1)
 LUCAS = Seed(2, 1)
 
 
-def fib_pair(j: int, m: int | None = None) -> tuple[int, int]:
+def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     """(F_j, F_{j+1}) for j >= 0, reduced to [0, m) given a modulus m >= 1.
 
     The package's one fast-doubling loop.  It carries (F_i, L_i) for the
@@ -54,7 +55,15 @@ def fib_pair(j: int, m: int | None = None) -> tuple[int, int]:
     parity is the bit read last.  A set bit then steps to 2i + 1 by
     F_{2i+1} = (F_{2i} + L_{2i})/2 and L_{2i+1} = (5 F_{2i} + L_{2i})/2,
     and the loop ends with F_{j+1} = (F_j + L_j)/2.  Every halving is
-    exact, since F_i and L_i have the same parity (L_i = F_i + 2 F_{i-1}).
+    exact, since F_i and L_i have the same parity (L_i = F_i + 2 F_{i-1}),
+    so ``// 2`` halves an int and a ``decimal.Decimal`` alike.
+
+    The loop is generic over the number type: it starts from the caller's
+    zero, and the terms come back in that type.  ``zero=Decimal(0)``, in a
+    context exact enough for the operands, runs the chain in libmpdec,
+    whose product of huge operands is a number-theoretic transform where
+    CPython's int product is Karatsuba; the CLI does so for the terms it
+    prints.  A modulus needs the default int zero.
 
     Given m, each doubling is reduced mod 2m, where halving stays exact.
     The loop keeps f = F_i and l = L_i (mod m), and f + l = F_i + L_i
@@ -67,7 +76,7 @@ def fib_pair(j: int, m: int | None = None) -> tuple[int, int]:
     mod m at the end.
     """
     mod = None if m is None else 2 * m
-    f, l = 0, 2  # (F_i, L_i), starting at i = 0
+    f, l = zero, zero + 2  # (F_i, L_i), starting at i = 0
     odd = 0      # i mod 2
     for bit in range(j.bit_length() - 1, -1, -1):
         f, l = f * l, l * l + (2 if odd else -2)
@@ -75,8 +84,8 @@ def fib_pair(j: int, m: int | None = None) -> tuple[int, int]:
             f, l = f % mod, l % mod
         odd = j >> bit & 1
         if odd:
-            f, l = (f + l) >> 1, (5 * f + l) >> 1
-    f_next = (f + l) >> 1
+            f, l = (f + l) // 2, (5 * f + l) // 2
+    f_next = (f + l) // 2
     return (f, f_next) if m is None else (f % m, f_next % m)
 
 
@@ -97,18 +106,19 @@ def gib_from_fib(seed: Seed, n: int, f: int, f_next: int,
     return (g, g_next) if m is None else (g % m, g_next % m)
 
 
-def gib_pair(seed: Seed, n: int, m: int | None = None) -> tuple[int, int]:
+def gib_pair(seed: Seed, n: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     """The adjacent terms (G_n, G_{n+1}) of the seed's sequence, for any integer n.
 
     The package's one term kernel: ``fib_pair`` gives (F_j, F_{j+1}) with
     j = |n| by fast doubling, and ``gib_from_fib`` turns it into the seed's
     pair at n.  Given a modulus m >= 1, every doubling step is reduced
     mod 2m, so the operands stay the size of m, and the pair comes back
-    reduced to [0, m).
+    reduced to [0, m).  ``zero`` is handed to ``fib_pair``, so the pair
+    comes back in its number type.
     """
     if m is not None and m < 1:
         raise ValueError("modulus m must be >= 1")
-    return gib_from_fib(seed, n, *fib_pair(abs(n), m), m)
+    return gib_from_fib(seed, n, *fib_pair(abs(n), m, zero=zero), m)
 
 
 def fib(n: int) -> int:
@@ -121,21 +131,23 @@ def lucas(n: int) -> int:
     return gib_pair(LUCAS, n)[0]
 
 
-def gib_term(seed: Seed, n: int) -> int:
-    """The n-th term of the Gibonacci sequence with the given seed, for any integer n."""
-    return gib_pair(seed, n)[0]
+def gib_term(seed: Seed, n: int, *, zero: Any = 0) -> Any:
+    """The n-th term of the Gibonacci sequence with the given seed, for any
+    integer n, in the number type of ``zero`` (see ``fib_pair``)."""
+    return gib_pair(seed, n, zero=zero)[0]
 
 
-def window_sum(seed: Seed, n: int, k: int) -> int:
+def window_sum(seed: Seed, n: int, k: int, *, zero: Any = 0) -> Any:
     """Sum of the k consecutive terms G_n + G_{n+1} + ... + G_{n+k-1}.
 
-    Computed by the telescoped form G_{n+k+1} - G_{n+1}.
+    Computed by the telescoped form G_{n+k+1} - G_{n+1}, in the number type
+    of ``zero`` (see ``fib_pair``).
     """
     if k < 1:
         raise ValueError("window length k must be >= 1")
     if n < 1:
         raise ValueError("window start n must be >= 1")
-    return gib_term(seed, n + k + 1) - gib_term(seed, n + 1)
+    return gib_term(seed, n + k + 1, zero=zero) - gib_term(seed, n + 1, zero=zero)
 
 
 def coprime_seed_grid(limit: int = 10) -> list[Seed]:

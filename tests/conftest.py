@@ -83,11 +83,11 @@ def record_doubling_loop(monkeypatch, guard=None) -> list[tuple[int, int | None]
     real = sequences.fib_pair
     calls = []
 
-    def recorded(j, m=None):
+    def recorded(j, m=None, *, zero=0):
         if guard is not None:
             guard(j, m)
         calls.append((j, m))
-        return real(j, m)
+        return real(j, m, zero=zero)
 
     for info in pkgutil.iter_modules(gibonacci.__path__):
         module = importlib.import_module(f"gibonacci.{info.name}")

@@ -393,12 +393,121 @@ def test_term_beyond_the_int_str_digit_limit(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_term_prints_in_full_like_str(capsys, no_digit_limit, fmt):
     value = sequences.fib(300000)
-    assert value.bit_length() > DECIMAL_STR_CUTOFF  # printed by the split, not by str
+    assert 300000 >= cli.TERM_DECIMAL_CUTOFF  # computed and printed by decimal
     code, out = invoke(capsys, "term", "--n", "300000", "--format", fmt)
     digits = str(value)
     want = digits if fmt == "text" else json.dumps(
         {"n": "300000", "seed": ["0", "1"], "value": digits}, sort_keys=True)
     assert code == 0 and out == want + "\n"
+
+
+CUTOFF = cli.TERM_DECIMAL_CUTOFF
+
+
+def both_paths(capsys, monkeypatch, argv):
+    """The CLI's output for argv as it runs, with the number type its
+    doubling chains ran on, and its output with the Decimal path switched
+    off: the int path, which is the oracle."""
+    real, zeros = sequences.fib_pair, []
+
+    def spy(j, m=None, *, zero=0):
+        zeros.append(type(zero).__name__)
+        return real(j, m, zero=zero)
+
+    monkeypatch.setattr(sequences, "fib_pair", spy)
+    got = invoke(capsys, *argv)
+    ran_on = set(zeros)
+    monkeypatch.setattr(cli, "TERM_DECIMAL_CUTOFF", math.inf)
+    want = invoke(capsys, *argv)
+    return got, ran_on, want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("seed, n", [
+    ("0,1", CUTOFF - 1), ("0,1", CUTOFF), ("0,1", CUTOFF + 1),
+    ("-1,2", CUTOFF), ("5,-8", -CUTOFF), ("-13,-21", -CUTOFF - 1),
+    ("0,1", 10**6), ("2,1", -(10**6)), ("-3,7", -(10**6) - 1),
+])
+def test_term_on_decimal_prints_what_the_int_path_prints(capsys, monkeypatch, seed, n, fmt):
+    got, ran_on, want = both_paths(capsys, monkeypatch,
+                                   ["term", f"--seed={seed}", "--n", str(n), "--format", fmt])
+    assert got == want and want[0] == 0
+    assert ran_on == ({"Decimal"} if abs(n) >= CUTOFF else {"int"})
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("seed, n, k", [  # the chains read indices up to n + k + 1
+    ("0,1", 1, CUTOFF - 3), ("-1,2", 1, CUTOFF - 2), ("7,-4", 40, CUTOFF - 40),
+    ("-5,-8", CUTOFF, 1), ("3,-11", 5 * 10**5, 5 * 10**5),
+])
+def test_sum_on_decimal_prints_what_the_int_path_prints(capsys, monkeypatch, seed, n, k, fmt):
+    argv = ["sum", f"--seed={seed}", "--n", str(n), "--k", str(k), "--format", fmt]
+    got, ran_on, want = both_paths(capsys, monkeypatch, argv)
+    assert got == want and want[0] == 0
+    assert ran_on == ({"Decimal"} if n + k + 1 >= CUTOFF else {"int"})
+
+
+@pytest.mark.parametrize("rounding", [decimal.ROUND_HALF_EVEN, decimal.ROUND_FLOOR])
+def test_a_zero_on_decimal_prints_0_and_leaves_the_callers_context(capsys, monkeypatch, rounding):
+    # G_m = F_m F_{m-1} - F_{m-1} F_m = 0, and the one-term window G_m is
+    # G_{m+2} - G_{m+1}, two equal terms: under ROUND_FLOOR, x - x is -0
+    monkeypatch.setattr(cli, "TERM_DECIMAL_CUTOFF", 0)
+    m = 30
+    seed = f"--seed={sequences.fib(m)},{-sequences.fib(m - 1)}"
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 7, rounding
+        ctx.traps[decimal.Inexact] = False
+        before = repr(ctx)
+        for argv in (["term", "--n", str(m)], ["sum", "--n", str(m), "--k", "1"]):
+            assert invoke(capsys, *argv, seed) == (0, "0\n")
+            code, out = invoke(capsys, *argv, seed, "--format", "json")
+            assert code == 0 and json.loads(out)["value"] == "0"
+        assert decimal.getcontext() is ctx and repr(ctx) == before
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["term", "--n", "100000000"], "about 69420000"),
+    (["term", "--n", "-96670794", "--format", "json"], "about 67108865"),
+    (["sum", "--n", "1", "--k", "96670792"], "about 67108865"),
+    (["sum", "--n", "-1" + "0" * 30, "--k", "1"], None),  # the window is refused first
+    (["term", "--n", "9" * 40], "over 2^132"),
+])
+def test_output_over_the_bit_cap_exits_1_before_any_chain(capsys, monkeypatch, argv, size):
+    chains = record_doubling_loop(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1 and chains == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: window start n must be >= 1\n" if size is None else
+                            f"error: output of {size} bits refused: over "
+                            f"OUTPUT_BIT_CAP = {cli.OUTPUT_BIT_CAP} bits\n")
+
+
+def test_output_at_the_bit_cap_is_computed(capsys, monkeypatch):
+    # 6942 bits is read at |n| = 10001 and 10000 (0.6942 |n|, rounded down)
+    monkeypatch.setattr(cli, "OUTPUT_BIT_CAP", 6942)
+    chains = record_doubling_loop(monkeypatch)
+    assert invoke(capsys, "term", "--n", "-10001")[1] == decimal_str(naive_fib(-10001)) + "\n"
+    assert invoke(capsys, "sum", "--n", "1", "--k", "9999")[1] == decimal_str(
+        naive_fib(10001) - 1) + "\n"
+    assert [j for j, _ in chains] == [10001, 10001, 2]
+    for argv in (["term", "--n", "10002"], ["sum", "--n", "1", "--k", "10000"]):
+        with pytest.raises(ValueError, match="output of about 6943 bits refused"):
+            run(argv)
+    assert len(chains) == 3
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n, k, message", [(10**9, 0, "window length k must be >= 1"),
+                                           (0, 10**9, "window start n must be >= 1")])
+def test_sum_window_errors_keep_their_text_past_the_cap(capsys, monkeypatch, n, k, message, fmt):
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "sum", "--n", str(n), "--k", str(k),
+                                      "--format", fmt])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1 and capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("method", ["brute", "all"])

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -122,6 +123,20 @@ class TestGibPairAgainstOracles:
         terms = naive_gib_at(SEED_14, indices + [n + 1 for n in indices])
         for n in indices:
             self.check(SEED_14, terms, n)
+
+    @pytest.mark.parametrize("seed", [FIBONACCI, SEED_14, Seed(-3, 7), Seed(5, -8)])
+    def test_a_decimal_zero_runs_the_same_loop_on_decimal(self, seed):
+        terms = naive_gib_terms(seed, -300, 301)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 200  # G_300 of these seeds has 64 digits: every step is exact
+            ctx.traps[decimal.Inexact] = True
+            for n in range(-300, 301):
+                pair = gib_pair(seed, n, zero=decimal.Decimal(0))
+                assert all(isinstance(g, decimal.Decimal) for g in pair)
+                assert pair == (terms[n], terms[n + 1]), n
+                if 1 <= n <= 299:
+                    assert window_sum(seed, n, 3, zero=decimal.Decimal(0)) == (
+                        terms[n] + terms[n + 1] + terms[n + 2])
 
 
 class TestWindowSum:
