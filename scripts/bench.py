@@ -1,21 +1,23 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_22.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_26.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
 is one fresh process that imports one of the two, builds the case's inputs
-and times one call of the case with ``time.perf_counter``.  A case whose
-first call takes under FAST_CALL_MS is timed again over further calls that
-fill at least BATCH_MS, and the run reads their mean per call.  The runs
-alternate between the two sides, and which side goes first alternates too,
-so a drift in machine speed falls on both.  Each side keeps the median of
-its REPEAT runs: a best of a few still moved untouched cases by a third on
-a VM whose speed drifts.  The cases are this script's own, so both sides
-run the same calls.  A case that one side refuses with a ValueError (an
-input past that side's budget) reads null there.  Timings are for
-reading, not for gating: nothing in the test suite reads this file.
+and times calls of the case with ``time.perf_counter``: the first call
+alone (``first_ms``, which pays every one-off cost, such as building the
+CLI parser or importing ``decimal``), then further calls one by one until
+they fill at least BATCH_MS, at least one of them, whose median is the
+warm time (``warm_ms``).  The runs alternate between the two sides, and
+which side goes first alternates too, so a drift in machine speed falls on
+both.  Each side keeps the median of its REPEAT runs, for each of the two
+fields: a best of a few still moved untouched cases by a third on a VM
+whose speed drifts.  The cases are this script's own, so both sides run
+the same calls.  A case that one side refuses with a ValueError (an input
+past that side's budget) reads null there.  Timings are for reading, not
+for gating: nothing in the test suite reads this file.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ from typing import Any, Callable
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPEAT = 7  # runs per case and side; the median is kept
-FAST_CALL_MS = 10.0  # a first call faster than this is too noisy to read alone
-BATCH_MS = 50.0  # so further calls are timed until they fill this much
+BATCH_MS = 50.0  # the warm calls after the first are timed until they fill this much
 
 # A run: put the side's src first on the path, load this script without
-# running main, and print the time of one call of the named case.
-CHILD = ("import runpy, sys; sys.path.insert(0, sys.argv[1]); "
-         "print(runpy.run_path(sys.argv[2])['time_once'](sys.argv[3]))")
+# running main, and print the named case's times as JSON.
+CHILD = ("import json, runpy, sys; sys.path.insert(0, sys.argv[1]); "
+         "print(json.dumps(runpy.run_path(sys.argv[2])['time_once'](sys.argv[3])))")
 
 
 def cli_quiet(argv: list[str]) -> None:
@@ -93,6 +94,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         LUCAS,
         Identity,
         Seed,
+        classify,
         equivalent_up_to_shift,
         fib,
         gcd_sum,
@@ -108,6 +110,8 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
     term_argv = ["term", "--n", str(10**6), "--format"]
     term_1e5, term_1e7 = ["term", "--n", str(10**5)], ["term", "--n", str(10**7)]
     sum_1e7 = ["sum", "--n", str(5 * 10**6), "--k", str(5 * 10**6)]  # G_{10^7+1} - G_{5*10^6+1}
+    gcd_1e6 = ["gcd-sum", "--k", str(10**6 + 2)]
+    lucas_odd = ["lucas-odd", "--j", "500001", "--format", "json"]
     return {
         "gcd_sum_lcm_fib_360": (
             {"seed": [0, 1], "k": 360}, lambda: partial(gcd_sum_lcm, FIBONACCI, 360)),
@@ -135,6 +139,8 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             lambda: partial(gcd_sum, Seed(1, 4), 4 * 10**6 + 1)),
         "gcd_sum_fib_4e6": (
             {"seed": [0, 1], "k": 4 * 10**6}, lambda: partial(gcd_sum, FIBONACCI, 4 * 10**6)),
+        "classify_fib_1e7": (
+            {"seed": [0, 1], "k": 10**7}, lambda: partial(classify, FIBONACCI, 10**7)),
         "gcd_index_one_1_4_1e6": (
             {"seed": [1, 4], "k": 10**6, "call": "math.gcd of the two n = 1 differences"},
             index_one_gcd_1_4_1e6),
@@ -184,38 +190,39 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"argv": term_1e5}, lambda: partial(cli_quiet, term_1e5)),
         "term_cli_1e7_text": ({"argv": term_1e7}, lambda: partial(cli_quiet, term_1e7)),
         "sum_cli_1e7_text": ({"argv": sum_1e7}, lambda: partial(cli_quiet, sum_1e7)),
+        "gcd_sum_cli_1e6_plus_2_text": (
+            {"argv": gcd_1e6}, lambda: partial(cli_quiet, gcd_1e6)),
+        "lucas_odd_cli_500001_json": (
+            {"argv": lucas_odd}, lambda: partial(cli_quiet, lucas_odd)),
         "str_fib_1e6": (
             {"call": "cli.decimal_str(fib(10**6))", "n": 10**6}, convert_fib_1e6),
     }
 
 
-def time_once(name: str) -> float | None:
-    """Milliseconds per call of the named case, in this process: the first
-    call, or the mean of the further calls when the first is under
-    FAST_CALL_MS.  None when the call is refused with a ValueError."""
+def time_once(name: str) -> dict[str, float] | None:
+    """Milliseconds of the named case in this process: its first call
+    (``first_ms``) and the median of the further calls (``warm_ms``).  None
+    when the call is refused with a ValueError."""
     call = cases()[name][1]()
-    start = time.perf_counter()
-    try:
-        call()
-    except ValueError:
-        return None
-    ms = (time.perf_counter() - start) * 1e3
-    if ms >= FAST_CALL_MS:
-        return ms
-    calls = 0
-    start = time.perf_counter()
-    while (ms := (time.perf_counter() - start) * 1e3) < BATCH_MS:
-        call()
-        calls += 1
-    return ms / calls
+    times: list[float] = []
+    warm = 0.0  # the milliseconds of every call after the first
+    while len(times) < 2 or warm < BATCH_MS:
+        start = time.perf_counter()
+        try:
+            call()
+        except ValueError:
+            return None
+        times.append((time.perf_counter() - start) * 1e3)
+        warm += times[-1] if len(times) > 1 else 0.0
+    return {"first_ms": times[0], "warm_ms": statistics.median(times[1:])}
 
 
-def run_in(src: Path, name: str) -> float | None:
+def run_in(src: Path, name: str) -> dict[str, float] | None:
     """One run of the named case in a fresh process importing gibonacci from
     src; None when it is refused."""
     out = subprocess.run([sys.executable, "-c", CHILD, str(src), __file__, name],
                          stdout=subprocess.PIPE, text=True, check=True)
-    return None if out.stdout.strip() == "None" else float(out.stdout)
+    return json.loads(out.stdout)
 
 
 def main() -> None:
@@ -231,15 +238,17 @@ def main() -> None:
     sys.path.insert(0, str(SRC))
     runs: dict[str, dict[str, Any]] = {"before": {}, "after": {}}
     for name, (params, _) in cases().items():
-        times: dict[str, list[float | None]] = {"before": [], "after": []}
+        times: dict[str, list[dict[str, float] | None]] = {"before": [], "after": []}
         for i in range(REPEAT):
             for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
                 times[side].append(run_in(sides[side], name))
-        median = {side: None if None in t else round(statistics.median(t), 3)
-                  for side, t in times.items()}
-        for side in runs:
-            runs[side][name] = {"ms": median[side], "params": params}
-        print(f"{name:28s} {median['before']!s:>12} -> {median['after']!s:>12} ms", flush=True)
+        for side, t in times.items():
+            runs[side][name] = {"params": params, **{
+                field: None if None in t else round(statistics.median(r[field] for r in t), 3)
+                for field in ("first_ms", "warm_ms")}}
+        before, after = runs["before"][name], runs["after"][name]
+        print(f"{name:30s} first {before['first_ms']!s:>10} -> {after['first_ms']!s:>10} ms, "
+              f"warm {before['warm_ms']!s:>10} -> {after['warm_ms']!s:>10} ms", flush=True)
     doc = {
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 from . import pisano
 from .factor import trial_division
@@ -125,14 +126,14 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     modulus over 160 bits by its bit length.
 
     k above ``PERIOD_TABLE_CAP`` is refused at once with a ValueError:
-    the cap stays the budget on ``classify``'s two doubling chains.
+    the cap stays the budget on ``classify``'s doubling chain.
     """
     if k % 2 != 0 or k < 6:
         raise ValueError("k must be an even integer >= 6")
     if k > pisano.PERIOD_TABLE_CAP:
         raise ValueError(
             f"period k = {k} exceeds PERIOD_TABLE_CAP = {pisano.PERIOD_TABLE_CAP} steps, "
-            f"the cap that stands in for a budget on classify's two doubling chains"
+            f"the cap that stands in for a budget on classify's doubling chain"
         )
     c = classify(FIBONACCI, k)
     m_f = c.predicted
@@ -146,16 +147,17 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     return MaxModulusResult(k, m_f, form, period, exhaustive)
 
 
-def lucas_from_gcd(seed: Seed, j: int) -> int:
+def lucas_from_gcd(seed: Seed, j: int, *, zero: Any = 0) -> Any:
     """The odd-indexed Lucas number L_j as a GCD over any coprime seed.
 
     L_j is the k = 2j window GCD, gcd(G_{2j+1} - G_1, G_{2j+2} - G_2),
-    whenever j is odd and the seed entries are coprime.
+    whenever j is odd and the seed entries are coprime.  It comes back in
+    the number type of ``zero`` (see ``gcd_sum``).
     """
     if j % 2 == 0 or j < 1:
         raise ValueError("j must be an odd positive integer")
     seed.require_coprime()
-    return gcd_sum(seed, 2 * j).value
+    return gcd_sum(seed, 2 * j, zero=zero).value
 
 
 @dataclass(frozen=True)

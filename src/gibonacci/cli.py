@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import enum
 import functools
 import json
@@ -18,7 +19,7 @@ import sys
 from typing import Any, Callable, Iterator
 
 from . import applications, gcdsum, identities, pisano, sequences, verify
-from .sequences import Seed
+from .sequences import Seed, exact_decimal
 
 
 def parse_seed(text: str) -> Seed:
@@ -29,26 +30,6 @@ def parse_seed(text: str) -> Seed:
         return Seed(int(parts[0]), int(parts[1]))
     except ValueError:
         raise ValueError(f"seed entries must be integers, got {text!r}") from None
-
-
-@contextlib.contextmanager
-def exact_decimal() -> Iterator[Any]:
-    """Yield ``decimal.Decimal`` inside a local context wide enough to be
-    exact, with Inexact trapped, so that any rounding raises instead of
-    printing wrong digits; the caller's context is restored on exit.  The
-    rounding is set too, though nothing rounds: it also picks the sign of
-    an exact zero sum, and x - x is -0 under the caller's ROUND_FLOOR.
-
-    ``decimal`` is imported here, not at the top: it takes 1.5-2.2 ms, and
-    every CLI start imports cli.
-    """
-    import decimal
-
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
-        ctx.rounding = decimal.ROUND_HALF_EVEN
-        ctx.traps[decimal.Inexact] = True
-        yield decimal.Decimal
 
 
 #: Bit length from which `decimal_str` splits instead of calling `str`.  On
@@ -103,29 +84,79 @@ def decimal_str(n: int) -> str:
 #: about 2*10^4 (Python 3.11.7).  At 10^6 it takes 39 ms against 166 ms.
 TERM_DECIMAL_CUTOFF = 7 * 10**4
 
-#: Largest output, in bits, that `term` and `sum` compute: G_n has about
-#: 0.6942 |n| bits (log2 of the golden ratio is 0.69424), so the cap falls
-#: near |n| = 9.67*10^7.  Checked before any doubling chain starts.
+#: Even k from which `gcd-sum`, `classify` and `lucas-odd` (at k = 2j) run
+#: the closed route on ``decimal.Decimal`` (see ``gcdsum.gcd_sum``) and
+#: print its value with ``str``, in place of the int route and
+#: `decimal_str`.  With `decimal` loaded, the two are even from 2*10^4 to
+#: 8*10^4, and the Decimal path pulls ahead from about 9*10^4: 1.1 against
+#: 2.3 ms at 10^5, 12 against 64 ms at 10^6 + 2.  In a fresh process, which
+#: also pays about 2 ms for importing `decimal`, it overtakes between 10^5
+#: and 1.3*10^5 (8.5 against 7.8 ms, then 8.2 against 8.7 ms; Python
+#: 3.11.7, Fibonacci seed).
+GCD_DECIMAL_CUTOFF = 10**5
+
+#: Largest output, in bits, that `term`, `sum`, `lucas-odd` and even-k
+#: `gcd-sum` and `classify` compute: G_n has about 0.6942 |n| bits (log2 of
+#: the golden ratio is 0.69424), so the cap falls near |n| = 9.67*10^7,
+#: which is j for `lucas-odd` and k/2 for the others.  Checked before any
+#: doubling chain starts.
 OUTPUT_BIT_CAP = 2**26
 
 
-def _printed_term(index: int, term: Callable[[Any], Any]) -> str:
-    """The decimal digits of ``term(zero)``, a term, or a difference of
-    terms, read at indices up to |index|.
-
-    Refused with a ValueError when such a term has over OUTPUT_BIT_CAP
-    bits.  From TERM_DECIMAL_CUTOFF up, the chain runs in ``exact_decimal``
-    on a Decimal zero, and ``str`` gives the digits; below it, on an int.
-    """
+def _check_output_bits(index: int) -> None:
+    """Refuse, with a ValueError, a value read from terms at indices up to
+    |index| when such a term has over OUTPUT_BIT_CAP bits."""
     bits = abs(index) * 6942 // 10000
     if bits > OUTPUT_BIT_CAP:
         size = f"about {bits}" if bits.bit_length() <= 64 else f"over 2^{bits.bit_length() - 1}"
         raise ValueError(f"output of {size} bits refused: over "
                          f"OUTPUT_BIT_CAP = {OUTPUT_BIT_CAP} bits")
+
+
+@contextlib.contextmanager
+def _decimal_zero() -> Iterator[Any]:
+    """``Decimal(0)``, inside ``exact_decimal``."""
+    with exact_decimal() as Decimal:
+        yield Decimal(0)
+
+
+def _printed_term(index: int, term: Callable[[Any], Any]) -> str:
+    """The decimal digits of ``term(zero)``, a term, or a difference of
+    terms, read at indices up to |index|: refused over OUTPUT_BIT_CAP, and
+    computed on Decimal from TERM_DECIMAL_CUTOFF up."""
+    _check_output_bits(index)
     if abs(index) < TERM_DECIMAL_CUTOFF:
         return decimal_str(term(0))
-    with exact_decimal() as Decimal:
-        return str(term(Decimal(0)))
+    with _decimal_zero() as zero:
+        return str(term(zero))
+
+
+def _closed_zero(seed: Seed, k: int) -> contextlib.AbstractContextManager[Any]:
+    """The zero on which the closed route runs for (seed, k).
+
+    An even k >= 1 is first refused over OUTPUT_BIT_CAP, as its value is
+    read from terms at index k/2.  It runs on Decimal from
+    GCD_DECIMAL_CUTOFF up, for seed entries of at most sqrt(k)/2 bits:
+    Euclid's loop on Decimal takes about 0.6 divisions per seed bit (1.44
+    at most), each subquadratic in k, while ``math.gcd`` on ints does not
+    slow with the seed.  Random seeds crossed over near 140 bits at
+    k = 10^5, 512 bits at 10^6 + 2 and 1,700 bits at 10^7.  Odd k, which
+    reads small residues, stays on ints, and so does a k < 1, which the
+    library refuses.
+    """
+    even = k >= 1 and k % 2 == 0
+    if even:
+        _check_output_bits(k // 2)
+    seed_bits = max(abs(seed.g0), abs(seed.g1)).bit_length()
+    if even and k >= GCD_DECIMAL_CUTOFF and 4 * seed_bits * seed_bits <= k:
+        return _decimal_zero()
+    return contextlib.nullcontext(0)
+
+
+def _printable(value: Any) -> Any:
+    """What ``jsonable`` and the renderers take: an int as it is, and a
+    Decimal as its digits, which ``str`` gives exactly."""
+    return value if isinstance(value, int) else str(value)
 
 
 def jsonable(value: Any) -> Any:
@@ -243,15 +274,18 @@ def _sum(a: argparse.Namespace) -> Outcome:
 def _gcd_sum(a: argparse.Namespace) -> Outcome:
     if a.bound is not None and a.method not in ("lcm", "all"):
         raise ValueError(f"--bound is read by --method lcm or all only, not {a.method}")
-    methods = {
-        "closed": lambda: gcdsum.gcd_sum(a.seed, a.k),
-        "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k),
-        "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, a.bound),
-    }
-    chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
-    results = [methods[name]() for name in chosen]
+    with _closed_zero(a.seed, a.k) as zero:  # every route reads the closed value
+        methods = {
+            "closed": lambda: gcdsum.gcd_sum(a.seed, a.k, zero=zero),
+            "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k),
+            "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, a.bound),
+        }
+        chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
+        results = [methods[name]() for name in chosen]
+        results = [r if isinstance(r.value, int) else dataclasses.replace(r, value=str(r.value))
+                   for r in results]
     return {"seed": a.seed, "k": a.k, "results": results}, lambda: "\n".join(
-        f"{r.method.value}: {decimal_str(r.value)}" + (" (partial)" if r.partial else "")
+        f"{r.method.value}: {jsonable(r.value)}" + (" (partial)" if r.partial else "")
         for r in results
     ), 0
 
@@ -262,13 +296,15 @@ def _pisano(a: argparse.Namespace) -> Outcome:
 
 
 def _classify(a: argparse.Namespace) -> Outcome:
-    c = gcdsum.classify(a.seed, a.k)
-    pred = c.predicted if c.table_applies else "table-inapplicable"
+    with _closed_zero(a.seed, a.k) as zero:
+        c = gcdsum.classify(a.seed, a.k, zero=zero)
+        pred = _printable(c.predicted) if c.table_applies else "table-inapplicable"
+        actual = _printable(c.actual)
     payload = {"seed": c.seed, "k": c.k, "residue_mod_12": c.residue_mod_12,
                "case_row": c.case_row.value, "predicted": pred,
-               "footnote": c.footnote.value, "actual": c.actual}
+               "footnote": c.footnote.value, "actual": actual}
     return payload, lambda: (f"k={c.k} (mod 12: {c.residue_mod_12}) row={c.case_row.value} "
-                             f"predicted={jsonable(pred)} actual={decimal_str(c.actual)} "
+                             f"predicted={jsonable(pred)} actual={jsonable(actual)} "
                              f"footnote={c.footnote.value}"), 0
 
 
@@ -285,8 +321,10 @@ def _max_modulus(a: argparse.Namespace) -> Outcome:
 
 
 def _lucas_odd(a: argparse.Namespace) -> Outcome:
-    value = applications.lucas_from_gcd(a.seed, a.j)
-    return {"seed": a.seed, "j": a.j, "value": value}, lambda: decimal_str(value), 0
+    k = 2 * a.j if a.j >= 1 and a.j % 2 else 0  # a j the library refuses reads no term
+    with _closed_zero(a.seed, k) as zero:
+        value = _printable(applications.lucas_from_gcd(a.seed, a.j, zero=zero))
+    return {"seed": a.seed, "j": a.j, "value": value}, lambda: jsonable(value), 0
 
 
 def _primes_check(a: argparse.Namespace) -> Outcome:

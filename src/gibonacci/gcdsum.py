@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 from .pisano import period_from_multiple, period_table
-from .sequences import Seed, fib, fib_pair, gib_from_fib, gib_pair, lucas, window_sum
+from .sequences import Seed, fib_pair, gib_from_fib, gib_pair, window_sum
 
 
 class Method(Enum):
@@ -37,7 +38,7 @@ class Method(Enum):
 class GcdSumResult:
     seed: Seed
     k: int
-    value: int
+    value: Any  # an int, or zero's number type at even k (``gcd_sum``)
     method: Method
     partial: bool = False  # bounded scans below the candidate are lower bounds
 
@@ -48,7 +49,8 @@ def _check_args(seed: Seed, k: int) -> None:
         raise ValueError("k must be >= 1 (a sum over an empty window has no gcd)")
 
 
-def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
+def gcd_sum(seed: Seed, k: int, *, zero: Any = 0,
+            half: tuple[Any, Any] | None = None) -> GcdSumResult:
     """Closed formula: gcd(G_{k+1} - G_1, G_{k+2} - G_2), read mod 2|d| at odd k.
 
     The differences D_n = G_{n+k} - G_n obey the Gibonacci recurrence for
@@ -74,14 +76,28 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
     d is nonzero for every nondegenerate seed (4d = (2 G_1 - G_0)^2 -
     5 G_0^2, and 5 G_0^2 is a square only at G_0 = 0), so the modulus is
     at least 2.  The lemma reads no row of ``classify``'s k mod 12 table.
+    The value is an int at odd k, whatever ``zero`` is.
 
-    Even k: read at the balanced index n = -(k // 2), where both
-    differences have about half the bits of those at n = 1, which makes
-    the big-integer gcd far cheaper for large k.  Both pairs, at -k/2 and
-    at k/2, come from one doubling chain: one ``fib_pair(k // 2)`` call,
-    read at both signs by ``gib_from_fib``.  The gcd is taken of the two
-    differences as computed, never of a factored form, so this route
-    stays independent of ``classify``'s table.
+    Even k: read at the balanced index n = -j, j = k/2, where both
+    differences have about half the bits of those at n = 1.  Both pairs,
+    at -j and at j, come from one doubling chain: one ``fib_pair(j)``
+    call, read at both signs by ``gib_from_fib``; a caller that has that
+    pair already (``classify``) hands it over as ``half``.  The chain
+    runs on ``zero``'s number type (see ``fib_pair``), and so does the
+    gcd: ``math.gcd`` on ints, and otherwise Euclid's loop, whose every
+    step is one division, subquadratic in libmpdec.  The loop is short.
+    From G_n = G_0 F_{n-1} + G_1 F_n and F_{-n} = (-1)^{n+1} F_n, the two
+    differences are
+
+    * (2 G_1 - G_0) F_j and (2 G_0 + G_1) F_j for even j,
+    * G_0 L_j and G_1 L_j for odd j,
+
+    so Euclid runs on two numbers of absolute value at most
+    3 max(|G_0|, |G_1|), scaled by F_j or L_j: by Lame's bound, at most about
+    1.44 log2(3 max(|G_0|, |G_1|)) + 2 divisions.  The lemma only bounds
+    that cost: the gcd is taken of the two differences as computed, never
+    of a factored form, so this route stays independent of ``classify``'s
+    table.
 
     Valid for any nondegenerate seed, coprime or not.  Every term, hence
     every difference, is linear in the seed, so for d >= 1 the value for
@@ -94,10 +110,16 @@ def gcd_sum(seed: Seed, k: int) -> GcdSumResult:
         value = math.gcd(g_k1 - seed.g1, g_k2 - seed.g0 - seed.g1, m)
     else:
         j = k // 2
-        f = fib_pair(j)
+        f = fib_pair(j, zero=zero) if half is None else half
         g_lo, g_lo1 = gib_from_fib(seed, -j, *f)
         g_hi, g_hi1 = gib_from_fib(seed, j, *f)
-        value = math.gcd(g_hi - g_lo, g_hi1 - g_lo1)
+        a, b = g_hi - g_lo, g_hi1 - g_lo1
+        if isinstance(a, int):
+            value = math.gcd(a, b)
+        else:
+            while b:
+                a, b = b, a % b
+            value = abs(a)
     return GcdSumResult(seed, k, value, Method.CLOSED_GCD)
 
 
@@ -185,39 +207,47 @@ class Classification:
     """Predicted vs. actual GCD of k-window sums, by residue of k mod 12.
 
     ``predicted`` is None when the summary table makes no claim for the
-    (seed, k) pair: odd k with non-unit Cassini constant.
+    (seed, k) pair: odd k with non-unit Cassini constant.  At even k both
+    values are in the number type of ``classify``'s zero.
     """
 
     seed: Seed
     k: int
     residue_mod_12: int
     case_row: CaseRow
-    predicted: int | None
+    predicted: Any
     footnote: Footnote
-    actual: int
+    actual: Any
 
     @property
     def table_applies(self) -> bool:
         return self.predicted is not None
 
 
-def classify(seed: Seed, k: int) -> Classification:
+def classify(seed: Seed, k: int, *, zero: Any = 0) -> Classification:
     """Classify (seed, k) per the k mod 12 case split.
 
     Requires a coprime seed; for any other, divide out d = gcd(g0, g1)
-    first (the value then scales by d).
+    first (the value then scales by d).  At even k one doubling chain,
+    ``fib_pair(k // 2)`` on ``zero``'s number type, feeds both the
+    prediction, delta F_{k/2} or L_{k/2} = 2 F_{k/2+1} - F_{k/2}, and the
+    ``gcd_sum`` call that gives the actual value.
     """
     _check_args(seed, k)
     seed.require_coprime()
-    actual = gcd_sum(seed, k).value
+    if k % 2:
+        actual = gcd_sum(seed, k).value
+    else:
+        f, f_next = half = fib_pair(k // 2, zero=zero)
+        actual = gcd_sum(seed, k, half=half).value
     r = k % 12
     if r in (0, 4, 8):
         row = CaseRow.ROW_048
-        predicted = seed.delta * fib(k // 2)
+        predicted = seed.delta * f
         footnote = Footnote.DELTA_IS_1 if seed.delta == 1 else Footnote.DELTA_IS_5
     elif r in (2, 6, 10):
         row = CaseRow.ROW_2610
-        predicted = lucas(k // 2)
+        predicted = 2 * f_next - f  # L_{k/2}
         footnote = Footnote.NONE
     elif r in (3, 9):
         row = CaseRow.ROW_39

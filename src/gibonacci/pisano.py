@@ -58,7 +58,7 @@ MODULUS_BIT_CAP = 512
 # The longest period ``pisano_period`` probes for (512 baby and giant steps),
 # the most baby-step pairs a shift search stores (about 30 MB, so 2^36), and
 # the largest k ``max_modulus_for_period`` takes, as a stand-in for a budget
-# on ``classify``'s two doubling chains.
+# on ``classify``'s doubling chain.
 PERIOD_TABLE_CAP = 2**18
 
 # The largest m_max a period table covers: parity scans and the lcm route's

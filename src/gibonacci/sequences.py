@@ -8,9 +8,10 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,26 @@ FIBONACCI = Seed(0, 1)
 LUCAS = Seed(2, 1)
 
 
+@contextlib.contextmanager
+def exact_decimal() -> Iterator[Any]:
+    """Yield ``decimal.Decimal`` inside a local context wide enough to be
+    exact, with Inexact trapped, so that any rounding raises instead of
+    giving wrong digits; the caller's context is restored on exit.  The
+    rounding is set too, though nothing rounds: it also picks the sign of
+    an exact zero sum, and x - x is -0 under the caller's ROUND_FLOOR.
+
+    ``decimal`` is imported here, not at the top: it takes 1.5-2.2 ms, and
+    every CLI start imports this module.
+    """
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.rounding = decimal.ROUND_HALF_EVEN
+        ctx.traps[decimal.Inexact] = True
+        yield decimal.Decimal
+
+
 def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     """(F_j, F_{j+1}) for j >= 0, reduced to [0, m) given a modulus m >= 1.
 
@@ -59,11 +80,12 @@ def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     so ``// 2`` halves an int and a ``decimal.Decimal`` alike.
 
     The loop is generic over the number type: it starts from the caller's
-    zero, and the terms come back in that type.  ``zero=Decimal(0)``, in a
-    context exact enough for the operands, runs the chain in libmpdec,
-    whose product of huge operands is a number-theoretic transform where
-    CPython's int product is Karatsuba; the CLI does so for the terms it
-    prints.  A modulus needs the default int zero.
+    zero, and the terms come back in that type.  ``zero=Decimal(0)``, in
+    ``exact_decimal`` or another context exact enough for the operands,
+    runs the chain in libmpdec, whose product of huge operands is a
+    number-theoretic transform where CPython's int product is Karatsuba;
+    the CLI does so for the terms and the even-k GCD values it prints.  A
+    modulus needs the default int zero.
 
     Given m, each doubling is reduced mod 2m, where halving stays exact.
     The loop keeps f = F_i and l = L_i (mod m), and f + l = F_i + L_i

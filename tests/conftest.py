@@ -75,11 +75,12 @@ def gcd_sum_two_chains(seed: Seed, k: int) -> int:
     return math.gcd(g_hi - g_lo, g_hi1 - g_lo1)
 
 
-def record_doubling_loop(monkeypatch, guard=None) -> list[tuple[int, int | None]]:
+def record_doubling_loop(monkeypatch, guard=None, zeros=None) -> list[tuple[int, int | None]]:
     """Replace the package's one doubling loop, ``sequences.fib_pair``, under
     every name any gibonacci module binds it to, by a wrapper that calls
     guard(j, m) first when given and records each call's (j, m) in the list
-    returned.  A caller that reaches the loop by any route is counted."""
+    returned, and the type name of its zero in zeros when given.  A caller
+    that reaches the loop by any route is counted."""
     real = sequences.fib_pair
     calls = []
 
@@ -87,6 +88,8 @@ def record_doubling_loop(monkeypatch, guard=None) -> list[tuple[int, int | None]
         if guard is not None:
             guard(j, m)
         calls.append((j, m))
+        if zeros is not None:
+            zeros.append(type(zero).__name__)
         return real(j, m, zero=zero)
 
     for info in pkgutil.iter_modules(gibonacci.__path__):

@@ -84,7 +84,7 @@ class TestMaxModulus:
 
     def test_exhaustive_check_fails_on_a_larger_window_gcd(self, monkeypatch):
         monkeypatch.setattr(
-            gcdsum, "gcd_sum", lambda seed, k: types.SimpleNamespace(value=2 * 832040)
+            gcdsum, "gcd_sum", lambda seed, k, **_: types.SimpleNamespace(value=2 * 832040)
         )
         assert max_modulus_for_period(60).m_f == 832040
         with pytest.raises(AssertionError, match="divides 1664080, expected 832040"):
@@ -121,7 +121,7 @@ class TestMaxModulus:
         monkeypatch.setattr(sequences, "gib_pair", no_term)
         with pytest.raises(ValueError, match=(
                 r"^period k = 66 exceeds PERIOD_TABLE_CAP = 64 steps, the cap that stands in "
-                r"for a budget on classify's two doubling chains$")):
+                r"for a budget on classify's doubling chain$")):
             max_modulus_for_period(66)
 
     def test_rejects_odd_and_small_k(self):

@@ -405,19 +405,15 @@ CUTOFF = cli.TERM_DECIMAL_CUTOFF
 
 
 def both_paths(capsys, monkeypatch, argv):
-    """The CLI's output for argv as it runs, with the number type its
-    doubling chains ran on, and its output with the Decimal path switched
+    """The CLI's output for argv as it runs, with the number types its
+    doubling chains ran on, and its output with every Decimal path switched
     off: the int path, which is the oracle."""
-    real, zeros = sequences.fib_pair, []
-
-    def spy(j, m=None, *, zero=0):
-        zeros.append(type(zero).__name__)
-        return real(j, m, zero=zero)
-
-    monkeypatch.setattr(sequences, "fib_pair", spy)
+    zeros = []
+    record_doubling_loop(monkeypatch, zeros=zeros)
     got = invoke(capsys, *argv)
     ran_on = set(zeros)
     monkeypatch.setattr(cli, "TERM_DECIMAL_CUTOFF", math.inf)
+    monkeypatch.setattr(cli, "GCD_DECIMAL_CUTOFF", math.inf)
     want = invoke(capsys, *argv)
     return got, ran_on, want
 
@@ -510,6 +506,101 @@ def test_sum_window_errors_keep_their_text_past_the_cap(capsys, monkeypatch, n, 
     assert exc.value.code == 1 and capsys.readouterr().err == f"error: {message}\n"
 
 
+GCD_CUTOFF = cli.GCD_DECIMAL_CUTOFF
+BIG_SEED = f"{2**200 + 1},3"  # past the seed guard below k = 4 * 201^2
+
+# (seed, k, whether the closed route runs on Decimal): j = k/2 of both
+# parities on both sides of the cutoff, odd k, negative entries, a seed past
+# the guard, and (2,1), whose difference (2 G_1 - G_0) F_j is 0 at even j
+GCD_CASES = [
+    ("0,1", GCD_CUTOFF - 2, False), ("0,1", GCD_CUTOFF, True), ("0,1", GCD_CUTOFF + 2, True),
+    ("0,1", GCD_CUTOFF + 1, False), ("-7,3", GCD_CUTOFF + 2, True), ("-5,-8", GCD_CUTOFF, True),
+    ("2,1", GCD_CUTOFF, True), ("2,1", GCD_CUTOFF + 2, True), (BIG_SEED, GCD_CUTOFF, False),
+    ("1,-4", 3 * 10**5 + 2, True),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("seed, k, on_decimal", GCD_CASES)
+@pytest.mark.parametrize("command", [["gcd-sum"], ["gcd-sum", "--method", "all"], ["classify"]])
+def test_gcd_values_on_decimal_print_what_the_int_path_prints(capsys, monkeypatch, command,
+                                                              seed, k, on_decimal, fmt):
+    # only the closed route runs on Decimal; in --method all, brute and lcm keep ints
+    argv = [*command, f"--seed={seed}", "--k", str(k), "--format", fmt]
+    got, ran_on, want = both_paths(capsys, monkeypatch, argv)
+    assert got == want and want[0] == 0
+    assert ("Decimal" in ran_on) == on_decimal
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("seed, j, on_decimal", [
+    ("0,1", GCD_CUTOFF // 2 - 1, False), ("0,1", GCD_CUTOFF // 2 + 1, True),
+    ("-7,3", GCD_CUTOFF // 2 + 1, True), ("2,1", GCD_CUTOFF // 2 + 3, True),
+    (BIG_SEED, GCD_CUTOFF // 2 + 1, False), ("-3,-10", 500001, True),
+])
+def test_lucas_odd_on_decimal_prints_what_the_int_path_prints(capsys, monkeypatch, seed, j,
+                                                              on_decimal, fmt):
+    argv = ["lucas-odd", f"--seed={seed}", "--j", str(j), "--format", fmt]
+    got, ran_on, want = both_paths(capsys, monkeypatch, argv)
+    assert got == want and want[0] == 0
+    assert ran_on == ({"Decimal"} if on_decimal else {"int"})
+
+
+# One past the cap: 0.6942 * 96670794 is 67108865.2 bits, read at index k/2
+# for gcd-sum and classify and at j for lucas-odd.  The k of over 4300 digits
+# reach the command because the test lifts CPython's digit limit, as a
+# library caller may; under the limit they are usage errors
+# (test_oversized_argument_is_a_usage_error).
+PAST_CAP_K = str(2 * 96670794)
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["lucas-odd", "--j", "9" * 100], "over 2^331"),
+    (["lucas-odd", "--seed", "1,4", "--j", "96670795"], "about 67108865"),
+    (["lucas-odd", "--j", "1" * 4301, "--format", "json"], "over 2^14283"),
+    (["gcd-sum", "--k", PAST_CAP_K], "about 67108865"),
+    (["gcd-sum", "--seed", "3,6", "--k", PAST_CAP_K, "--method", "brute"], "about 67108865"),
+    (["gcd-sum", "--k", PAST_CAP_K, "--method", "lcm", "--bound", "10"], "about 67108865"),
+    (["gcd-sum", "--k", PAST_CAP_K, "--method", "all", "--format", "json"], "about 67108865"),
+    (["gcd-sum", "--k", "2" + "0" * 4300], "over 2^14283"),
+    (["classify", "--seed", "2,1", "--k", PAST_CAP_K], "about 67108865"),
+    (["classify", "--k", "4" + "0" * 4300, "--format", "json"], "over 2^14284"),
+])
+def test_gcd_values_over_the_bit_cap_exit_1_before_any_chain(capsys, monkeypatch,
+                                                             no_digit_limit, argv, size):
+    def no_chain(j, m):  # fails fast, where a chain this long would run for hours
+        raise AssertionError(f"started a chain at index {j}")
+
+    chains = record_doubling_loop(monkeypatch, no_chain)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1 and chains == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: output of {size} bits refused: over "
+                            f"OUTPUT_BIT_CAP = {cli.OUTPUT_BIT_CAP} bits\n")
+
+
+def test_gcd_values_at_the_bit_cap_are_computed(capsys, monkeypatch):
+    # 6942 bits is read at index 10001 (0.6942 * 10001, rounded down)
+    monkeypatch.setattr(cli, "OUTPUT_BIT_CAP", 6942)
+    chains = record_doubling_loop(monkeypatch)
+    assert invoke(capsys, "gcd-sum", "--k", "20002") == (
+        0, f"closed_gcd: {decimal_str(naive_fib(10000) + naive_fib(10002))}\n")  # L_10001
+    assert invoke(capsys, "lucas-odd", "--j", "10001")[1] == decimal_str(
+        sequences.lucas(10001)) + "\n"
+    assert json.loads(invoke(capsys, "classify", "--k", "20002", "--format", "json")[1])[
+        "predicted"] == decimal_str(sequences.lucas(10001))
+    assert invoke(capsys, "gcd-sum", "--k", str(10**9 + 1)) == (0, "closed_gcd: 1\n")  # odd k
+    chains.clear()
+    for argv, bits in ((["gcd-sum", "--k", "20004"], 6943), (["lucas-odd", "--j", "10003"], 6944),
+                       (["classify", "--k", "20004"], 6943)):
+        with pytest.raises(ValueError, match=f"output of about {bits} bits refused"):
+            run(argv)
+    assert chains == []
+
+
 @pytest.mark.parametrize("method", ["brute", "all"])
 def test_brute_route_over_the_index_cap_exits_1(capsys, monkeypatch, method):
     def no_sums(*args):
@@ -547,8 +638,8 @@ def overcounting(monkeypatch):
     so it does not divide the k (20, 50000) that 3 does not divide."""
     real = gcdsum.gcd_sum
 
-    def doubled(seed, k):
-        result = real(seed, k)
+    def doubled(seed, k, **kwargs):
+        result = real(seed, k, **kwargs)
         return dataclasses.replace(result, value=2 * result.value)
 
     monkeypatch.setattr(gcdsum, "gcd_sum", doubled)

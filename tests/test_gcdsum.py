@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibonacci import gcdsum, pisano
-from gibonacci.applications import lucas_from_gcd
+from gibonacci.applications import lucas_from_gcd, max_modulus_for_period
 from gibonacci.gcdsum import (
     BRUTE_FORCE_INDEX_CAP,
     CaseRow,
@@ -22,6 +22,7 @@ from gibonacci.sequences import (
     FIBONACCI,
     LUCAS,
     Seed,
+    exact_decimal,
     fib,
     lucas,
 )
@@ -115,6 +116,59 @@ class TestClosedFormula:
                 values = {math.gcd(g[n + k] - g[n], g[n + k + 1] - g[n + 1])
                           for n in range(-k - 2, k + 3)}
                 assert values == {gcd_sum(seed, k).value}, (seed, k)
+
+
+# negative entries, (2, 1), whose first balanced difference is 0 at even
+# k/2, a non-coprime seed, and entries of 31 and 34 digits
+DECIMAL_SEEDS = (FIBONACCI, LUCAS, SEED_14, Seed(-7, 3), Seed(-5, -8), Seed(3, 6),
+                 Seed(10**30 + 1, 3**70))
+
+
+class TestDecimalRoute:
+    def test_balanced_differences_follow_the_lemma(self):
+        # G_j - G_{-j} and G_{j+1} - G_{1-j} are (2 G_1 - G_0) F_j and
+        # (2 G_0 + G_1) F_j at even j, and G_0 L_j and G_1 L_j at odd j
+        for seed in DECIMAL_SEEDS[:-1]:
+            g = naive_gib_terms(seed, -41, 42)
+            for j in range(1, 41):
+                pair = (g[j] - g[-j], g[j + 1] - g[1 - j])
+                if j % 2 == 0:
+                    want = ((2 * seed.g1 - seed.g0) * fib(j), (2 * seed.g0 + seed.g1) * fib(j))
+                else:
+                    want = (seed.g0 * lucas(j), seed.g1 * lucas(j))
+                assert pair == want, (seed, j)
+
+    @pytest.mark.parametrize("seed", DECIMAL_SEEDS)
+    def test_a_decimal_zero_gives_the_int_value(self, seed):
+        for k in (1, 2, 4, 6, 20, 22, 999, 1000, 1002, 10**4, 10**4 + 2):
+            want = gcd_sum(seed, k).value
+            with exact_decimal() as Decimal:
+                got = gcd_sum(seed, k, zero=Decimal(0)).value
+            assert type(got) is (int if k % 2 else Decimal), (seed, k)
+            assert got == want and str(got) == str(want), (seed, k)
+
+    @pytest.mark.parametrize("k", [4, 6, 48, 50, 10**4, 10**4 + 2])
+    @pytest.mark.parametrize("seed", [FIBONACCI, LUCAS, SEED_14, Seed(-7, 3)])
+    def test_classify_reads_its_prediction_from_the_one_chain(self, monkeypatch, seed, k):
+        want = seed.delta * fib(k // 2) if k % 4 == 0 else lucas(k // 2)
+        calls = record_doubling_loop(monkeypatch)
+        for on_decimal in (False, True):
+            with exact_decimal() as Decimal:
+                c = classify(seed, k, zero=Decimal(0) if on_decimal else 0)
+            assert calls == [(k // 2, None)]
+            calls.clear()
+            assert c.predicted == want == c.actual
+            assert type(c.predicted) is type(c.actual) is (Decimal if on_decimal else int)
+
+    def test_every_library_value_is_an_int_for_int_callers(self):
+        for k in (5, 6, 8, 10**4 + 1, 10**4 + 2):
+            assert type(gcd_sum(SEED_14, k).value) is int
+            c = classify(SEED_14, k)
+            assert type(c.actual) is int and type(c.predicted) in (int, type(None))
+            assert type(gcd_sum_bruteforce(SEED_14, k).value) is int
+            assert type(gcd_sum_lcm(SEED_14, k).value) is int
+        assert type(lucas_from_gcd(SEED_14, 10**4 + 1)) is int
+        assert type(max_modulus_for_period(60, exhaustive=True).m_f) is int
 
 
 # coprime, each with a Cassini constant d other than +-1
