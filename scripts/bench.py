@@ -1,7 +1,7 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_26.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_27.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Each run of a case
@@ -111,6 +111,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
     term_1e5, term_1e7 = ["term", "--n", str(10**5)], ["term", "--n", str(10**7)]
     sum_1e7 = ["sum", "--n", str(5 * 10**6), "--k", str(5 * 10**6)]  # G_{10^7+1} - G_{5*10^6+1}
     gcd_1e6 = ["gcd-sum", "--k", str(10**6 + 2)]
+    gcd_120000 = ["gcd-sum", "--k", "120000"]  # chain index 6*10^4, below cli.DECIMAL_CUTOFF
     lucas_odd = ["lucas-odd", "--j", "500001", "--format", "json"]
     return {
         "gcd_sum_lcm_fib_360": (
@@ -186,12 +187,14 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"argv": term_argv + ["text"]}, lambda: partial(cli_quiet, term_argv + ["text"])),
         "term_cli_1e6_json": (
             {"argv": term_argv + ["json"]}, lambda: partial(cli_quiet, term_argv + ["json"])),
-        "term_cli_1e5_text": (  # just above cli.TERM_DECIMAL_CUTOFF
+        "term_cli_1e5_text": (  # above cli.DECIMAL_CUTOFF = 7*10^4
             {"argv": term_1e5}, lambda: partial(cli_quiet, term_1e5)),
         "term_cli_1e7_text": ({"argv": term_1e7}, lambda: partial(cli_quiet, term_1e7)),
         "sum_cli_1e7_text": ({"argv": sum_1e7}, lambda: partial(cli_quiet, sum_1e7)),
         "gcd_sum_cli_1e6_plus_2_text": (
             {"argv": gcd_1e6}, lambda: partial(cli_quiet, gcd_1e6)),
+        "gcd_sum_cli_120000_text": (
+            {"argv": gcd_120000}, lambda: partial(cli_quiet, gcd_120000)),
         "lucas_odd_cli_500001_json": (
             {"argv": lucas_odd}, lambda: partial(cli_quiet, lucas_odd)),
         "str_fib_1e6": (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import enum
 import functools
 import json
@@ -75,31 +74,23 @@ def decimal_str(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
-#: Index from which `term` and `sum` run the doubling chain on
-#: ``decimal.Decimal`` (see ``sequences.fib_pair``) and print its digits
-#: with ``str``, in place of the int chain and `decimal_str`.  In a fresh
-#: process, which also pays about 2 ms for importing `decimal`, the Decimal
-#: path overtakes between 6*10^4 and 8*10^4 (4.1 against 4.7 ms at 6*10^4,
-#: 7.0 against 5.9 ms at 8*10^4); with `decimal` loaded it is ahead from
-#: about 2*10^4 (Python 3.11.7).  At 10^6 it takes 39 ms against 166 ms.
-TERM_DECIMAL_CUTOFF = 7 * 10**4
-
-#: Even k from which `gcd-sum`, `classify` and `lucas-odd` (at k = 2j) run
-#: the closed route on ``decimal.Decimal`` (see ``gcdsum.gcd_sum``) and
-#: print its value with ``str``, in place of the int route and
-#: `decimal_str`.  With `decimal` loaded, the two are even from 2*10^4 to
-#: 8*10^4, and the Decimal path pulls ahead from about 9*10^4: 1.1 against
-#: 2.3 ms at 10^5, 12 against 64 ms at 10^6 + 2.  In a fresh process, which
-#: also pays about 2 ms for importing `decimal`, it overtakes between 10^5
-#: and 1.3*10^5 (8.5 against 7.8 ms, then 8.2 against 8.7 ms; Python
-#: 3.11.7, Fibonacci seed).
-GCD_DECIMAL_CUTOFF = 10**5
+#: Chain index, the largest Fibonacci index a doubling chain reads, from
+#: which `term` (|n|), `sum` (n + k + 1) and the closed route of `gcd-sum`,
+#: `classify` and `lucas-odd` (k/2 at even k, j for `lucas-odd`) run the
+#: chain on ``decimal.Decimal`` (see ``sequences.fib_pair``) and print with
+#: ``str``, in place of ints and `decimal_str`.  In a fresh process, which
+#: also pays about 2 ms for importing `decimal`, Decimal overtakes int for
+#: `term` between n = 6*10^4 and 7*10^4 (int 4.5 against Decimal 5.0 ms,
+#: then 6.1 against 5.9 ms), and for `gcd-sum` between k = 10^5 and
+#: 1.3*10^5, chain indices 5*10^4 and 6.5*10^4 (3.6 against 4.7 ms, then
+#: 4.7 against 4.2 ms; medians of 11 runs, Python 3.11.7, 2 vCPUs).  At
+#: n = 10^6, `term` takes 39 ms against 166 ms.
+DECIMAL_CUTOFF = 7 * 10**4
 
 #: Largest output, in bits, that `term`, `sum`, `lucas-odd` and even-k
 #: `gcd-sum` and `classify` compute: G_n has about 0.6942 |n| bits (log2 of
-#: the golden ratio is 0.69424), so the cap falls near |n| = 9.67*10^7,
-#: which is j for `lucas-odd` and k/2 for the others.  Checked before any
-#: doubling chain starts.
+#: the golden ratio is 0.69424), so the cap falls near a chain index of
+#: 9.67*10^7.  Checked before any doubling chain starts.
 OUTPUT_BIT_CAP = 2**26
 
 
@@ -114,53 +105,30 @@ def _check_output_bits(index: int) -> None:
 
 
 @contextlib.contextmanager
-def _decimal_zero() -> Iterator[Any]:
-    """``Decimal(0)``, inside ``exact_decimal``."""
-    with exact_decimal() as Decimal:
-        yield Decimal(0)
+def _zero(index: int, seed: Seed | None = None) -> Iterator[Any]:
+    """The zero of a doubling chain at chain index |index|, refused first
+    over OUTPUT_BIT_CAP: ``Decimal(0)``, inside ``exact_decimal``, from
+    DECIMAL_CUTOFF up, and otherwise 0.
 
-
-def _printed_term(index: int, term: Callable[[Any], Any]) -> str:
-    """The decimal digits of ``term(zero)``, a term, or a difference of
-    terms, read at indices up to |index|: refused over OUTPUT_BIT_CAP, and
-    computed on Decimal from TERM_DECIMAL_CUTOFF up."""
-    _check_output_bits(index)
-    if abs(index) < TERM_DECIMAL_CUTOFF:
-        return decimal_str(term(0))
-    with _decimal_zero() as zero:
-        return str(term(zero))
-
-
-def _closed_zero(seed: Seed, k: int) -> contextlib.AbstractContextManager[Any]:
-    """The zero on which the closed route runs for (seed, k).
-
-    An even k >= 1 is first refused over OUTPUT_BIT_CAP, as its value is
-    read from terms at index k/2.  It runs on Decimal from
-    GCD_DECIMAL_CUTOFF up, for seed entries of at most sqrt(k)/2 bits:
-    Euclid's loop on Decimal takes about 0.6 divisions per seed bit (1.44
-    at most), each subquadratic in k, while ``math.gcd`` on ints does not
-    slow with the seed.  Random seeds crossed over near 140 bits at
-    k = 10^5, 512 bits at 10^6 + 2 and 1,700 bits at 10^7.  Odd k, which
-    reads small residues, stays on ints, and so does a k < 1, which the
-    library refuses.
+    Given the seed of a gcd command, Decimal also needs seed entries of b
+    bits with 2 b^2 <= |index|: Euclid's loop on Decimal takes about 0.6
+    divisions per seed bit (1.44 at most), each subquadratic in the index,
+    while ``math.gcd`` on ints does not slow with the seed.  Random seeds
+    crossed over near 140 bits at k = 10^5, 512 bits at 10^6 + 2 and 1,700
+    bits at 10^7.
     """
-    even = k >= 1 and k % 2 == 0
-    if even:
-        _check_output_bits(k // 2)
-    seed_bits = max(abs(seed.g0), abs(seed.g1)).bit_length()
-    if even and k >= GCD_DECIMAL_CUTOFF and 4 * seed_bits * seed_bits <= k:
-        return _decimal_zero()
-    return contextlib.nullcontext(0)
-
-
-def _printable(value: Any) -> Any:
-    """What ``jsonable`` and the renderers take: an int as it is, and a
-    Decimal as its digits, which ``str`` gives exactly."""
-    return value if isinstance(value, int) else str(value)
+    _check_output_bits(index)
+    bits = 0 if seed is None else max(abs(seed.g0), abs(seed.g1)).bit_length()
+    if abs(index) >= DECIMAL_CUTOFF and 2 * bits * bits <= abs(index):
+        with exact_decimal() as Decimal:
+            yield Decimal(0)
+    else:
+        yield 0
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively convert results to JSON-safe data; ints become strings."""
+    """Recursively convert results to JSON-safe data; ints and Decimals
+    become strings of their digits."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
@@ -177,12 +145,14 @@ def jsonable(value: Any) -> Any:
         return value.value
     if hasattr(value, "__dataclass_fields__"):
         return {f: jsonable(getattr(value, f)) for f in value.__dataclass_fields__}
+    decimal = sys.modules.get("decimal")  # a Decimal exists only once it is loaded
+    if decimal is not None and isinstance(value, decimal.Decimal):
+        return str(value)  # exact: every Decimal here is an integer
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # usage problems are domain errors
-        self.print_usage(sys.stderr)
         # argparse quotes a rejected value whole; a digit run that long says nothing
         message = re.sub(r"\d{51,}", lambda m: f"<{len(m[0])} digits>", message)
         print(f"error: {message}", file=sys.stderr)
@@ -259,22 +229,25 @@ Outcome = tuple[dict[str, Any], Callable[[], str], int]
 
 
 def _term(a: argparse.Namespace) -> Outcome:
-    # gib_pair, not gib_term: perfbench's tracer calls bit_length() on what gib_term returns
-    digits = _printed_term(a.n, lambda zero: sequences.gib_pair(a.seed, a.n, zero=zero)[0])
-    return {"seed": a.seed, "n": a.n, "value": digits}, lambda: digits, 0
+    with _zero(a.n) as zero:
+        # gib_pair, not gib_term: perfbench's tracer calls bit_length() on what gib_term returns
+        value = sequences.gib_pair(a.seed, a.n, zero=zero)[0]
+    return {"seed": a.seed, "n": a.n, "value": value}, lambda: jsonable(value), 0
 
 
 def _sum(a: argparse.Namespace) -> Outcome:
     # an empty or misplaced window reads index 0, so window_sum refuses it first
-    top = a.n + a.k + 1 if a.n >= 1 and a.k >= 1 else 0
-    digits = _printed_term(top, lambda zero: sequences.window_sum(a.seed, a.n, a.k, zero=zero))
-    return {"seed": a.seed, "n": a.n, "k": a.k, "value": digits}, lambda: digits, 0
+    with _zero(a.n + a.k + 1 if a.n >= 1 and a.k >= 1 else 0) as zero:
+        value = sequences.window_sum(a.seed, a.n, a.k, zero=zero)
+    return {"seed": a.seed, "n": a.n, "k": a.k, "value": value}, lambda: jsonable(value), 0
 
 
 def _gcd_sum(a: argparse.Namespace) -> Outcome:
     if a.bound is not None and a.method not in ("lcm", "all"):
         raise ValueError(f"--bound is read by --method lcm or all only, not {a.method}")
-    with _closed_zero(a.seed, a.k) as zero:  # every route reads the closed value
+    # every route reads the closed value, whose chain runs at k/2 for even k;
+    # odd k reads small residues, and a k the library refuses reads no term
+    with _zero(a.k // 2 if a.k >= 1 and a.k % 2 == 0 else 0, a.seed) as zero:
         methods = {
             "closed": lambda: gcdsum.gcd_sum(a.seed, a.k, zero=zero),
             "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k),
@@ -282,8 +255,6 @@ def _gcd_sum(a: argparse.Namespace) -> Outcome:
         }
         chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
         results = [methods[name]() for name in chosen]
-        results = [r if isinstance(r.value, int) else dataclasses.replace(r, value=str(r.value))
-                   for r in results]
     return {"seed": a.seed, "k": a.k, "results": results}, lambda: "\n".join(
         f"{r.method.value}: {jsonable(r.value)}" + (" (partial)" if r.partial else "")
         for r in results
@@ -296,15 +267,14 @@ def _pisano(a: argparse.Namespace) -> Outcome:
 
 
 def _classify(a: argparse.Namespace) -> Outcome:
-    with _closed_zero(a.seed, a.k) as zero:
+    with _zero(a.k // 2 if a.k >= 1 and a.k % 2 == 0 else 0, a.seed) as zero:  # as gcd-sum
         c = gcdsum.classify(a.seed, a.k, zero=zero)
-        pred = _printable(c.predicted) if c.table_applies else "table-inapplicable"
-        actual = _printable(c.actual)
+    pred = c.predicted if c.table_applies else "table-inapplicable"
     payload = {"seed": c.seed, "k": c.k, "residue_mod_12": c.residue_mod_12,
                "case_row": c.case_row.value, "predicted": pred,
-               "footnote": c.footnote.value, "actual": actual}
+               "footnote": c.footnote.value, "actual": c.actual}
     return payload, lambda: (f"k={c.k} (mod 12: {c.residue_mod_12}) row={c.case_row.value} "
-                             f"predicted={jsonable(pred)} actual={jsonable(actual)} "
+                             f"predicted={jsonable(pred)} actual={jsonable(c.actual)} "
                              f"footnote={c.footnote.value}"), 0
 
 
@@ -321,9 +291,9 @@ def _max_modulus(a: argparse.Namespace) -> Outcome:
 
 
 def _lucas_odd(a: argparse.Namespace) -> Outcome:
-    k = 2 * a.j if a.j >= 1 and a.j % 2 else 0  # a j the library refuses reads no term
-    with _closed_zero(a.seed, k) as zero:
-        value = _printable(applications.lucas_from_gcd(a.seed, a.j, zero=zero))
+    # at k = 2j; a j the library refuses reads no term
+    with _zero(a.j if a.j >= 1 and a.j % 2 else 0, a.seed) as zero:
+        value = applications.lucas_from_gcd(a.seed, a.j, zero=zero)
     return {"seed": a.seed, "j": a.j, "value": value}, lambda: jsonable(value), 0
 
 

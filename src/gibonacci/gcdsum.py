@@ -49,8 +49,7 @@ def _check_args(seed: Seed, k: int) -> None:
         raise ValueError("k must be >= 1 (a sum over an empty window has no gcd)")
 
 
-def gcd_sum(seed: Seed, k: int, *, zero: Any = 0,
-            half: tuple[Any, Any] | None = None) -> GcdSumResult:
+def gcd_sum(seed: Seed, k: int, *, zero: Any = 0) -> GcdSumResult:
     """Closed formula: gcd(G_{k+1} - G_1, G_{k+2} - G_2), read mod 2|d| at odd k.
 
     The differences D_n = G_{n+k} - G_n obey the Gibonacci recurrence for
@@ -81,11 +80,10 @@ def gcd_sum(seed: Seed, k: int, *, zero: Any = 0,
     Even k: read at the balanced index n = -j, j = k/2, where both
     differences have about half the bits of those at n = 1.  Both pairs,
     at -j and at j, come from one doubling chain: one ``fib_pair(j)``
-    call, read at both signs by ``gib_from_fib``; a caller that has that
-    pair already (``classify``) hands it over as ``half``.  The chain
-    runs on ``zero``'s number type (see ``fib_pair``), and so does the
-    gcd: ``math.gcd`` on ints, and otherwise Euclid's loop, whose every
-    step is one division, subquadratic in libmpdec.  The loop is short.
+    call, read at both signs by ``gib_from_fib``.  The chain runs on
+    ``zero``'s number type (see ``fib_pair``), and so does the gcd:
+    ``math.gcd`` on ints, and otherwise Euclid's loop, whose every step
+    is one division, subquadratic in libmpdec.  The loop is short.
     From G_n = G_0 F_{n-1} + G_1 F_n and F_{-n} = (-1)^{n+1} F_n, the two
     differences are
 
@@ -109,18 +107,24 @@ def gcd_sum(seed: Seed, k: int, *, zero: Any = 0,
         g_k1, g_k2 = gib_pair(seed, k + 1, m)
         value = math.gcd(g_k1 - seed.g1, g_k2 - seed.g0 - seed.g1, m)
     else:
-        j = k // 2
-        f = fib_pair(j, zero=zero) if half is None else half
-        g_lo, g_lo1 = gib_from_fib(seed, -j, *f)
-        g_hi, g_hi1 = gib_from_fib(seed, j, *f)
-        a, b = g_hi - g_lo, g_hi1 - g_lo1
-        if isinstance(a, int):
-            value = math.gcd(a, b)
-        else:
-            while b:
-                a, b = b, a % b
-            value = abs(a)
+        value = _balanced_gcd(seed, k // 2, *fib_pair(k // 2, zero=zero))
     return GcdSumResult(seed, k, value, Method.CLOSED_GCD)
+
+
+def _balanced_gcd(seed: Seed, j: int, f: Any, f_next: Any) -> Any:
+    """The k = 2j window GCD, gcd(G_j - G_{-j}, G_{j+1} - G_{1-j}), from
+    (F_j, F_{j+1}), in their number type (see ``gcd_sum``).  Ints take
+    ``math.gcd``: Euclid's loop on ints ran 9 to 16 times slower, 2.2-2.8
+    against 0.15-0.24 ms for random 57-bit seeds at k = 10^6 (Python
+    3.11.7)."""
+    g_lo, g_lo1 = gib_from_fib(seed, -j, f, f_next)
+    g_hi, g_hi1 = gib_from_fib(seed, j, f, f_next)
+    a, b = g_hi - g_lo, g_hi1 - g_lo1
+    if isinstance(a, int):
+        return math.gcd(a, b)
+    while b:
+        a, b = b, a % b
+    return abs(a)
 
 
 #: The largest k the brute-force route sums over.  Its two window sums are
@@ -231,15 +235,15 @@ def classify(seed: Seed, k: int, *, zero: Any = 0) -> Classification:
     first (the value then scales by d).  At even k one doubling chain,
     ``fib_pair(k // 2)`` on ``zero``'s number type, feeds both the
     prediction, delta F_{k/2} or L_{k/2} = 2 F_{k/2+1} - F_{k/2}, and the
-    ``gcd_sum`` call that gives the actual value.
+    actual value, read as in ``gcd_sum``.
     """
     _check_args(seed, k)
     seed.require_coprime()
     if k % 2:
         actual = gcd_sum(seed, k).value
     else:
-        f, f_next = half = fib_pair(k // 2, zero=zero)
-        actual = gcd_sum(seed, k, half=half).value
+        f, f_next = fib_pair(k // 2, zero=zero)
+        actual = _balanced_gcd(seed, k // 2, f, f_next)
     r = k % 12
     if r in (0, 4, 8):
         row = CaseRow.ROW_048

@@ -68,7 +68,9 @@ SCAN_MODULUS_CAP = 2**17
 
 
 def clear_period_cache() -> None:
-    """Nothing to clear: no period route keeps state between calls."""
+    """Nothing to clear: no period route keeps state between calls.
+
+    Kept because perfbench's worker calls it before every cold run."""
 
 
 def _modulus_name(m: int) -> object:

@@ -1,5 +1,3 @@
-import types
-
 import pytest
 
 from gibonacci import applications, gcdsum, pisano, sequences
@@ -83,9 +81,7 @@ class TestMaxModulus:
             assert result.exhaustive_check
 
     def test_exhaustive_check_fails_on_a_larger_window_gcd(self, monkeypatch):
-        monkeypatch.setattr(
-            gcdsum, "gcd_sum", lambda seed, k, **_: types.SimpleNamespace(value=2 * 832040)
-        )
+        monkeypatch.setattr(gcdsum, "_balanced_gcd", lambda seed, j, f, f_next: 2 * 832040)
         assert max_modulus_for_period(60).m_f == 832040
         with pytest.raises(AssertionError, match="divides 1664080, expected 832040"):
             max_modulus_for_period(60, exhaustive=True)

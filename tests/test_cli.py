@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import json
 import math
@@ -393,7 +392,7 @@ def test_term_beyond_the_int_str_digit_limit(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_term_prints_in_full_like_str(capsys, no_digit_limit, fmt):
     value = sequences.fib(300000)
-    assert 300000 >= cli.TERM_DECIMAL_CUTOFF  # computed and printed by decimal
+    assert 300000 >= cli.DECIMAL_CUTOFF  # computed and printed by decimal
     code, out = invoke(capsys, "term", "--n", "300000", "--format", fmt)
     digits = str(value)
     want = digits if fmt == "text" else json.dumps(
@@ -401,7 +400,7 @@ def test_term_prints_in_full_like_str(capsys, no_digit_limit, fmt):
     assert code == 0 and out == want + "\n"
 
 
-CUTOFF = cli.TERM_DECIMAL_CUTOFF
+CUTOFF = cli.DECIMAL_CUTOFF  # on the chain index: |n| for term, n + k + 1 for sum, k/2
 
 
 def both_paths(capsys, monkeypatch, argv):
@@ -412,8 +411,7 @@ def both_paths(capsys, monkeypatch, argv):
     record_doubling_loop(monkeypatch, zeros=zeros)
     got = invoke(capsys, *argv)
     ran_on = set(zeros)
-    monkeypatch.setattr(cli, "TERM_DECIMAL_CUTOFF", math.inf)
-    monkeypatch.setattr(cli, "GCD_DECIMAL_CUTOFF", math.inf)
+    monkeypatch.setattr(cli, "DECIMAL_CUTOFF", math.inf)
     want = invoke(capsys, *argv)
     return got, ran_on, want
 
@@ -447,7 +445,7 @@ def test_sum_on_decimal_prints_what_the_int_path_prints(capsys, monkeypatch, see
 def test_a_zero_on_decimal_prints_0_and_leaves_the_callers_context(capsys, monkeypatch, rounding):
     # G_m = F_m F_{m-1} - F_{m-1} F_m = 0, and the one-term window G_m is
     # G_{m+2} - G_{m+1}, two equal terms: under ROUND_FLOOR, x - x is -0
-    monkeypatch.setattr(cli, "TERM_DECIMAL_CUTOFF", 0)
+    monkeypatch.setattr(cli, "DECIMAL_CUTOFF", 0)
     m = 30
     seed = f"--seed={sequences.fib(m)},{-sequences.fib(m - 1)}"
     with decimal.localcontext() as ctx:
@@ -506,16 +504,21 @@ def test_sum_window_errors_keep_their_text_past_the_cap(capsys, monkeypatch, n, 
     assert exc.value.code == 1 and capsys.readouterr().err == f"error: {message}\n"
 
 
-GCD_CUTOFF = cli.GCD_DECIMAL_CUTOFF
 BIG_SEED = f"{2**200 + 1},3"  # past the seed guard below k = 4 * 201^2
+GUARD_K = 4 * 201**2
 
 # (seed, k, whether the closed route runs on Decimal): j = k/2 of both
-# parities on both sides of the cutoff, odd k, negative entries, a seed past
-# the guard, and (2,1), whose difference (2 G_1 - G_0) F_j is 0 at even j
+# parities on both sides of the cutoff, odd k, negative entries, a seed on
+# both sides of the guard, and (2,1), whose difference (2 G_1 - G_0) F_j is
+# 0 at even j
 GCD_CASES = [
-    ("0,1", GCD_CUTOFF - 2, False), ("0,1", GCD_CUTOFF, True), ("0,1", GCD_CUTOFF + 2, True),
-    ("0,1", GCD_CUTOFF + 1, False), ("-7,3", GCD_CUTOFF + 2, True), ("-5,-8", GCD_CUTOFF, True),
-    ("2,1", GCD_CUTOFF, True), ("2,1", GCD_CUTOFF + 2, True), (BIG_SEED, GCD_CUTOFF, False),
+    ("0,1", 2 * CUTOFF - 2, False), ("0,1", 2 * CUTOFF, True), ("0,1", 2 * CUTOFF + 2, True),
+    ("0,1", 2 * CUTOFF + 1, False), ("-7,3", 2 * CUTOFF + 2, True), ("-5,-8", 2 * CUTOFF, True),
+    ("2,1", 2 * CUTOFF, True), ("2,1", 2 * CUTOFF + 2, True), (BIG_SEED, 2 * CUTOFF, False),
+    (BIG_SEED, GUARD_K - 2, False), (BIG_SEED, GUARD_K, True),
+    ("0,1", 10**5 - 2, False), ("0,1", 10**5, False), ("0,1", 10**5 + 2, False),
+    ("0,1", 10**5 + 1, False), ("-7,3", 10**5 + 2, False), ("-5,-8", 10**5, False),
+    ("2,1", 10**5, False), ("2,1", 10**5 + 2, False), (BIG_SEED, 10**5, False),
     ("1,-4", 3 * 10**5 + 2, True),
 ]
 
@@ -534,9 +537,11 @@ def test_gcd_values_on_decimal_print_what_the_int_path_prints(capsys, monkeypatc
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("seed, j, on_decimal", [
-    ("0,1", GCD_CUTOFF // 2 - 1, False), ("0,1", GCD_CUTOFF // 2 + 1, True),
-    ("-7,3", GCD_CUTOFF // 2 + 1, True), ("2,1", GCD_CUTOFF // 2 + 3, True),
-    (BIG_SEED, GCD_CUTOFF // 2 + 1, False), ("-3,-10", 500001, True),
+    ("0,1", CUTOFF - 1, False), ("0,1", CUTOFF + 1, True),
+    ("-7,3", CUTOFF + 1, True), ("2,1", CUTOFF + 3, True),
+    (BIG_SEED, CUTOFF + 1, False), ("-3,-10", 500001, True),
+    ("0,1", 49999, False), ("0,1", 50001, False), ("-7,3", 50001, False),
+    ("2,1", 50003, False), (BIG_SEED, 50001, False),
 ])
 def test_lucas_odd_on_decimal_prints_what_the_int_path_prints(capsys, monkeypatch, seed, j,
                                                               on_decimal, fmt):
@@ -633,16 +638,13 @@ def test_negative_seed_after_a_space(capsys):
 
 
 def overcounting(monkeypatch):
-    """Plant gcd_sum to return twice the value.  Where the lcm route checks
-    an odd value v, the period mod 2v is the lcm of 3 and the period mod v,
-    so it does not divide the k (20, 50000) that 3 does not divide."""
-    real = gcdsum.gcd_sum
-
-    def doubled(seed, k, **kwargs):
-        result = real(seed, k, **kwargs)
-        return dataclasses.replace(result, value=2 * result.value)
-
-    monkeypatch.setattr(gcdsum, "gcd_sum", doubled)
+    """Plant the even-k closed value, which gcd_sum and classify read, at
+    twice its value.  Where the lcm route checks an odd value v, the
+    period mod 2v is the lcm of 3 and the period mod v, so it does not
+    divide the k (20, 50000) that 3 does not divide."""
+    real = gcdsum._balanced_gcd
+    monkeypatch.setattr(gcdsum, "_balanced_gcd",
+                        lambda seed, j, f, f_next: 2 * real(seed, j, f, f_next))
 
 
 def test_verification_failure_exits_2(capsys, monkeypatch):
@@ -755,6 +757,24 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command' (choose from "),
+    (["gcd-sum", "--k", "x"], "argument --k: invalid int value: 'x'\n"),
+    (["gcd-sum"], "the following arguments are required: --k\n"),
+    (["gcd-sum", "--k", "1" * 4301], "argument --k: invalid int value: '<4301 digits>'\n"),
+    (["max-modulus", "--k", "60", "--seed", "7,3"], "unrecognized arguments: --seed 7,3\n"),
+])
+def test_a_usage_error_is_one_stderr_line(capsys, monkeypatch, argv, message):
+    assert sys.get_int_max_str_digits() == 4300  # so a 4301-digit --k is not an int
+    monkeypatch.setattr(sys, "argv", ["gibonacci", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
 def test_seed_parsing():
@@ -881,8 +901,17 @@ def test_decimal_str_leaves_the_callers_context():
 
 
 def test_importing_the_cli_leaves_decimal_unloaded():
+    # and so do commands whose chains stay below the cutoff, in either format
     src = Path(cli.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, gibonacci.cli; print('decimal' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    script = "\n".join([
+        "import sys, gibonacci.cli as cli",
+        "loaded = ['decimal' in sys.modules]",
+        "for argv in (['term', '--n', '10', '--format', 'json'],",
+        "             ['gcd-sum', '--k', '12', '--format', 'json'], ['classify', '--k', '12']):",
+        "    assert cli.run(argv) == 0",
+        "    loaded.append('decimal' in sys.modules)",
+        "print(loaded)",
+    ])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[False, False, False, False]"
