@@ -102,6 +102,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         max_modulus_for_period,
         parity_scan,
         pisano_period,
+        squares_gcd,
         verify,
         verify_identity,
     )
@@ -140,6 +141,11 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             lambda: partial(gcd_sum, Seed(1, 4), 4 * 10**6 + 1)),
         "gcd_sum_fib_4e6": (
             {"seed": [0, 1], "k": 4 * 10**6}, lambda: partial(gcd_sum, FIBONACCI, 4 * 10**6)),
+        "squares_fib_5e5": (  # even k: the value is F_k, read from one chain and one gcd
+            {"seed": [0, 1], "k": 5 * 10**5}, lambda: partial(squares_gcd, FIBONACCI, 5 * 10**5)),
+        "squares_fib_5e5_plus_1": (
+            {"seed": [0, 1], "k": 5 * 10**5 + 1},
+            lambda: partial(squares_gcd, FIBONACCI, 5 * 10**5 + 1)),
         "classify_fib_1e7": (
             {"seed": [0, 1], "k": 10**7}, lambda: partial(classify, FIBONACCI, 10**7)),
         "gcd_index_one_1_4_1e6": (

@@ -5,8 +5,7 @@
   modulus attaining a given even period,
 * odd-indexed Lucas numbers recovered from any coprime-seed GCD,
 * the GCD of all sums of k consecutive squares, exact from three
-  windows; only its closed form (F_k for the Fibonacci seed at even k)
-  is a conjecture.
+  windows, with its closed form F_k for the Fibonacci seed at even k.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from . import pisano
+from . import gcdsum, pisano
 from .factor import trial_division
 from .gcdsum import CaseRow, classify, gcd_sum
 from .pisano import _modulus_name, period_from_multiple, pisano_period
@@ -162,20 +161,16 @@ def lucas_from_gcd(seed: Seed, j: int, *, zero: Any = 0) -> Any:
 
 @dataclass(frozen=True)
 class SquaresGcdRecord:
-    """GCD of all sums of k consecutive squared terms.
+    """GCD of all sums of k consecutive squared terms (``squares_gcd``).
 
-    ``empirical_value`` is exact, read from ``windows_used`` = 3 windows
-    (``squares_gcd``).  Only its closed form is conjectural: for the
-    Fibonacci seed and even k the conjectured value F_k is attached for
-    comparison.
+    ``value`` is exact.  ``predicted`` is F_k for the Fibonacci seed at
+    even k, where it is a theorem, and None everywhere else.
     """
 
     seed: Seed
     k: int
-    empirical_value: int
-    windows_used: int
-    conjectured: int | None
-    matches_conjecture: bool | None
+    value: int
+    predicted: int | None
 
 
 def squares_gcd(seed: Seed, k: int) -> SquaresGcdRecord:
@@ -191,25 +186,32 @@ def squares_gcd(seed: Seed, k: int) -> SquaresGcdRecord:
     integer combination of W_1, W_2 and W_3.  Hence gcd(W_1, W_2, W_3)
     divides every window, and being the gcd of three of them, it is the
     gcd of all.  Two windows are not enough: for seed (1, 0) at k = 5 the
-    windows are 15, 40 and 103.
+    windows are 15, 40 and 103.  At k = 0 every window is 0, and so is
+    the value.
 
-    One ``gib_pair`` call gives (G_k, G_{k+1}); two additions, three
-    products and one gcd finish.  k = 0 returns 0 (the empty sum).
+    Theorem: for the Fibonacci seed at even k the value is F_k, returned
+    as ``predicted``.  F_x F_{x+1} = (L_{2x+1} - (-1)^x)/5, and for even k
+    L_{a+2k} - L_a = 5 F_k F_{a+k}; together they give W_n =
+    F_{n+k-1} F_{n+k} - F_{n-1} F_n = F_k F_{2n+k-1}.  So the value is
+    F_k gcd(F_{k+1}, F_{k+3}, F_{k+5}), and gcd(F_{k+1}, F_{k+3}) =
+    F_{gcd(k+1, 2)} = F_1 = 1.
+
+    One ``gib_pair`` call gives (G_k, G_{k+1}), which is (F_k, F_{k+1})
+    for the Fibonacci seed; two additions, three products and one gcd
+    finish.  k above ``gcdsum.BRUTE_FORCE_INDEX_CAP`` is refused with a
+    ValueError before the chain: like the brute route, this one pays a
+    quadratic big-integer gcd of full-size terms.
     """
     seed.require_nondegenerate()
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return SquaresGcdRecord(seed, 0, 0, 0, None, None)
+    if k > gcdsum.BRUTE_FORCE_INDEX_CAP:
+        raise ValueError(f"squares refuses k = {k}: "
+                         f"k is over BRUTE_FORCE_INDEX_CAP = {gcdsum.BRUTE_FORCE_INDEX_CAP}")
     g0, g1 = seed.g0, seed.g1
     g2, g3 = g0 + g1, g0 + 2 * g1
     gk, gk1 = gib_pair(seed, k)
     gk2 = gk + gk1
     gk3 = gk1 + gk2
     value = math.gcd(gk * gk1 - g0 * g1, gk1 * gk2 - g1 * g2, gk2 * gk3 - g2 * g3)
-    conjectured = None
-    matches = None
-    if seed == FIBONACCI and k % 2 == 0:
-        conjectured = fib(k)
-        matches = value == conjectured
-    return SquaresGcdRecord(seed, k, value, 3, conjectured, matches)
+    return SquaresGcdRecord(seed, k, value, gk if seed == FIBONACCI and k % 2 == 0 else None)

@@ -246,8 +246,12 @@ def _gcd_sum(a: argparse.Namespace) -> Outcome:
     if a.bound is not None and a.method not in ("lcm", "all"):
         raise ValueError(f"--bound is read by --method lcm or all only, not {a.method}")
     # every route reads the closed value, whose chain runs at k/2 for even k;
-    # odd k reads small residues, and a k the library refuses reads no term
-    with _zero(a.k // 2 if a.k >= 1 and a.k % 2 == 0 else 0, a.seed) as zero:
+    # odd k reads small residues, and a k the library refuses reads no term.
+    # Every route keeps the output cap; only the closed route takes the zero.
+    index = a.k // 2 if a.k >= 1 and a.k % 2 == 0 else 0
+    _check_output_bits(index)
+    with (_zero(index, a.seed) if a.method in ("closed", "all")
+          else contextlib.nullcontext(0)) as zero:
         methods = {
             "closed": lambda: gcdsum.gcd_sum(a.seed, a.k, zero=zero),
             "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k),
@@ -306,12 +310,8 @@ def _primes_check(a: argparse.Namespace) -> Outcome:
 
 def _squares(a: argparse.Namespace) -> Outcome:
     r = applications.squares_gcd(a.seed, a.k)
-
-    def render() -> str:
-        conj = "" if r.conjectured is None else (
-            f" conjectured={decimal_str(r.conjectured)} match={r.matches_conjecture}")
-        return f"empirical={decimal_str(r.empirical_value)} windows={r.windows_used}{conj}"
-    return {"record": r}, render, 0
+    return {"record": r}, lambda: f"value={decimal_str(r.value)}" + (
+        "" if r.predicted is None else f" predicted={decimal_str(r.predicted)}"), 0
 
 
 def _identities(a: argparse.Namespace) -> Outcome:

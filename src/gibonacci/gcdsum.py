@@ -127,9 +127,12 @@ def _balanced_gcd(seed: Seed, j: int, f: Any, f_next: Any) -> Any:
     return abs(a)
 
 
-#: The largest k the brute-force route sums over.  Its two window sums are
-#: full-size terms of about 0.69 k bits, and their big-integer gcd grows
-#: with the square of that size: (1,4) at k = 10^6 takes about 1 s.
+#: The largest k that the brute-force route and ``applications.squares_gcd``
+#: take.  Both end in a big-integer gcd of full-size terms, about 0.69 k bits
+#: for the brute route's two window sums and 1.39 k bits for the squares'
+#: window products, and that gcd grows with the square of the size: (1,4)
+#: at k = 10^6 takes about 1 s by the brute route, and the Fibonacci
+#: squares 2.7 to 3.5 s (Python 3.11.7, 2 vCPUs).
 BRUTE_FORCE_INDEX_CAP = 2**20
 
 

@@ -16,9 +16,9 @@ It reads M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]] from modular
 O(omega(n) log n + Omega(n) log q) modular products.  The lcm route and
 ``max_modulus_for_period`` pass k as the multiple
 (``period_from_multiple``).  ``pisano_period`` and ``period_table`` find
-the period at each prime power p^e of m from Wall's multiple
-p^(e-1) W(p) (``_prime_power_period``) and join the parts by the CRT
-lemma; ``pisano_period`` factors m by trial division up to
+the period at each prime power p^e of m by order finding from Wall's
+multiple p^(e-1) W(p) and join the parts by the CRT (both lemmas are
+in ``period_table``); ``pisano_period`` factors m by trial division up to
 ``TRIAL_DIVISION_BOUND``, ``period_table`` reads a sieve.  An m that the
 division may leave unfactored (m >= (B + 1)^2) is first probed for a
 period of at most ``PERIOD_TABLE_CAP`` steps: such m often have short
@@ -171,12 +171,13 @@ def pisano_period(seed: Seed, m: int) -> int:
     if (m >= (TRIAL_DIVISION_BOUND + 1) ** 2
             and (r := _shift_steps((a, b), (a, b), m, PERIOD_TABLE_CAP)) is not None):
         return r
-    parts = []  # (p, p^e, the primes of p W(p)), all factored before any order finding
+    parts = []  # (p^e, its multiple p^(e-1) W(p), the primes of p W(p)), all factored first
     for p, e in _factored(m, m, "it").items():
         w = _wall_multiple(p)
-        parts.append((p, p**e, {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}")}))
-    return math.lcm(*(_prime_power_period(p, q, a % q, b % q, primes)
-                      if a % q or b % q else 1 for p, q, primes in parts))
+        parts.append((p**e, p ** (e - 1) * w,
+                      {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}")}))
+    return math.lcm(*(_order(a % q, b % q, q, n, primes)
+                      if a % q or b % q else 1 for q, n, primes in parts))
 
 
 def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int:
@@ -254,20 +255,13 @@ def _wall_multiple(p: int) -> int:
     return p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
 
 
-def _prime_power_period(p: int, q: int, a: int, b: int, primes: Iterable[int]) -> int:
-    """The period mod the prime power q = p^e of the residue pair
-    (a, b) != (0, 0), given the primes of p W(p): order finding from
-    Wall's multiple (q / p) W(p)."""
-    return _order(a, b, q, q // p * _wall_multiple(p), primes)
-
-
 def period_table(seed: Seed, m_max: int) -> list[int]:
     """Periods of the seed mod every m in [1, m_max], as a list indexed by m.
 
     Entry m is the period mod m, or 1 where the seed is congruent to
     (0, 0) mod m; entry 0 is unused.  At each prime power p^e to which
-    the seed does not reduce as (0, 0), ``_prime_power_period`` finds
-    the period by order finding from the multiple p^(e-1) W(p), with W(p)
+    the seed does not reduce as (0, 0), ``_order`` finds the period
+    from the multiple p^(e-1) W(p), with W(p)
     Wall's multiple of the Fibonacci period mod p: 3 at p = 2, 20 at
     p = 5, p - 1 when p = +-1 (mod 5) and 2(p + 1) when p = +-2 (mod 5).
     The primes of that multiple are read from the table's own
@@ -335,9 +329,8 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
         if q < m:
             periods[m] = math.lcm(periods[q], periods[m // q])
         else:
-            a, b = seed.g0 % m, seed.g1 % m
-            periods[m] = (_prime_power_period(p, m, a, b, primes_of(_wall_multiple(p)) | {p})
-                          if a or b else 1)
+            a, b, w = seed.g0 % m, seed.g1 % m, _wall_multiple(p)
+            periods[m] = _order(a, b, m, m // p * w, primes_of(w) | {p}) if a or b else 1
     return periods
 
 

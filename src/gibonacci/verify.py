@@ -182,18 +182,15 @@ SQUARES_TABLE = (
 
 
 def check_squares_tables() -> tuple[bool, str]:
-    bad = []
-    for k, want in enumerate(SQUARES_TABLE):
-        got = applications.squares_gcd(FIBONACCI, k).empirical_value
-        if got != want:
-            bad.append((k, got, want))
-    findings = []
-    for k in range(2, 31, 2):
+    bad, mispredicted = [], []
+    for k in range(31):
         rec = applications.squares_gcd(FIBONACCI, k)
-        if rec.matches_conjecture is False:
-            findings.append((k, rec.empirical_value, rec.conjectured))
-    detail = f"table_mismatches={bad[:3]} conjecture_findings={findings[:3]}"
-    return not bad and not findings, detail
+        if k < len(SQUARES_TABLE) and rec.value != SQUARES_TABLE[k]:
+            bad.append((k, rec.value, SQUARES_TABLE[k]))
+        if rec.predicted is not None and rec.predicted != rec.value:
+            mispredicted.append((k, rec.value, rec.predicted))
+    detail = f"table_mismatches={bad[:3]} prediction_mismatches={mispredicted[:3]}"
+    return not bad and not mispredicted, detail
 
 
 def check_brown_bound() -> tuple[bool, str]:

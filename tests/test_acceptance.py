@@ -25,7 +25,7 @@ DETAILS = {
     10: "checked even k in [6, 40]; m_f(40)=6765",
     11: "mismatches=[]",
     12: "violations=[]",
-    13: "table_mismatches=[] conjecture_findings=[]",
+    13: "table_mismatches=[] prediction_mismatches=[]",
     14: "violations=[] period(10)=60:True",
 }
 

@@ -2,6 +2,7 @@ import pytest
 
 from gibonacci import applications, gcdsum, pisano, sequences
 from gibonacci.applications import (
+    SquaresGcdRecord,
     lucas_from_gcd,
     max_modulus_for_period,
     pisano_of_fib_lucas_moduli,
@@ -11,7 +12,7 @@ from gibonacci.applications import (
 from gibonacci.pisano import pisano_period
 from gibonacci.sequences import FIBONACCI, LUCAS, Seed, coprime_seed_grid, fib, lucas
 
-from conftest import max_modulus_full_scan, squares_gcd_direct
+from conftest import max_modulus_full_scan, record_doubling_loop, squares_gcd_direct
 
 #: Coprime seeds with entries up to 6, and four seeds with a common factor.
 SQUARES_SEEDS = coprime_seed_grid(6) + [Seed(2, 4), Seed(3, 9), Seed(6, -4), Seed(0, 5)]
@@ -152,32 +153,54 @@ class TestSquaresGcd:
         "k,expected", [(10, 55), (6, 8), (3, 2), (0, 0), (12, 144)]
     )
     def test_fibonacci_values(self, k, expected):
-        assert squares_gcd(FIBONACCI, k).empirical_value == expected
+        assert squares_gcd(FIBONACCI, k).value == expected
 
-    def test_conjecture_attached_for_even_k(self):
-        rec = squares_gcd(FIBONACCI, 10)
-        assert rec.conjectured == fib(10) and rec.matches_conjecture
+    def test_record_has_four_fields(self):
+        assert list(SquaresGcdRecord.__dataclass_fields__) == ["seed", "k", "value", "predicted"]
 
-    def test_no_conjecture_for_odd_k_or_other_seeds(self):
-        assert squares_gcd(FIBONACCI, 9).conjectured is None
-        assert squares_gcd(LUCAS, 10).conjectured is None
+    def test_prediction_is_the_value_at_even_k(self):
+        for k in range(0, 201, 2):
+            rec = squares_gcd(FIBONACCI, k)
+            assert rec.predicted == rec.value == fib(k), k
+            assert squares_gcd(FIBONACCI, k + 1).predicted is None, k + 1
+
+    def test_no_prediction_for_other_seeds(self):
+        for seed in SQUARES_SEEDS:  # Lucas among them
+            if seed != FIBONACCI:
+                for k in range(0, 61):
+                    assert squares_gcd(seed, k).predicted is None, (seed, k)
 
     def test_equals_the_gcd_of_sixty_direct_windows(self):
         for seed in SQUARES_SEEDS:
-            for k in range(1, 61):
-                got = squares_gcd(seed, k).empirical_value
+            for k in range(0, 61):  # k = 0: every window is the empty sum
+                got = squares_gcd(seed, k).value
                 assert got == squares_gcd_direct(seed, k, 60), (seed, k)
 
     def test_two_windows_are_not_enough(self):
         # windows 15, 40, 103: the first two share 5, the third does not
         assert squares_gcd_direct(Seed(1, 0), 5, 2) == 5
-        rec = squares_gcd(Seed(1, 0), 5)
-        assert rec.empirical_value == 1 == squares_gcd_direct(Seed(1, 0), 5, 60)
-        assert rec.windows_used == 3
+        assert squares_gcd(Seed(1, 0), 5).value == 1 == squares_gcd_direct(Seed(1, 0), 5, 60)
 
     def test_large_k_answers_from_one_term_pair(self):
         rec = squares_gcd(FIBONACCI, 300_000)
-        assert rec.empirical_value == rec.conjectured == fib(300_000)
+        assert rec.value == rec.predicted == fib(300_000)
+
+    def test_one_chain_per_call(self, monkeypatch):
+        chains = record_doubling_loop(monkeypatch)
+        for seed, k in ((FIBONACCI, 0), (FIBONACCI, 10), (FIBONACCI, 9), (LUCAS, 10), (Seed(3, -5), 0)):
+            chains.clear()
+            squares_gcd(seed, k)
+            assert chains == [(k, None)], (seed, k)
+
+    def test_index_cap_is_inclusive_and_refuses_before_any_chain(self, monkeypatch):
+        monkeypatch.setattr(gcdsum, "BRUTE_FORCE_INDEX_CAP", 20)
+        chains = record_doubling_loop(monkeypatch)
+        assert squares_gcd(FIBONACCI, 20).value == 6765
+        for k in (21, 100000001):
+            with pytest.raises(ValueError, match=(
+                    f"squares refuses k = {k}: k is over BRUTE_FORCE_INDEX_CAP = 20")):
+                squares_gcd(FIBONACCI, k)
+        assert chains == [(20, None)]
 
     def test_rejects_negative_k_and_thin_windows(self):
         with pytest.raises(ValueError):

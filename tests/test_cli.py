@@ -224,7 +224,7 @@ def test_primes_check(capsys):
 
 def test_squares(capsys):
     code, out = invoke(capsys, "squares", "--k", "10")
-    assert code == 0 and "empirical=55 windows=3" in out
+    assert code == 0 and out == "value=55 predicted=55\n"
 
 
 def test_identities_single(capsys):
@@ -624,6 +624,115 @@ def test_brute_route_over_the_index_cap_exits_1(capsys, monkeypatch, method):
         f"k is over BRUTE_FORCE_INDEX_CAP = {gcdsum.BRUTE_FORCE_INDEX_CAP}\n")
 
 
+#: The first chain index whose term is over OUTPUT_BIT_CAP bits (``cli._check_output_bits``).
+OUTPUT_CAP_INDEX = -(-(cli.OUTPUT_BIT_CAP + 1) * 10000 // 6942)
+DIGITS_4301 = "9" * 4301  # one digit over CPython's default int/str limit
+
+#: Every subcommand on 0, a negative value, a 4301-digit value, the
+#: degenerate seed (0, 0) and one past each cap, with the exit code each
+#: gets.  An exit of 1 is a refusal.
+ADVERSARIAL_RUNS = [
+    (["term", "--n", "0"], 0),
+    (["term", "--n", "-5"], 0),
+    (["term", "--n", DIGITS_4301], 1),
+    (["term", "--seed", "0,0", "--n", "5"], 0),  # the zero sequence has terms
+    (["term", "--n", str(OUTPUT_CAP_INDEX)], 1),
+    (["term", "--n", str(-OUTPUT_CAP_INDEX)], 1),
+    (["sum", "--n", "0", "--k", "5"], 1),
+    (["sum", "--n", "1", "--k", "0"], 1),
+    (["sum", "--n", "-1", "--k", "3"], 1),
+    (["sum", "--n", "1", "--k", "-3"], 1),
+    (["sum", "--n", DIGITS_4301, "--k", "1"], 1),
+    (["sum", "--seed", "0,0", "--n", "1", "--k", "3"], 0),
+    (["sum", "--n", "1", "--k", str(OUTPUT_CAP_INDEX - 2)], 1),  # chain index n + k + 1
+    (["gcd-sum", "--k", "0"], 1),
+    (["gcd-sum", "--k", "-2"], 1),
+    (["gcd-sum", "--k", DIGITS_4301], 1),
+    (["gcd-sum", "--seed", "0,0", "--k", "4"], 1),
+    (["gcd-sum", "--k", str(2 * OUTPUT_CAP_INDEX)], 1),  # chain index k/2
+    (["gcd-sum", "--method", "all", "--k", str(2 * OUTPUT_CAP_INDEX)], 1),
+    (["gcd-sum", "--method", "brute", "--k", str(gcdsum.BRUTE_FORCE_INDEX_CAP + 1)], 1),
+    (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", "0"], 1),
+    (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", "-1"], 1),
+    (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", str(pisano.SCAN_MODULUS_CAP + 1)], 1),
+    (["pisano", "--m", "0"], 1),
+    (["pisano", "--m", "-7"], 1),
+    (["pisano", "--m", DIGITS_4301], 1),
+    (["pisano", "--seed", "0,0", "--m", "7"], 1),
+    (["pisano", "--m", str(2**pisano.MODULUS_BIT_CAP)], 1),
+    (["classify", "--k", "0"], 1),
+    (["classify", "--k", "-4"], 1),
+    (["classify", "--k", DIGITS_4301], 1),
+    (["classify", "--seed", "0,0", "--k", "4"], 1),
+    (["classify", "--k", str(2 * OUTPUT_CAP_INDEX)], 1),
+    (["parity-scan", "--m-max", "0"], 1),
+    (["parity-scan", "--m-max", "-3"], 1),
+    (["parity-scan", "--m-max", DIGITS_4301], 1),
+    (["parity-scan", "--seed", "0,0", "--m-max", "10"], 1),
+    (["parity-scan", "--m-max", str(pisano.SCAN_MODULUS_CAP + 1)], 1),
+    (["max-modulus", "--k", "0"], 1),
+    (["max-modulus", "--k", "-6"], 1),
+    (["max-modulus", "--k", DIGITS_4301], 1),
+    (["max-modulus", "--seed", "0,0", "--k", "6"], 1),  # reads no seed
+    (["max-modulus", "--k", str(pisano.PERIOD_TABLE_CAP + 2)], 1),  # the first even k past it
+    (["lucas-odd", "--j", "0"], 1),
+    (["lucas-odd", "--j", "-3"], 1),
+    (["lucas-odd", "--j", DIGITS_4301], 1),
+    (["lucas-odd", "--seed", "0,0", "--j", "3"], 1),
+    (["lucas-odd", "--j", str(OUTPUT_CAP_INDEX | 1)], 1),  # chain index j, odd
+    (["primes-check", "--k", "0"], 1),
+    (["primes-check", "--k", "-3"], 1),
+    (["primes-check", "--k", DIGITS_4301], 1),
+    (["primes-check", "--seed", "0,0", "--k", "3"], 1),
+    (["primes-check", "--k", "3", "--bound", "0"], 0),  # reports what it leaves unfactored
+    (["primes-check", "--k", "3", "--bound", "-5"], 0),
+    (["squares", "--k", "0"], 0),
+    (["squares", "--k", "-1"], 1),
+    (["squares", "--k", DIGITS_4301], 1),
+    (["squares", "--seed", "0,0", "--k", "3"], 1),
+    (["squares", "--k", str(gcdsum.BRUTE_FORCE_INDEX_CAP + 1)], 1),
+    (["squares", "--k", "100000001"], 1),
+    (["identities", "--hi", "0"], 1),
+    (["identities", "--id", "cassini", "--lo", "-5", "--hi", "5"], 0),
+    (["identities", "--hi", "-1"], 1),
+    (["identities", "--hi", DIGITS_4301], 1),
+    (["identities", "--seed", "0,0"], 1),  # reads no seed
+    (["identities", "--id", "lucas_from_fib", "--hi", str(identities.IDENTITY_POINT_CAP)], 1),
+    (["identities", "--id", "gib_partial_sum", "--hi", "41575"], 1),  # table bits
+    (["verify", "--seed", "0,0"], 1),  # reads no seed and no value
+    (["verify", "--k", "0"], 1),
+]
+
+
+def test_adversarial_runs_step_past_each_cap_by_one():
+    cli._check_output_bits(OUTPUT_CAP_INDEX - 1)
+    with pytest.raises(ValueError):
+        cli._check_output_bits(OUTPUT_CAP_INDEX)
+    ranges = identities.default_identity_ranges(identities.Identity.GIB_PARTIAL_SUM, hi=41574)
+    identities.check_identity_request(identities.Identity.GIB_PARTIAL_SUM, ranges)
+
+
+@pytest.mark.parametrize("argv,code", ADVERSARIAL_RUNS,
+                         ids=[" ".join(a if len(a) < 20 else f"<{len(a)} digits>" for a in argv)
+                              for argv, _ in ADVERSARIAL_RUNS])
+def test_adversarial_inputs_exit_cleanly_and_refusals_start_no_chain(capsys, monkeypatch,
+                                                                    argv, code):
+    def no_chain(j, m):
+        raise RuntimeError(f"a refused input started a chain at {j}")
+
+    chains = record_doubling_loop(monkeypatch, guard=no_chain if code else None)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and chains == []
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+
+
 def test_oversized_argument_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["term", "--n", "9" * 5000])
@@ -901,17 +1010,20 @@ def test_decimal_str_leaves_the_callers_context():
 
 
 def test_importing_the_cli_leaves_decimal_unloaded():
-    # and so do commands whose chains stay below the cutoff, in either format
+    # and so do commands whose chains stay below the cutoff, in either format,
+    # and the brute and lcm routes past it: only the closed route reads a zero
     src = Path(cli.__file__).resolve().parents[1]
     script = "\n".join([
         "import sys, gibonacci.cli as cli",
         "loaded = ['decimal' in sys.modules]",
         "for argv in (['term', '--n', '10', '--format', 'json'],",
-        "             ['gcd-sum', '--k', '12', '--format', 'json'], ['classify', '--k', '12']):",
+        "             ['gcd-sum', '--k', '12', '--format', 'json'], ['classify', '--k', '12'],",
+        "             ['gcd-sum', '--method', 'brute', '--k', '140000'],",
+        "             ['gcd-sum', '--method', 'lcm', '--k', '140000', '--format', 'json']):",
         "    assert cli.run(argv) == 0",
         "    loaded.append('decimal' in sys.modules)",
         "print(loaded)",
     ])
     out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[False, False, False, False]"
+    assert out.stdout.splitlines()[-1] == "[False, False, False, False, False, False]"

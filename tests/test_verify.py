@@ -107,14 +107,14 @@ def test_prime_restriction_reports_a_forbidden_prime(monkeypatch):
 
 def test_squares_tables_report_a_table_mismatch(monkeypatch):
     plant(monkeypatch, applications, "squares_gcd", lambda r, seed, k: dataclasses.replace(
-        r, empirical_value=r.empirical_value + 1) if k == 5 else r)
-    assert failed_detail(13) == "table_mismatches=[(5, 2, 1)] conjecture_findings=[]"
+        r, value=r.value + 1) if k == 5 else r)
+    assert failed_detail(13) == "table_mismatches=[(5, 2, 1)] prediction_mismatches=[]"
 
 
-def test_squares_tables_report_a_conjecture_finding(monkeypatch):
+def test_squares_tables_report_a_prediction_mismatch(monkeypatch):
     plant(monkeypatch, applications, "squares_gcd", lambda r, seed, k: dataclasses.replace(
-        r, conjectured=r.conjectured + 1, matches_conjecture=False) if k == 10 else r)
-    assert failed_detail(13) == "table_mismatches=[] conjecture_findings=[(10, 55, 56)]"
+        r, predicted=r.predicted + 1) if k == 10 else r)
+    assert failed_detail(13) == "table_mismatches=[] prediction_mismatches=[(10, 55, 56)]"
 
 
 def test_run_check_rejects_an_unknown_number():
