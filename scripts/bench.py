@@ -1,10 +1,13 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_27.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_29.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
-one under ``src/`` next to this script (``runs.after``).  Each run of a case
+one under ``src/`` next to this script (``runs.after``).  Both sides' bytecode
+is compiled afresh before the first case, so a stale ``__pycache__`` (which
+a run under PYTHONDONTWRITEBYTECODE=1 would recompile in every process)
+slows neither side's first call.  Each run of a case
 is one fresh process that imports one of the two, builds the case's inputs
 and times calls of the case with ``time.perf_counter``: the first call
 alone (``first_ms``, which pays every one-off cost, such as building the
@@ -23,6 +26,7 @@ for gating: nothing in the test suite reads this file.
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import io
 import json
@@ -101,6 +105,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         gcd_sum_lcm,
         max_modulus_for_period,
         parity_scan,
+        pisano,
         pisano_period,
         squares_gcd,
         verify,
@@ -158,6 +163,16 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"seed": [1, 4], "m_max": 3000}, lambda: partial(parity_scan, Seed(1, 4), 3000)),
         "parity_scan_fib_3000": (
             {"seed": [0, 1], "m_max": 3000}, lambda: partial(parity_scan, FIBONACCI, 3000)),
+        "parity_scan_1_4_cap": (  # |d| = 11: four divisors, whatever the bound
+            {"seed": [1, 4], "m_max": "SCAN_MODULUS_CAP"},
+            lambda: partial(parity_scan, Seed(1, 4), pisano.SCAN_MODULUS_CAP)),
+        "parity_scan_2e200_plus_1_3_cap": (  # |d| of 400 bits: every m up to the cap is tried
+            {"seed": ["2^200 + 1", 3], "m_max": "SCAN_MODULUS_CAP"},
+            lambda: partial(parity_scan, Seed(2**200 + 1, 3), pisano.SCAN_MODULUS_CAP)),
+        "parity_scan_4300_digits_cap": (  # |d| of 28,583 bits, reduced once per block
+            {"seed": ["10^4299 + 7", "3 10^4299 + 1"], "m_max": "SCAN_MODULUS_CAP"},
+            lambda: partial(parity_scan, Seed(10**4299 + 7, 3 * 10**4299 + 1),
+                            pisano.SCAN_MODULUS_CAP)),
         "pisano_fib_1e6": (
             {"seed": [0, 1], "m": 10**6}, lambda: partial(pisano_period, FIBONACCI, 10**6)),
         "pisano_fib_1e7_plus_19": (
@@ -244,6 +259,8 @@ def main() -> None:
     if not (sides["before"] / "gibonacci").is_dir():
         parser.error(f"no gibonacci package under {sides['before']}")
 
+    for src in sides.values():
+        compileall.compile_dir(src, quiet=1, force=True)
     sys.path.insert(0, str(SRC))
     runs: dict[str, dict[str, Any]] = {"before": {}, "after": {}}
     for name, (params, _) in cases().items():

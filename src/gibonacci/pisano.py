@@ -23,7 +23,9 @@ in ``period_table``); ``pisano_period`` factors m by trial division up to
 division may leave unfactored (m >= (B + 1)^2) is first probed for a
 period of at most ``PERIOD_TABLE_CAP`` steps: such m often have short
 periods (F_n and L_n, divisors of GCD-of-sums values), which the probe
-finds whether or not m factors.
+finds whether or not m factors.  ``parity_scan`` builds no table: only a
+divisor of twice the Cassini constant can have an odd period (the lemma
+is in ``parity_scan``), so it calls ``pisano_period`` at those alone.
 
 There is one search, ``_shift_steps``, baby-step giant-step from one
 residue pair to another: the probe's, from a pair back to itself, and
@@ -61,9 +63,10 @@ MODULUS_BIT_CAP = 512
 # on ``classify``'s doubling chain.
 PERIOD_TABLE_CAP = 2**18
 
-# The largest m_max a period table covers: parity scans and the lcm route's
-# bounded scan refuse more before building it.  At the cap,
-# parity_scan((1, 4), 2**17) takes about 0.5 s and 21 MB peak RSS (Python 3.11.7).
+# The largest m_max a scan covers: parity scans and the lcm route's bounded
+# scan refuse more before any period is found.  At the cap, the lcm route's
+# table, period_table((1, 4), 2**17), takes about 0.35 s and 22 MB peak RSS
+# (Python 3.11.7).
 SCAN_MODULUS_CAP = 2**17
 
 
@@ -71,6 +74,13 @@ def clear_period_cache() -> None:
     """Nothing to clear: no period route keeps state between calls.
 
     Kept because perfbench's worker calls it before every cold run."""
+
+
+def _require_scan_bound(m_max: int) -> None:
+    """A ValueError when m_max is over ``SCAN_MODULUS_CAP``."""
+    if m_max > SCAN_MODULUS_CAP:
+        raise ValueError(f"scan of every modulus up to {m_max} refused: "
+                         f"over SCAN_MODULUS_CAP = {SCAN_MODULUS_CAP}")
 
 
 def _modulus_name(m: int) -> object:
@@ -301,9 +311,7 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
     from the pair (0, 0), since (a, b) -> (b, a + b) fixes no other, so
     entry m is 1 exactly where the seed reduces as (0, 0) mod m.
     """
-    if m_max > SCAN_MODULUS_CAP:
-        raise ValueError(f"scan of every modulus up to {m_max} refused: "
-                         f"over SCAN_MODULUS_CAP = {SCAN_MODULUS_CAP}")
+    _require_scan_bound(m_max)
     # smallest prime factor up to m_max + 1, which covers p - 1 and p + 1:
     # a composite m keeps its least divisor d >= 2, which is prime, from
     # the last d with d * d <= m written over it
@@ -351,20 +359,40 @@ class ParityScanReport:
 def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
     """Scan m in (2, m_max] and report every modulus with an odd period.
 
-    Moduli dividing both seed entries have no period; they are listed
-    as skipped.  The periods come from one ``period_table``, so an m_max
-    above ``SCAN_MODULUS_CAP`` is refused before the scan starts.
+    Only the divisors m of 2|d|, with d = ``seed.cassini``, are looked
+    at: an m dividing both seed entries has no period and is listed as
+    skipped, and any other gets ``pisano_period``.  An m_max above
+    ``SCAN_MODULUS_CAP`` is refused before any period is found.
+
+    Lemma.  A modulus m that is not a divisor of 2|d| has an even period
+    and does not divide both seed entries.  Proof.  By induction in both
+    directions, G_(n+1) G_(n-1) - G_n^2 = (-1)^n d for every integer n.
+    The step map is invertible mod m, so at the period r the residue
+    triple (G_(r-1), G_r, G_(r+1)) is (G_(-1), G_0, G_1) mod m, and the
+    identity at n = r and at n = 0 gives (-1)^r d = d (mod m).  An odd r
+    thus forces m | 2d.  An m dividing both entries divides
+    g = gcd(g0, g1), and g^2 divides d, a form of degree 2 in the seed,
+    so m divides d.
     """
     seed.require_nondegenerate()
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
-    periods = period_table(seed, m_max)
+    _require_scan_bound(m_max)
+    twice_d = 2 * abs(seed.cassini)  # not 0: 5 is no square, so d = 0 only at (0, 0)
+    top = min(m_max, twice_d)
     report = ParityScanReport(seed, m_max)
-    for m in range(3, m_max + 1):
-        if periods[m] == 1:  # the seed is (0, 0) mod m
-            report.skipped_degenerate.append(m)
-        elif periods[m] % 2 == 1:
-            report.odd_period_moduli.append((m, periods[m]))
+    # 2|d| is reduced once for each block of 64 moduli, by their product,
+    # so a long d is not read whole at every m
+    for lo in range(3, top + 1, 64):
+        block = range(lo, min(lo + 64, top + 1))
+        rest = twice_d % math.prod(block)
+        for m in block:
+            if rest % m:
+                continue
+            if seed.g0 % m == 0 and seed.g1 % m == 0:
+                report.skipped_degenerate.append(m)
+            elif (r := pisano_period(seed, m)) % 2 == 1:
+                report.odd_period_moduli.append((m, r))
     return report
 
 

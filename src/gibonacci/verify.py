@@ -126,12 +126,15 @@ def check_parity_scan() -> tuple[bool, str]:
     for s in (FIBONACCI, LUCAS):
         if s not in seeds:
             seeds.append(s)
-    for seed in seeds:
-        report = pisano.parity_scan(seed, 500)
-        if not report.empty:
-            bad.append((seed, report.odd_period_moduli[:3]))
-    report_14 = pisano.parity_scan(SEED_14, 500)
-    has_11_5 = (11, 5) in report_14.odd_period_moduli
+    for seed in [*seeds, SEED_14]:
+        scan = pisano.parity_scan(seed, 500).odd_period_moduli
+        # the independent side: the odd entries of a full period table, where
+        # a period of 1 marks a modulus dividing both seed entries
+        table = pisano.period_table(seed, 500)
+        if scan != [(m, p) for m, p in enumerate(table) if m >= 3 and p > 1 and p % 2 == 1] \
+                or (scan and seed != SEED_14):
+            bad.append((seed, scan[:3]))
+    has_11_5 = (11, 5) in scan  # the scan of SEED_14, the last seed
     detail = f"even_period_seeds={len(seeds)} bad={bad[:2]} seed_1_4_has_(11,5)={has_11_5}"
     return not bad and has_11_5, detail
 

@@ -12,7 +12,7 @@ from gibonacci import sequences
 from gibonacci.applications import MaxModulusResult
 from gibonacci.gcdsum import gcd_sum
 from gibonacci.identities import Identity, IdentityReport, _Progression, _Row
-from gibonacci.pisano import ParityScanReport, pisano_period
+from gibonacci.pisano import ParityScanReport, period_table, pisano_period
 from gibonacci.sequences import FIBONACCI, LUCAS, Seed, gib_pair
 
 
@@ -263,8 +263,9 @@ def period_direct(seed: Seed, m: int) -> int:
 
 def parity_scan_direct(seed: Seed, m_max: int) -> ParityScanReport:
     """The parity scan one modulus at a time, with a kernel call at every m
-    that does not divide both seed entries: the reference for the
-    period-table ``parity_scan``."""
+    that does not divide both seed entries: the reference, blind to the
+    Cassini lemma, for ``parity_scan``, which finds periods only at the
+    divisors of 2|d|."""
     report = ParityScanReport(seed, m_max)
     for m in range(3, m_max + 1):
         if seed.g0 % m == 0 and seed.g1 % m == 0:
@@ -272,6 +273,13 @@ def parity_scan_direct(seed: Seed, m_max: int) -> ParityScanReport:
         elif (p := period_direct(seed, m)) % 2 == 1:
             report.odd_period_moduli.append((m, p))
     return report
+
+
+def table_odd_periods(seed: Seed, m_max: int) -> list[tuple[int, int]]:
+    """The (m, period) with m in (2, m_max] and an odd period, read from one
+    ``period_table``, where a period of 1 marks an m dividing both seed
+    entries: the table-side reference for ``parity_scan``."""
+    return [(m, r) for m, r in enumerate(period_table(seed, m_max)) if m >= 3 and r > 1 and r % 2]
 
 
 def lcm_scan_direct(seed: Seed, k: int, bound: int) -> int:

@@ -28,6 +28,7 @@ from conftest import (
     residue_period_bsgs,
     residue_period_walk,
     shift_walk,
+    table_odd_periods,
 )
 
 SEED_14 = Seed(1, 4)
@@ -377,12 +378,13 @@ class TestPeriodTable:
                 return real(a, b, m, n, primes)
 
             monkeypatch.setattr(pisano, "_order", spy)
-            parity_scan(seed, 500)
+            period_table(seed, 500)
             assert called == [q for q in prime_powers(500)
                               if seed.g0 % q != 0 or seed.g1 % q != 0], seed
 
     def test_refuses_past_the_cap_before_any_kernel_call(self, monkeypatch):
         monkeypatch.setattr(pisano, "_order", no_kernel)
+        monkeypatch.setattr(pisano, "pisano_period", no_kernel)
         with pytest.raises(ValueError, match=(
                 r"^scan of every modulus up to 1000000000000 refused: "
                 rf"over SCAN_MODULUS_CAP = {pisano.SCAN_MODULUS_CAP}$")):
@@ -403,6 +405,42 @@ class TestParityScan:
         for m_max in (3, 4, 5, 12, 13):
             for seed in SCAN_SEEDS[::7]:
                 assert parity_scan(seed, m_max) == parity_scan_direct(seed, m_max), (seed, m_max)
+
+    @pytest.mark.parametrize("seed", [
+        Seed(3, 6), Seed(5, 10), Seed(0, 7), Seed(6, -4),  # not coprime
+        Seed(2**200 + 1, 3),                               # |d| of 400 bits
+        Seed(1, 4 + 22 * 10**300),                         # |d| longer than a block's product
+    ])
+    def test_matches_the_per_modulus_scan_and_the_table_to_3000(self, seed):
+        report = parity_scan(seed, 3000)
+        assert report == parity_scan_direct(seed, 3000)
+        assert report.odd_period_moduli == table_odd_periods(seed, 3000)
+
+    @pytest.mark.parametrize("seed", [SEED_14, Seed(3, 6), Seed(6, -4), Seed(1, 24), LUCAS,
+                                      Seed(1, 4 + 22 * 10**300)])
+    def test_finds_periods_only_at_divisors_of_twice_the_cassini_constant(self, monkeypatch,
+                                                                          seed):
+        monkeypatch.setattr(pisano, "period_table", no_kernel)
+        real, called = pisano.pisano_period, []
+
+        def spy(s, m):
+            called.append(m)
+            return real(s, m)
+
+        monkeypatch.setattr(pisano, "pisano_period", spy)
+        report = parity_scan(seed, 3000)
+        assert called == [m for m in range(3, 3001)
+                          if 2 * seed.cassini % m == 0 and m not in report.skipped_degenerate]
+        assert report.skipped_degenerate == [m for m in range(3, 3001)
+                                             if seed.g0 % m == 0 and seed.g1 % m == 0]
+
+    def test_odd_table_entries_sit_at_divisors_of_twice_the_cassini_constant(self):
+        # the lemma of parity_scan, read off full tables: an odd period r > 1
+        # needs m | 2d, and a period of 1 (both entries divisible by m) m | d
+        for seed in SCAN_SEEDS:
+            d = seed.cassini
+            for m, r in enumerate(period_table(seed, 3000)[2:], start=2):
+                assert r % 2 == 0 or (d if r == 1 else 2 * d) % m == 0, (seed, m, r)
 
     def test_fibonacci_and_lucas_have_no_odd_periods(self):
         assert parity_scan(FIBONACCI, 500).empty

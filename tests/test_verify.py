@@ -87,6 +87,25 @@ def test_parity_scan_reports_an_odd_period(monkeypatch):
                                 "seed_1_4_has_(11,5)=True")
 
 
+def test_parity_scan_reports_a_difference_from_the_table(monkeypatch):
+    # the scan of (1, 4) loses (22, 15) but keeps (11, 5)
+    plant(monkeypatch, pisano, "parity_scan", lambda r, seed, m_max: dataclasses.replace(
+        r, odd_period_moduli=r.odd_period_moduli[:1]) if seed == SEED_14 else r)
+    assert failed_detail(8) == ("even_period_seeds=2 bad=[(Seed(g0=1, g1=4), [(11, 5)])] "
+                                "seed_1_4_has_(11,5)=True")
+
+
+def test_parity_scan_reports_an_odd_table_entry_the_scan_missed(monkeypatch):
+    def entry_7_reads_15(periods, seed, m_max):
+        if seed == FIBONACCI:
+            periods[7] = 15
+        return periods
+
+    plant(monkeypatch, pisano, "period_table", entry_7_reads_15)
+    assert failed_detail(8) == ("even_period_seeds=2 bad=[(Seed(g0=0, g1=1), [])] "
+                                "seed_1_4_has_(11,5)=True")
+
+
 def test_max_modulus_reports_a_period_mismatch(monkeypatch):
     plant(monkeypatch, applications, "period_from_multiple",
           lambda p, seed, m, n, primes: 10 if m == 55 else p)
