@@ -1,7 +1,7 @@
 """Per-kernel timings of gibonacci against another checkout, written to a JSON file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
-    python scripts/bench.py --against /tmp/parent --out BENCH_29.json
+    python scripts/bench.py --against /tmp/parent --out BENCH_30.json
 
 Times every case on the gibonacci under DIR/src (``runs.before``) and on the
 one under ``src/`` next to this script (``runs.after``).  Both sides' bytecode
@@ -17,10 +17,16 @@ warm time (``warm_ms``).  The runs alternate between the two sides, and
 which side goes first alternates too, so a drift in machine speed falls on
 both.  Each side keeps the median of its REPEAT runs, for each of the two
 fields: a best of a few still moved untouched cases by a third on a VM
-whose speed drifts.  The cases are this script's own, so both sides run
-the same calls.  A case that one side refuses with a ValueError (an input
-past that side's budget) reads null there.  Timings are for reading, not
-for gating: nothing in the test suite reads this file.
+whose speed drifts.  Next to each median it writes that side's first and
+third quartiles (``first_ms_q1``, ``first_ms_q3``, and the same for
+``warm_ms``), and ``after_wins`` counts, for each case and field, the
+alternating pairs of runs (the i-th run of each side) in which the after
+side was faster: a gain is read where the wins are many and the medians
+lie apart by more than the quartiles' spread.  The cases are this
+script's own, so both sides run the same calls.  A case that one side
+refuses with a ValueError (an input past that side's budget) reads null
+there.  Timings are for reading, not for gating: nothing in the test
+suite reads this file.
 """
 
 from __future__ import annotations
@@ -103,6 +109,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         fib,
         gcd_sum,
         gcd_sum_lcm,
+        gib_term,
         max_modulus_for_period,
         parity_scan,
         pisano,
@@ -110,6 +117,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         squares_gcd,
         verify,
         verify_identity,
+        window_sum,
     )
 
     addition = {"m": (1, 200), "n": (1, 200)}
@@ -157,6 +165,11 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"seed": [1, 4], "k": 10**6, "call": "math.gcd of the two n = 1 differences"},
             index_one_gcd_1_4_1e6),
         "fib_1e7": ({"n": 10**7}, lambda: partial(fib, 10**7)),
+        "gib_term_1_4_1e6": (
+            {"seed": [1, 4], "n": 10**6}, lambda: partial(gib_term, Seed(1, 4), 10**6)),
+        "window_sum_1_4_1_1e6": (  # G_{10^6+2} - G_2
+            {"seed": [1, 4], "n": 1, "k": 10**6},
+            lambda: partial(window_sum, Seed(1, 4), 1, 10**6)),
         "parity_scan_1_4_775": (
             {"seed": [1, 4], "m_max": 775}, lambda: partial(parity_scan, Seed(1, 4), 775)),
         "parity_scan_1_4_3000": (
@@ -196,6 +209,8 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "gib_addition": (
             {"ranges": addition, "seeds": 25},
             lambda: partial(verify_identity, Identity.GIB_ADDITION, addition)),
+        "verify_table_conformance": (
+            {"call": "verify.check_table_conformance()"}, lambda: verify.check_table_conformance),
         "verify_run_all": (
             {"call": "verify.run_all()", "checks": len(verify.CHECKS)}, lambda: verify.run_all),
         "verify_cli_json": (
@@ -241,6 +256,19 @@ def time_once(name: str) -> dict[str, float] | None:
     return {"first_ms": times[0], "warm_ms": statistics.median(times[1:])}
 
 
+FIELDS = ("first_ms", "warm_ms")
+
+
+def spread(field: str, values: list[float] | None) -> dict[str, float | None]:
+    """The median and the first and third quartiles of one side's runs of
+    a field, under the field's name and the name with ``_q1`` and ``_q3``;
+    all None when the side refused the case."""
+    if values is None:
+        return {field: None, f"{field}_q1": None, f"{field}_q3": None}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {field: round(median, 3), f"{field}_q1": round(q1, 3), f"{field}_q3": round(q3, 3)}
+
+
 def run_in(src: Path, name: str) -> dict[str, float] | None:
     """One run of the named case in a fresh process importing gibonacci from
     src; None when it is refused."""
@@ -263,23 +291,32 @@ def main() -> None:
         compileall.compile_dir(src, quiet=1, force=True)
     sys.path.insert(0, str(SRC))
     runs: dict[str, dict[str, Any]] = {"before": {}, "after": {}}
+    after_wins: dict[str, dict[str, int | None]] = {}
     for name, (params, _) in cases().items():
         times: dict[str, list[dict[str, float] | None]] = {"before": [], "after": []}
         for i in range(REPEAT):
             for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
                 times[side].append(run_in(sides[side], name))
+        refused = None in times["before"] or None in times["after"]
         for side, t in times.items():
-            runs[side][name] = {"params": params, **{
-                field: None if None in t else round(statistics.median(r[field] for r in t), 3)
-                for field in ("first_ms", "warm_ms")}}
+            runs[side][name] = {"params": params}
+            for field in FIELDS:
+                values = [r[field] for r in t] if None not in t else None
+                runs[side][name].update(spread(field, values))
+        after_wins[name] = {field: None if refused else sum(
+            a[field] < b[field] for a, b in zip(times["after"], times["before"]))
+            for field in FIELDS}
         before, after = runs["before"][name], runs["after"][name]
         print(f"{name:30s} first {before['first_ms']!s:>10} -> {after['first_ms']!s:>10} ms, "
-              f"warm {before['warm_ms']!s:>10} -> {after['warm_ms']!s:>10} ms", flush=True)
+              f"warm {before['warm_ms']!s:>10} -> {after['warm_ms']!s:>10} ms, "
+              f"after won first {after_wins[name]['first_ms']}, warm {after_wins[name]['warm_ms']} "
+              f"of {REPEAT}", flush=True)
     doc = {
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "repeat": REPEAT,
         "runs": runs,
+        "after_wins": after_wins,
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -74,7 +74,7 @@ def decimal_str(n: int) -> str:
     return "-" + digits if n < 0 else digits
 
 
-#: Chain index, the largest Fibonacci index a doubling chain reads, from
+#: Chain index, the index of the largest term a command reads, from
 #: which `term` (|n|), `sum` (n + k + 1) and the closed route of `gcd-sum`,
 #: `classify` and `lucas-odd` (k/2 at even k, j for `lucas-odd`) run the
 #: chain on ``decimal.Decimal`` (see ``sequences.fib_pair``) and print with
@@ -83,8 +83,9 @@ def decimal_str(n: int) -> str:
 #: `term` between n = 6*10^4 and 7*10^4 (int 4.5 against Decimal 5.0 ms,
 #: then 6.1 against 5.9 ms), and for `gcd-sum` between k = 10^5 and
 #: 1.3*10^5, chain indices 5*10^4 and 6.5*10^4 (3.6 against 4.7 ms, then
-#: 4.7 against 4.2 ms; medians of 11 runs, Python 3.11.7, 2 vCPUs).  At
-#: n = 10^6, `term` takes 39 ms against 166 ms.
+#: 4.7 against 4.2 ms; medians of 11 runs, Python 3.11.7, 2 vCPUs).  Since
+#: `term`'s chain stops one doubling short of n, it crosses over between the
+#: same two n, and at n = 10^6 it takes 20 ms against 93-136 ms in-process.
 DECIMAL_CUTOFF = 7 * 10**4
 
 #: Largest output, in bits, that `term`, `sum`, `lucas-odd` and even-k
@@ -230,8 +231,9 @@ Outcome = tuple[dict[str, Any], Callable[[], str], int]
 
 def _term(a: argparse.Namespace) -> Outcome:
     with _zero(a.n) as zero:
-        # gib_pair, not gib_term: perfbench's tracer calls bit_length() on what gib_term returns
-        value = sequences.gib_pair(a.seed, a.n, zero=zero)[0]
+        # gib_term's own helper, not gib_term: perfbench's tracer calls
+        # bit_length() on what gib_term returns, and a Decimal has none
+        value = sequences._term(a.seed, a.n, zero)
     return {"seed": a.seed, "n": a.n, "value": value}, lambda: jsonable(value), 0
 
 

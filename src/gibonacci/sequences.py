@@ -131,11 +131,12 @@ def gib_from_fib(seed: Seed, n: int, f: int, f_next: int,
 def gib_pair(seed: Seed, n: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     """The adjacent terms (G_n, G_{n+1}) of the seed's sequence, for any integer n.
 
-    The package's one term kernel: ``fib_pair`` gives (F_j, F_{j+1}) with
-    j = |n| by fast doubling, and ``gib_from_fib`` turns it into the seed's
-    pair at n.  Given a modulus m >= 1, every doubling step is reduced
-    mod 2m, so the operands stay the size of m, and the pair comes back
-    reduced to [0, m).  ``zero`` is handed to ``fib_pair``, so the pair
+    The kernel for callers that read both terms: ``fib_pair`` gives
+    (F_j, F_{j+1}) with j = |n| by fast doubling, and ``gib_from_fib``
+    turns it into the seed's pair at n.  A single term costs less through
+    ``gib_term``, whose chain stops one doubling earlier.  Given a modulus
+    m >= 1, every doubling step is reduced mod 2m, so the operands stay
+    the size of m, and the pair comes back reduced to [0, m).  ``zero`` is handed to ``fib_pair``, so the pair
     comes back in its number type.
     """
     if m is not None and m < 1:
@@ -143,20 +144,56 @@ def gib_pair(seed: Seed, n: int, m: int | None = None, *, zero: Any = 0) -> tupl
     return gib_from_fib(seed, n, *fib_pair(abs(n), m, zero=zero), m)
 
 
+def _term(seed: Seed, n: int, zero: Any) -> Any:
+    """G_n in the number type of ``zero``: one ``fib_pair`` chain, stopped
+    one doubling short of n, and one product.  ``gib_term`` and the CLI's
+    ``term`` both call this.
+
+    For n = 2i or 2i + 1 >= 0 the chain gives (F_i, F_{i+1}), and L_i =
+    2 F_{i+1} - F_i.  From G_n = G_0 F_{n-1} + G_1 F_n, F_{2i} = F_i L_i,
+    L_{2i} = L_i^2 - 2(-1)^i and F_{2i-1}, F_{2i+1} = (L_{2i} -+ F_{2i})/2:
+
+    * G_{2i} = L_i (G_0 L_i + (2 G_1 - G_0) F_i)/2 - (-1)^i G_0,
+    * G_{2i+1} = L_i ((2 G_0 + G_1) F_i + G_1 L_i)/2 - (-1)^i G_1.
+
+    Each halved factor is even, since L_i = F_i + 2 F_{i-1} has F_i's
+    parity: G_0 (L_i - F_i) and G_1 (F_i + L_i) are even, and so are the
+    factors, which differ from them by even multiples.  So ``// 2`` is
+    exact on an int and a ``decimal.Decimal`` alike.  The last doubling of
+    the chain would have cost a product and a square of the same size, and
+    its square only fed G_{n+1}, which no caller here reads.
+
+    For n = -j < 0: (-1)^j G_{-j} obeys the recurrence, as G_{-j} =
+    G_{2-j} - G_{1-j}, and starts G_0, G_0 - G_1, which are H_1, H_2 for the
+    seed H = (-G_1, G_0).  So G_{-j} is the term at j + 1 of the seed
+    (-1)^j H, read as above from the chain at (j + 1) // 2.
+    """
+    g0, g1 = seed.g0, seed.g1
+    if n < 0:  # the seed (-1)^j H, with j = -n
+        g0, g1, n = (g1, -g0, 1 - n) if n & 1 else (-g1, g0, 1 - n)
+    i = n >> 1
+    f, f_next = fib_pair(i, zero=zero)
+    l = 2 * f_next - f  # L_i
+    sign = -1 if i & 1 else 1  # (-1)^i
+    if n & 1:
+        return l * (((2 * g0 + g1) * f + g1 * l) // 2) - sign * g1
+    return l * ((g0 * l + (2 * g1 - g0) * f) // 2) - sign * g0
+
+
 def fib(n: int) -> int:
     """The n-th Fibonacci number, for any integer n (F_{-n} = (-1)^{n+1} F_n)."""
-    return gib_pair(FIBONACCI, n)[0]
+    return _term(FIBONACCI, n, 0)
 
 
 def lucas(n: int) -> int:
     """The n-th Lucas number (L_0 = 2, L_1 = 1), for any integer n."""
-    return gib_pair(LUCAS, n)[0]
+    return _term(LUCAS, n, 0)
 
 
 def gib_term(seed: Seed, n: int, *, zero: Any = 0) -> Any:
     """The n-th term of the Gibonacci sequence with the given seed, for any
     integer n, in the number type of ``zero`` (see ``fib_pair``)."""
-    return gib_pair(seed, n, zero=zero)[0]
+    return _term(seed, n, zero)
 
 
 def window_sum(seed: Seed, n: int, k: int, *, zero: Any = 0) -> Any:
@@ -169,7 +206,7 @@ def window_sum(seed: Seed, n: int, k: int, *, zero: Any = 0) -> Any:
         raise ValueError("window length k must be >= 1")
     if n < 1:
         raise ValueError("window start n must be >= 1")
-    return gib_term(seed, n + k + 1, zero=zero) - gib_term(seed, n + 1, zero=zero)
+    return _term(seed, n + k + 1, zero) - _term(seed, n + 1, zero)
 
 
 def coprime_seed_grid(limit: int = 10) -> list[Seed]:

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import math
 import pkgutil
+import random
 
 import pytest
 import sympy
@@ -410,3 +411,13 @@ def grid25():
     assert len(SMALL_SEED_GRID) == 25
     assert all(math.gcd(s.g0, s.g1) == 1 for s in SMALL_SEED_GRID)
     return SMALL_SEED_GRID
+
+
+@pytest.fixture(scope="session")
+def random_large_terms_1_4():
+    """200 random indices in [-2*10^5, 2*10^5], and the terms of seed (1,4)
+    at each of them and at the next index, from one naive walk each way:
+    the oracle of both kernels' random large-index tests."""
+    rng = random.Random(20260419)
+    indices = [rng.randint(-2 * 10**5, 2 * 10**5) for _ in range(200)]
+    return indices, naive_gib_at(Seed(1, 4), indices + [n + 1 for n in indices])

@@ -486,7 +486,8 @@ def test_output_at_the_bit_cap_is_computed(capsys, monkeypatch):
     assert invoke(capsys, "term", "--n", "-10001")[1] == decimal_str(naive_fib(-10001)) + "\n"
     assert invoke(capsys, "sum", "--n", "1", "--k", "9999")[1] == decimal_str(
         naive_fib(10001) - 1) + "\n"
-    assert [j for j, _ in chains] == [10001, 10001, 2]
+    # G_{-10001} reads the chain at 10002 // 2, G_{10001} - G_2 at 10001 // 2 and 2 // 2
+    assert [j for j, _ in chains] == [5001, 5000, 1]
     for argv in (["term", "--n", "10002"], ["sum", "--n", "1", "--k", "10000"]):
         with pytest.raises(ValueError, match="output of about 6943 bits refused"):
             run(argv)

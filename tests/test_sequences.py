@@ -1,6 +1,5 @@
 import decimal
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ from gibonacci.sequences import (
     LUCAS,
     Seed,
     coprime_seed_grid,
+    exact_decimal,
     fib,
     gib_pair,
     gib_term,
@@ -21,8 +21,8 @@ from gibonacci.sequences import (
 from conftest import (
     gib_pair_three_products,
     naive_fib,
-    naive_gib_at,
     naive_gib_terms,
+    record_doubling_loop,
 )
 
 SEED_14 = Seed(1, 4)
@@ -67,12 +67,41 @@ class TestGibTerm:
     def test_backward_recurrence(self):
         assert gib_term(LUCAS, -1) == -1  # G_1 - G_0 = 1 - 2
 
-    def test_recurrence_over_grid(self, grid25):
-        for seed in grid25:
-            want = naive_gib_terms(seed, -100, 101)
-            for n in range(-100, 101):
-                assert gib_term(seed, n) == want[n], (seed, n)
-                assert gib_pair(seed, n) == (want[n], want[n + 1]), (seed, n)
+    @pytest.mark.parametrize("on_decimal", [False, True])
+    def test_recurrence_over_grid(self, grid25, on_decimal):
+        with exact_decimal() as Decimal:
+            zero = Decimal(0) if on_decimal else 0
+            for seed in grid25:
+                want = naive_gib_terms(seed, -300, 301)
+                for n in range(-300, 301):
+                    got = gib_term(seed, n, zero=zero)
+                    assert type(got) is type(zero) and got == want[n], (seed, n)
+                    assert gib_pair(seed, n, zero=zero) == (want[n], want[n + 1]), (seed, n)
+
+    @pytest.mark.parametrize("on_decimal", [False, True])
+    def test_random_large_indices_of_both_signs(self, random_large_terms_1_4, on_decimal):
+        indices, terms = random_large_terms_1_4
+        assert min(indices) < -10**5 and max(indices) > 10**5
+        with exact_decimal() as Decimal:
+            zero = Decimal(0) if on_decimal else 0
+            for n in indices:
+                assert gib_term(SEED_14, n, zero=zero) == terms[n], n
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 10**5, 10**5 + 1,
+                                   -1, -2, -3, -4, -5, -10**5, -10**5 - 1])
+    def test_one_chain_stopped_one_doubling_short(self, monkeypatch, n):
+        chains = record_doubling_loop(monkeypatch)
+        gib_term(SEED_14, n)
+        fib(n)
+        lucas(n)
+        # G_{2i} and G_{2i+1} read the chain at i; G_{-j} reads it at (j + 1) // 2
+        assert chains == 3 * [(n >> 1 if n >= 0 else (1 - n) >> 1, None)]
+
+    def test_window_sum_reads_two_shortened_chains(self, monkeypatch):
+        chains = record_doubling_loop(monkeypatch)
+        total = window_sum(SEED_14, 7, 10)  # G_18 - G_8
+        assert chains == [(9, None), (4, None)]
+        assert total == sum(naive_gib_terms(SEED_14, 7, 16).values())
 
 
 class TestGibPairModular:
@@ -117,10 +146,8 @@ class TestGibPairAgainstOracles:
         for n in range(-300, 301):
             self.check(seed, terms, n)
 
-    def test_random_large_indices(self):
-        rng = random.Random(20260419)
-        indices = [rng.randint(-2 * 10**5, 2 * 10**5) for _ in range(200)]
-        terms = naive_gib_at(SEED_14, indices + [n + 1 for n in indices])
+    def test_random_large_indices(self, random_large_terms_1_4):
+        indices, terms = random_large_terms_1_4
         for n in indices:
             self.check(SEED_14, terms, n)
 

@@ -9,9 +9,9 @@ import dataclasses
 
 import pytest
 
-from gibonacci import applications, gcdsum, identities, pisano, verify
+from gibonacci import applications, gcdsum, identities, pisano, sequences, verify
 from gibonacci.identities import Identity, verify_identity
-from gibonacci.sequences import FIBONACCI, LUCAS
+from gibonacci.sequences import FIBONACCI, LUCAS, coprime_seed_grid
 
 SEED_14 = verify.SEED_14
 
@@ -38,6 +38,19 @@ def test_table_conformance_reports_a_mismatch(monkeypatch):
     plant(monkeypatch, gcdsum, "classify", lambda c, seed, k: dataclasses.replace(
         c, actual=c.actual + 1) if (seed, k) == (LUCAS, 8) else c)
     assert failed_detail(4).endswith("mismatches=[(Seed(g0=2, g1=1), 8, 15, 16)]")
+
+
+def test_table_conformance_asks_classify_only_where_the_table_applies(monkeypatch):
+    grid = coprime_seed_grid(10)
+    monkeypatch.setattr(verify, "_grid", lambda: grid)
+    asked = set()
+    plant(monkeypatch, gcdsum, "classify", lambda c, seed, k: asked.add((seed, k)) or c)
+    assert verify.run_check(4).detail == "applicable=16800 mismatches=[]"
+    monkeypatch.undo()
+    # the skipped calls, made here: the table must make no claim at exactly those pairs
+    for seed in grid:
+        for k in range(1, 121):
+            assert gcdsum.classify(seed, k).table_applies == ((seed, k) in asked), (seed, k)
 
 
 def test_method_agreement_reports_a_brute_mismatch(monkeypatch):
@@ -116,6 +129,13 @@ def test_lucas_from_gcd_reports_a_mismatch(monkeypatch):
     plant(monkeypatch, applications, "lucas_from_gcd",
           lambda v, seed, j: v + 1 if (seed, j) == (LUCAS, 7) else v)
     assert failed_detail(11) == "mismatches=[(Seed(g0=2, g1=1), 7, 30, 29)]"
+
+
+def test_lucas_from_gcd_reads_each_lucas_number_once(monkeypatch):
+    calls = []
+    plant(monkeypatch, sequences, "lucas", lambda v, j: calls.append(j) or v)
+    assert verify.run_check(11).passed
+    assert calls == list(range(1, 42, 2))
 
 
 def test_prime_restriction_reports_a_forbidden_prime(monkeypatch):
