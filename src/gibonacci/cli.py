@@ -261,10 +261,30 @@ def _gcd_sum(a: argparse.Namespace) -> Outcome:
         }
         chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
         results = [methods[name]() for name in chosen]
+        if a.method == "all":  # the routes must agree, compared in the closed value's type
+            closed, brute, lcm = results
+            c = closed.value  # an int meets a Decimal via decimal_str: int <-> Decimal is quadratic
+            b, l = (v if isinstance(c, int) else type(c)(decimal_str(v))
+                    for v in (brute.value, lcm.value))
+            if b != c or (c % l if lcm.partial else l != c):  # a partial lcm need only divide c
+                wrong = brute if b != c else lcm
+                raise AssertionError(
+                    f"gcd-sum routes disagree at k = {a.k}: closed_gcd gives {_value_name(c)}, "
+                    f"{wrong.method.value} gives {_value_name(wrong.value)}"
+                    + (", a partial value that does not divide it" if wrong.partial else ""))
     return {"seed": a.seed, "k": a.k, "results": results}, lambda: "\n".join(
         f"{r.method.value}: {jsonable(r.value)}" + (" (partial)" if r.partial else "")
         for r in results
     ), 0
+
+
+def _value_name(v: Any) -> object:
+    """v in an error message, or its bit length over 160 bits, as in ``pisano._modulus_name``; a
+    Decimal, in ``exact_decimal``, counts up from 10^adjusted <= v (log2 10 > 3.321928)."""
+    bits = v.bit_length() if isinstance(v, int) else v.adjusted() * 3321928 // 10**6
+    while not isinstance(v, int) and type(v)(2) ** bits <= v:
+        bits += 1
+    return v if bits <= 160 else f"a {bits}-bit value"
 
 
 def _pisano(a: argparse.Namespace) -> Outcome:

@@ -117,8 +117,8 @@ def _balanced_gcd(seed: Seed, j: int, f: Any, f_next: Any) -> Any:
     ``math.gcd``: Euclid's loop on ints ran 9 to 16 times slower, 2.2-2.8
     against 0.15-0.24 ms for random 57-bit seeds at k = 10^6 (Python
     3.11.7)."""
-    g_lo, g_lo1 = gib_from_fib(seed, -j, f, f_next)
-    g_hi, g_hi1 = gib_from_fib(seed, j, f, f_next)
+    g_lo, g_lo1 = gib_from_fib(seed.g0, seed.g1, -j, f, f_next)
+    g_hi, g_hi1 = gib_from_fib(seed.g0, seed.g1, j, f, f_next)
     a, b = g_hi - g_lo, g_hi1 - g_lo1
     if isinstance(a, int):
         return math.gcd(a, b)

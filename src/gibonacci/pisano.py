@@ -9,11 +9,10 @@ residue pair) are exactly the multiples of the period.
 A period is found by order finding from a known multiple n (Cohen, *A
 Course in Computational Algebraic Number Theory*, Alg. 1.4.3).
 ``_order`` checks M^n u = u, then strips from n each prime q's power
-beyond the period's.  Every n it is given is a multiple the theory
-guarantees, so a failed check is an AssertionError, raised there alone.
-It reads M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]] from modular
-``fib_pair`` chains, at most two for each prime of n, so a period costs
-O(omega(n) log n + Omega(n) log q) modular products.  The lcm route and
+beyond the period's, in O(omega(n) log n + Omega(n) log q) modular
+products: it reads each M^r as (F_r, F_{r+1}) from a ``fib_pair`` chain
+and applies it through ``gib_from_fib``, the one place M^r is applied.
+A failed check is an AssertionError, raised there alone.  The lcm route and
 ``max_modulus_for_period`` pass k as the multiple
 (``period_from_multiple``).  ``pisano_period`` and ``period_table`` find
 the period at each prime power p^e of m by order finding from Wall's
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .factor import trial_division
-from .sequences import Seed, fib_pair
+from .sequences import Seed, fib_pair, gib_from_fib
 
 # The budget of ``pisano_period``: m, and Wall's multiple of each of its
 # primes, are factored by trial division up to this bound.  A cofactor
@@ -113,11 +112,10 @@ def _shift_steps(start: tuple[int, int], target: tuple[int, int], m: int,
     for j in range(s):
         baby[x * m + y] = j
         x, y = y, (x + y) % m
-    f, f_next = fib_pair(s, m)  # M^s = [[F_{s-1}, F_s], [F_s, F_{s+1}]]
-    f_prev = (f_next - f) % m
+    f, f_next = fib_pair(s, m)  # M^s, applied by gib_from_fib
     x, y = start
     for i in range(1, -(-bound // s) + 1):
-        x, y = (f_prev * x + f * y) % m, (f * x + f_next * y) % m
+        x, y = gib_from_fib(x, y, s, f, f_next, m)
         j = baby.get(x * m + y)
         if j is not None:
             return r if (r := i * s - j) <= bound else None
@@ -202,23 +200,15 @@ def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int:
     tests the first strip of each q.  Where it holds and q^v (v >= 1) is
     left in r, a second chain gives M^(r/q^v), and the least t <= v with
     M^(r q^(t-v)) u = u is found by raising that to the q-th power, in
-    log q products of M^r as the pair (F_r, F_{r+1}), since
-    M^r = [[F_{r-1}, F_r], [F_r, F_{r+1}]].  So a prime costs at most two
-    chains, however high its power in n.
+    log q products by ``gib_from_fib``, which steps (F_s, F_{s+1}) by r to
+    (F_{r+s}, F_{r+s+1}).  So a prime costs at most two chains.
     """
-    def returns(f: int, g: int) -> bool:  # M^r u = u, with (f, g) = (F_r, F_{r+1})
-        return ((g - f) * a + f * b) % m == a and (f * a + g * b) % m == b
-
-    def times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:  # M^r M^s
-        (f, g), (h, k) = x, y
-        return (f * k + (g - f) * h) % m, (f * h + g * k) % m
-
-    if not returns(*fib_pair(n, m)):
+    if gib_from_fib(a, b, n, *fib_pair(n, m), m) != (a, b):
         pair = f"residue pair ({a}, {b})" if m.bit_length() <= 160 else "a residue pair"
         raise AssertionError(f"period of {pair} mod {_modulus_name(m)} does not divide "
                              f"the multiple {n}")
     for q in primes:
-        if n % q or not returns(*fib_pair(n // q, m)):
+        if n % q or gib_from_fib(a, b, n // q, *fib_pair(n // q, m), m) != (a, b):
             continue
         n //= q
         v = 0  # the power of q left in n, which the period may lack
@@ -226,16 +216,16 @@ def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int:
             n, v = n // q, v + 1
         if not v:
             continue
-        power = fib_pair(n, m)
-        while not returns(*power):
+        f, g = fib_pair(n, m)  # M^n as (F_n, F_{n+1})
+        while gib_from_fib(a, b, n, f, g, m) != (a, b):
             n, v = n * q, v - 1
             if not v:  # M^n u = u is known
                 break
-            base = power
-            for bit in bin(q)[3:]:  # power^q, by square and multiply
-                power = times(power, power)
-                if bit == "1":
-                    power = times(power, base)
+            r, h, k = n // q, f, g  # (f, g)^q, by square and multiply from (h, k) = M^r
+            for t in range(q.bit_length() - 2, -1, -1):  # (f, g) = M^((q >> t + 1) r)
+                f, g = gib_from_fib(f, g, (q >> t + 1) * r, f, g, m)
+                if q >> t & 1:
+                    f, g = gib_from_fib(f, g, r, h, k, m)
     return n
 
 

@@ -111,20 +111,21 @@ def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     return (f, f_next) if m is None else (f % m, f_next % m)
 
 
-def gib_from_fib(seed: Seed, n: int, f: int, f_next: int,
-                 m: int | None = None) -> tuple[int, int]:
-    """(G_n, G_{n+1}) from (F_j, F_{j+1}) with j = |n|, mod m if m is given.
+def gib_from_fib(g0: Any, g1: Any, n: int, f: Any, f_next: Any,
+                 m: int | None = None) -> tuple[Any, Any]:
+    """(G_n, G_{n+1}) from (G_0, G_1) = (g0, g1) and (F_j, F_{j+1}), j = |n|, mod m if given.
 
-    G_n = G_0 F_{n-1} + G_1 F_n holds over all of Z once F is extended by
-    F_{-j} = (-1)^{j+1} F_j, so one (F_j, F_{j+1}) gives the pair at n = j
-    and at n = -j.
+    The one place a power of the step matrix M is applied: M^n = [[F_{n-1}, F_n], [F_n, F_{n+1}]],
+    so G_n = G_0 F_{n-1} + G_1 F_n, over all of Z once F_{-j} = (-1)^{j+1} F_j, and one pair
+    serves n = j and n = -j.  The start may be a seed, a residue pair or (F_s, F_{s+1}), which
+    gives (F_{n+s}, F_{n+s+1}), the product M^n M^s.
     """
     if n >= 0:
-        f_prev, f, f_next = f_next - f, f, f_next
+        f_prev = f_next - f
     else:
         sign = -1 if n & 1 else 1  # (-1)^j
         f_prev, f, f_next = sign * f_next, -sign * f, sign * (f_next - f)
-    g, g_next = seed.g0 * f_prev + seed.g1 * f, seed.g0 * f + seed.g1 * f_next
+    g, g_next = g0 * f_prev + g1 * f, g0 * f + g1 * f_next
     return (g, g_next) if m is None else (g % m, g_next % m)
 
 
@@ -141,7 +142,7 @@ def gib_pair(seed: Seed, n: int, m: int | None = None, *, zero: Any = 0) -> tupl
     """
     if m is not None and m < 1:
         raise ValueError("modulus m must be >= 1")
-    return gib_from_fib(seed, n, *fib_pair(abs(n), m, zero=zero), m)
+    return gib_from_fib(seed.g0, seed.g1, n, *fib_pair(abs(n), m, zero=zero), m)
 
 
 def _term(seed: Seed, n: int, zero: Any) -> Any:

@@ -65,6 +65,59 @@ def test_gcd_sum_all_methods(capsys):
     assert out.count("11") == 3
 
 
+def plant(monkeypatch, name, factor):
+    """Multiply the value of one gcdsum route by factor, keeping its flags."""
+    route = getattr(gcdsum, name)
+
+    def planted(*args):
+        r = route(*args)
+        return gcdsum.GcdSumResult(r.seed, r.k, factor * r.value, r.method, r.partial)
+
+    monkeypatch.setattr(gcdsum, name, planted)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, name, factor, wrong", [
+    (["--k", "20"], "gcd_sum_bruteforce", 2, "brute_force gives 110"),
+    (["--k", "20"], "gcd_sum_lcm", 7, "lcm_periods gives 385"),
+    (["--k", "20", "--bound", "60"], "gcd_sum_lcm", 3, "lcm_periods gives 165"),
+    (["--k", "20", "--bound", "10"], "gcd_sum_lcm", 7,
+     "lcm_periods gives 35, a partial value that does not divide it"),
+])
+def test_gcd_sum_all_exits_2_when_its_routes_disagree(capsys, monkeypatch, argv, name, factor,
+                                                      wrong, fmt):
+    plant(monkeypatch, name, factor)
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "gcd-sum", *argv, "--method", "all",
+                                      "--format", fmt])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: verification failed: gcd-sum routes disagree at k = 20: "
+                            f"closed_gcd gives 55, {wrong}\n")
+
+
+def test_gcd_sum_all_names_long_disagreeing_values_by_bit_length(monkeypatch):
+    # the closed route runs on Decimal at k/2 = DECIMAL_CUTOFF, brute on ints
+    k = 2 * cli.DECIMAL_CUTOFF
+    bits = sequences.fib(k // 2).bit_length()  # the value is F_{k/2} at k = 0 (mod 4)
+    plant(monkeypatch, "gcd_sum_bruteforce", 2)
+    with pytest.raises(AssertionError) as exc:
+        run(["gcd-sum", "--k", str(k), "--method", "all"])
+    assert str(exc.value) == (f"gcd-sum routes disagree at k = {k}: closed_gcd gives a "
+                              f"{bits}-bit value, brute_force gives a {bits + 1}-bit value")
+
+
+@pytest.mark.parametrize("seed, bound, out", [
+    ("0,1", "10", "closed_gcd: 55\nbrute_force: 55\nlcm_periods: 5 (partial)\n"),
+    ("3,6", "10", "closed_gcd: 165\nbrute_force: 165\nlcm_periods: 15 (partial)\n"),
+])
+def test_gcd_sum_all_passes_a_partial_value_that_divides(capsys, seed, bound, out):
+    assert invoke(capsys, "gcd-sum", "--seed", seed, "--k", "20", "--method", "all",
+                  "--bound", bound) == (0, out)
+
+
 @pytest.mark.parametrize("bound,value,partial", [("10", "5", True), ("55", "55", False)])
 def test_gcd_sum_lcm_bound_runs_the_scan(capsys, bound, value, partial):
     argv = ["gcd-sum", "--k", "20", "--method", "lcm", "--bound", bound]

@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from gibonacci.sequences import (
     coprime_seed_grid,
     exact_decimal,
     fib,
+    gib_from_fib,
     gib_pair,
     gib_term,
     lucas,
@@ -164,6 +166,42 @@ class TestGibPairAgainstOracles:
                 if 1 <= n <= 299:
                     assert window_sum(seed, n, 3, zero=decimal.Decimal(0)) == (
                         terms[n] + terms[n + 1] + terms[n + 2])
+
+
+def test_gib_from_fib_steps_any_pair_as_the_recurrence_walks_it():
+    # the one application of M^r: a seed or a residue pair (some = (0, 0) mod
+    # m, m = 1 included), or a Fibonacci pair (F_s, F_{s+1}) stepped to
+    # (F_{r+s}, F_{r+s+1}); n of both signs; F as ints, reduced or not, and,
+    # with no modulus, as Decimals in exact_decimal
+    rng = random.Random(31)
+    fibs = naive_gib_terms(FIBONACCI, -1, 1202)
+    for _ in range(400):
+        m = rng.choice([None, 1, 2, rng.randrange(3, 10**4), rng.randrange(2, 2**90)])
+        r = rng.randrange(600)
+        n = r if rng.random() < 0.6 else -r
+        f, f_next = fibs[r], fibs[r + 1]
+        shape = rng.randrange(4)
+        if shape == 0:  # (F_s, F_{s+1})
+            s = rng.randrange(600)
+            g0, g1 = fibs[s], fibs[s + 1]
+        elif shape == 1 and m is not None:  # = (0, 0) mod m
+            g0, g1 = m * rng.randrange(-3, 4), m * rng.randrange(-3, 4)
+        else:
+            top = m or 10**30
+            g0, g1 = rng.randrange(-top, top), rng.randrange(-top, top)
+        walk = naive_gib_terms(Seed(g0, g1), min(n, 0), max(n, 0) + 1)
+        want = (walk[n], walk[n + 1])
+        if m is not None:
+            want = tuple(x % m for x in want)
+            if rng.random() < 0.5:  # as a modular fib_pair chain gives them
+                f, f_next = f % m, f_next % m
+        if shape == 0 and n >= 0:
+            assert walk[n] == fibs[s + r] and walk[n + 1] == fibs[s + r + 1]
+        assert gib_from_fib(g0, g1, n, f, f_next, m) == want, (g0, g1, n, m)
+        if m is None:  # a modulus needs ints, as in fib_pair
+            with exact_decimal() as Decimal:
+                got = gib_from_fib(g0, g1, n, Decimal(f), Decimal(f_next))
+            assert all(isinstance(g, decimal.Decimal) for g in got) and got == want
 
 
 class TestWindowSum:
