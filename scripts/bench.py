@@ -95,6 +95,14 @@ def index_one_gcd_1_4_1e6() -> Callable[[], int]:
     return partial(math.gcd, g_k1 - seed.g1, g_k2 - seed.g0 - seed.g1)
 
 
+def pisano_fib_every_m_to_1000() -> Callable[[], list[int]]:
+    """``pisano_period`` on the Fibonacci seed at every m in [2, 1000]: the
+    loop of verify's check 14, many small moduli of few primes each."""
+    from gibonacci import FIBONACCI, pisano_period
+
+    return lambda: [pisano_period(FIBONACCI, m) for m in range(2, 1001)]
+
+
 def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]:
     """Name -> (params, setup), on the gibonacci found first on the path.
     setup() builds the case's inputs and returns the zero-argument call
@@ -188,6 +196,11 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
                             pisano.SCAN_MODULUS_CAP)),
         "pisano_fib_1e6": (
             {"seed": [0, 1], "m": 10**6}, lambda: partial(pisano_period, FIBONACCI, 10**6)),
+        "pisano_fib_every_m_to_1000": (
+            {"seed": [0, 1], "m": [2, 1000]}, pisano_fib_every_m_to_1000),
+        "pisano_1_4_2e20_3e5": (  # a smooth m whose primes share Wall's multiples
+            {"seed": [1, 4], "m": "2^20 3^5"},
+            lambda: partial(pisano_period, Seed(1, 4), 2**20 * 3**5)),
         "pisano_fib_1e7_plus_19": (
             {"seed": [0, 1], "m": 10**7 + 19},
             lambda: partial(pisano_period, FIBONACCI, 10**7 + 19)),

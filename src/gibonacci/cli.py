@@ -254,13 +254,13 @@ def _gcd_sum(a: argparse.Namespace) -> Outcome:
     _check_output_bits(index)
     with (_zero(index, a.seed) if a.method in ("closed", "all")
           else contextlib.nullcontext(0)) as zero:
-        methods = {
-            "closed": lambda: gcdsum.gcd_sum(a.seed, a.k, zero=zero),
+        methods = {  # brute runs first: it refuses a k over its cap before any chain
             "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k),
+            "closed": lambda: gcdsum.gcd_sum(a.seed, a.k, zero=zero),
             "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, a.bound),
         }
-        chosen = ("closed", "brute", "lcm") if a.method == "all" else (a.method,)
-        results = [methods[name]() for name in chosen]
+        done = {name: run() for name, run in methods.items() if a.method in (name, "all")}
+        results = [done[name] for name in ("closed", "brute", "lcm") if name in done]
         if a.method == "all":  # the routes must agree, compared in the closed value's type
             closed, brute, lcm = results
             c = closed.value  # an int meets a Decimal via decimal_str: int <-> Decimal is quadratic

@@ -14,11 +14,11 @@ products: it reads each M^r as (F_r, F_{r+1}) from a ``fib_pair`` chain
 and applies it through ``gib_from_fib``, the one place M^r is applied.
 A failed check is an AssertionError, raised there alone.  The lcm route and
 ``max_modulus_for_period`` pass k as the multiple
-(``period_from_multiple``).  ``pisano_period`` and ``period_table`` find
-the period at each prime power p^e of m by order finding from Wall's
-multiple p^(e-1) W(p) and join the parts by the CRT (both lemmas are
-in ``period_table``); ``pisano_period`` factors m by trial division up to
-``TRIAL_DIVISION_BOUND``, ``period_table`` reads a sieve.  An m that the
+(``period_from_multiple``).  ``pisano_period`` factors m by trial
+division up to ``TRIAL_DIVISION_BOUND`` and finds the order once, on m,
+from the lcm of Wall's multiples p^(e-1) W(p); ``period_table`` finds it
+at each prime power, with primes read from a sieve, and joins the parts
+by the CRT (both lemmas are in ``period_table``).  An m that the
 division may leave unfactored (m >= (B + 1)^2) is first probed for a
 period of at most ``PERIOD_TABLE_CAP`` steps: such m often have short
 periods (F_n and L_n, divisors of GCD-of-sums values), which the probe
@@ -149,17 +149,17 @@ def _factored(n: int, m: int, what: str) -> dict[int, int]:
 def pisano_period(seed: Seed, m: int) -> int:
     """Period of the seed's Gibonacci sequence modulo m, by order finding.
 
-    m is factored by trial division up to ``TRIAL_DIVISION_BOUND`` = B,
-    and so is Wall's multiple W(p) of each prime p of m; the period mod
-    each prime power p^e comes from the multiple p^(e-1) W(p), and the
-    period mod m is the lcm of those periods (both lemmas are proved at
-    ``period_table``).  Every m below (B + 1)^2, so every m below 2^42,
-    factors.  A larger m is first probed by ``_shift_steps`` from its
-    residue pair back to itself, which returns any period of at most
-    ``PERIOD_TABLE_CAP``, factored or not; an m, or a W(p), that the
-    division then leaves with a cofactor is refused with a ValueError
-    naming B and the cap, before any order finding.  An m of more than
-    ``MODULUS_BIT_CAP`` bits is refused at once.
+    m, and Wall's multiple W(p) of each prime p of m, are factored by
+    trial division up to ``TRIAL_DIVISION_BOUND`` = B.  By the lemmas at
+    ``period_table``, the period mod m is the lcm of those mod the p^e
+    exactly dividing m (1 where the seed is (0, 0) mod p^e), each a
+    divisor of p^(e-1) W(p); so one ``_order`` on m, from their lcm N
+    and the primes of every p W(p), returns it, the return times mod m
+    being its multiples.  An m >= (B + 1)^2, which may not factor, is
+    first probed by ``_shift_steps`` for a period of at most
+    ``PERIOD_TABLE_CAP``.  An m or W(p) that the division then leaves
+    with a cofactor is refused, naming B and the cap, before any order
+    finding, and an m over ``MODULUS_BIT_CAP`` bits at once (ValueError).
 
     m = 1 returns 1 by convention.  Errors on the seed (0, 0), and if
     the seed reduces to (0, 0) mod m: the constant-zero residue sequence
@@ -179,13 +179,12 @@ def pisano_period(seed: Seed, m: int) -> int:
     if (m >= (TRIAL_DIVISION_BOUND + 1) ** 2
             and (r := _shift_steps((a, b), (a, b), m, PERIOD_TABLE_CAP)) is not None):
         return r
-    parts = []  # (p^e, its multiple p^(e-1) W(p), the primes of p W(p)), all factored first
+    n, primes = 1, set()  # N, and the primes of every p W(p), all factored first
     for p, e in _factored(m, m, "it").items():
         w = _wall_multiple(p)
-        parts.append((p**e, p ** (e - 1) * w,
-                      {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}")}))
-    return math.lcm(*(_order(a % q, b % q, q, n, primes)
-                      if a % q or b % q else 1 for q, n, primes in parts))
+        n = math.lcm(n, p ** (e - 1) * w)
+        primes |= {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}")}
+    return _order(a, b, m, n, primes)
 
 
 def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int:

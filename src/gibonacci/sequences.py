@@ -85,7 +85,7 @@ def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     runs the chain in libmpdec, whose product of huge operands is a
     number-theoretic transform where CPython's int product is Karatsuba;
     the CLI does so for the terms and the even-k GCD values it prints.  A
-    modulus needs the default int zero.
+    modulus with another zero is a ValueError: Decimal ``%`` keeps signs.
 
     Given m, each doubling is reduced mod 2m, where halving stays exact.
     The loop keeps f = F_i and l = L_i (mod m), and f + l = F_i + L_i
@@ -98,6 +98,8 @@ def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     mod m at the end.
     """
     mod = None if m is None else 2 * m
+    if mod is not None and not isinstance(zero, int):
+        raise ValueError("a modulus needs the int zero")
     f, l = zero, zero + 2  # (F_i, L_i), starting at i = 0
     odd = 0      # i mod 2
     for bit in range(j.bit_length() - 1, -1, -1):
@@ -129,7 +131,7 @@ def gib_from_fib(g0: Any, g1: Any, n: int, f: Any, f_next: Any,
     return (g, g_next) if m is None else (g % m, g_next % m)
 
 
-def gib_pair(seed: Seed, n: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
+def gib_pair(seed: Seed, n: int, m: int | None = None) -> tuple[int, int]:
     """The adjacent terms (G_n, G_{n+1}) of the seed's sequence, for any integer n.
 
     The kernel for callers that read both terms: ``fib_pair`` gives
@@ -137,12 +139,11 @@ def gib_pair(seed: Seed, n: int, m: int | None = None, *, zero: Any = 0) -> tupl
     turns it into the seed's pair at n.  A single term costs less through
     ``gib_term``, whose chain stops one doubling earlier.  Given a modulus
     m >= 1, every doubling step is reduced mod 2m, so the operands stay
-    the size of m, and the pair comes back reduced to [0, m).  ``zero`` is handed to ``fib_pair``, so the pair
-    comes back in its number type.
+    the size of m, and the pair comes back reduced to [0, m).
     """
     if m is not None and m < 1:
         raise ValueError("modulus m must be >= 1")
-    return gib_from_fib(seed.g0, seed.g1, n, *fib_pair(abs(n), m, zero=zero), m)
+    return gib_from_fib(seed.g0, seed.g1, n, *fib_pair(abs(n), m), m)
 
 
 def _term(seed: Seed, n: int, zero: Any) -> Any:

@@ -201,6 +201,23 @@ class TestFactoredPeriod:
         assert pisano_period(FIBONACCI, m) == period
         certify_period(FIBONACCI, m, period)
 
+    @pytest.mark.parametrize("seed,m,multiple,primes", [
+        (FIBONACCI, 60, 120, {2, 3, 5}),                  # lcm(2 * 3, 8, 20)
+        (Seed(3, 6), 12, 24, {2, 3}),                     # (0, 0) mod 3: no part is skipped
+        (SEED_14, 2**20 * 3**5, 2**19 * 3**4, {2, 3}),    # lcm(2^19 * 3, 3^4 * 8)
+    ])
+    def test_finds_one_order_on_m_from_the_lcm_of_wall_multiples(self, monkeypatch, seed, m,
+                                                                  multiple, primes):
+        real, called = pisano._order, []
+
+        def spy(a, b, q, n, given):
+            called.append((q, n, set(given)))
+            return real(a, b, q, n, given)
+
+        monkeypatch.setattr(pisano, "_order", spy)
+        assert pisano_period(seed, m) == period_direct(seed, m)
+        assert called == [(m, multiple, primes)]
+
     def test_a_high_prime_power_costs_two_chains_a_prime(self, monkeypatch):
         # (0, 2^199) mod 2^200 has period 3; Wall's multiple is 3 * 2^199, so
         # stripping one 2 per chain would take 200 chains

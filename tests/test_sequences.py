@@ -13,6 +13,7 @@ from gibonacci.sequences import (
     coprime_seed_grid,
     exact_decimal,
     fib,
+    fib_pair,
     gib_from_fib,
     gib_pair,
     gib_term,
@@ -78,7 +79,8 @@ class TestGibTerm:
                 for n in range(-300, 301):
                     got = gib_term(seed, n, zero=zero)
                     assert type(got) is type(zero) and got == want[n], (seed, n)
-                    assert gib_pair(seed, n, zero=zero) == (want[n], want[n + 1]), (seed, n)
+                    pair = gib_from_fib(seed.g0, seed.g1, n, *fib_pair(abs(n), zero=zero))
+                    assert pair == (want[n], want[n + 1]), (seed, n)
 
     @pytest.mark.parametrize("on_decimal", [False, True])
     def test_random_large_indices_of_both_signs(self, random_large_terms_1_4, on_decimal):
@@ -117,6 +119,12 @@ class TestGibPairModular:
     def test_is_the_plain_pair_reduced(self, seed, m):
         for n in range(-300, 301):
             assert gib_pair(seed, n, m) == tuple(x % m for x in gib_pair(seed, n)), n
+
+    def test_a_modulus_refuses_a_decimal_zero(self):
+        # Decimal % keeps the dividend's sign: (1, -4) at -5 mod 7 read (-0, -4), not (0, 3)
+        assert gib_pair(Seed(1, -4), -5, 7) == (0, 3)
+        with exact_decimal() as Decimal, pytest.raises(ValueError, match="needs the int zero"):
+            fib_pair(5, 7, zero=Decimal(0))
 
     @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
            st.integers(-2 * 10**5, 2 * 10**5), st.integers(1, 2**256))
@@ -160,7 +168,8 @@ class TestGibPairAgainstOracles:
             ctx.prec = 200  # G_300 of these seeds has 64 digits: every step is exact
             ctx.traps[decimal.Inexact] = True
             for n in range(-300, 301):
-                pair = gib_pair(seed, n, zero=decimal.Decimal(0))
+                pair = gib_from_fib(seed.g0, seed.g1, n,
+                                    *fib_pair(abs(n), zero=decimal.Decimal(0)))
                 assert all(isinstance(g, decimal.Decimal) for g in pair)
                 assert pair == (terms[n], terms[n + 1]), n
                 if 1 <= n <= 299:
