@@ -147,6 +147,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"seed": [1, 4], "k": 240}, lambda: partial(gcd_sum_lcm, Seed(1, 4), 240)),
         "gcd_sum_lcm_1_4_1e5": (
             {"seed": [1, 4], "k": 10**5}, lambda: partial(gcd_sum_lcm, Seed(1, 4), 10**5)),
+        "gcd_sum_lcm_fib_2_7e6": (  # gcdsum.LCM_ROUTE_INDEX_CAP, the largest k taken unbounded
+            {"seed": [0, 1], "k": 27 * 10**5},
+            lambda: partial(gcd_sum_lcm, FIBONACCI, 27 * 10**5)),
         "max_modulus_exhaustive_300": (
             {"k": 300, "exhaustive": True},
             lambda: partial(max_modulus_for_period, 300, exhaustive=True)),

@@ -80,12 +80,12 @@ def decimal_str(n: int) -> str:
 #: chain on ``decimal.Decimal`` (see ``sequences.fib_pair``) and print with
 #: ``str``, in place of ints and `decimal_str`.  In a fresh process, which
 #: also pays about 2 ms for importing `decimal`, Decimal overtakes int for
-#: `term` between n = 6*10^4 and 7*10^4 (int 4.5 against Decimal 5.0 ms,
-#: then 6.1 against 5.9 ms), and for `gcd-sum` between k = 10^5 and
-#: 1.3*10^5, chain indices 5*10^4 and 6.5*10^4 (3.6 against 4.7 ms, then
-#: 4.7 against 4.2 ms; medians of 11 runs, Python 3.11.7, 2 vCPUs).  Since
+#: `term` between n = 6*10^4 and 7*10^4 (int 9.2 against Decimal 9.8 ms,
+#: then 11.2 against 10.7 ms), and for `gcd-sum` between k = 1.1*10^5 and
+#: 1.4*10^5, chain indices 5.5*10^4 and 7*10^4 (10.0 against 11.0 ms, then
+#: 10.2 against 9.2 ms; medians of 21 runs, Python 3.11.7, 2 vCPUs).  Since
 #: `term`'s chain stops one doubling short of n, it crosses over between the
-#: same two n, and at n = 10^6 it takes 20 ms against 93-136 ms in-process.
+#: same two n, and at n = 10^6 it takes 31 ms against 149 ms in-process.
 DECIMAL_CUTOFF = 7 * 10**4
 
 #: Largest output, in bits, that `term`, `sum`, `lucas-odd` and even-k

@@ -135,6 +135,16 @@ def _balanced_gcd(seed: Seed, j: int, f: Any, f_next: Any) -> Any:
 #: squares 2.7 to 3.5 s (Python 3.11.7, 2 vCPUs).
 BRUTE_FORCE_INDEX_CAP = 2**20
 
+#: The largest k that ``gcd_sum_lcm`` takes without a bound.  At even k its
+#: one check runs a chain of log2 k doublings mod the value, of about 0.35 k
+#: bits, and CPython's int division, which reduces each square, is
+#: quadratic in the size, so the time grows with about the square of k.  As
+#: whole processes, ``gcd-sum --method lcm`` took 1.90 s at k = 2*10^6,
+#: 3.35 s at this k and 3.75 s at 2.8*10^6, where ``classify --k
+#: 193000000``, about the largest even k under the CLI's output cap, took
+#: 3.56-3.67 s (medians of 3 runs, Python 3.11.7, 2 vCPUs).
+LCM_ROUTE_INDEX_CAP = 27 * 10**5
+
 
 def gcd_sum_bruteforce(seed: Seed, k: int) -> GcdSumResult:
     """GCD of the two window sums starting at n = 1 and n = 2.
@@ -168,8 +178,9 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     divisors of v equals v exactly when the period mod v divides k.  The
     period divides k exactly when M^k u = u mod v, with M the step
     matrix and u the seed: one modular chain (``period_from_multiple``
-    with no primes to strip), with no walk, no factoring and no cap,
-    whose failure is ``pisano._order``'s AssertionError.
+    with no primes to strip), with no walk and no factoring, whose
+    failure is ``pisano._order``'s AssertionError.  k above
+    ``LCM_ROUTE_INDEX_CAP`` is a ValueError, raised before any chain.
 
     With a bound: lcm over all m <= bound with period dividing k; any
     nondegenerate seed is allowed.  The periods come from one
@@ -182,6 +193,9 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     """
     _check_args(seed, k)
     if bound is None:
+        if k > LCM_ROUTE_INDEX_CAP:
+            raise ValueError(f"lcm route refuses k = {k} without a bound: "
+                             f"k is over LCM_ROUTE_INDEX_CAP = {LCM_ROUTE_INDEX_CAP}")
         seed.require_coprime()
         candidate = gcd_sum(seed, k).value
         period_from_multiple(seed, candidate, k)  # raises unless the period divides k

@@ -70,14 +70,20 @@ def exact_decimal() -> Iterator[Any]:
 def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     """(F_j, F_{j+1}) for j >= 0, reduced to [0, m) given a modulus m >= 1.
 
-    The package's one fast-doubling loop.  It carries (F_i, L_i) for the
-    prefix i of j's bits read so far, and each bit costs one product and
-    one square: F_{2i} = F_i L_i and L_{2i} = L_i^2 - 2(-1)^i, where i's
-    parity is the bit read last.  A set bit then steps to 2i + 1 by
-    F_{2i+1} = (F_{2i} + L_{2i})/2 and L_{2i+1} = (5 F_{2i} + L_{2i})/2,
-    and the loop ends with F_{j+1} = (F_j + L_j)/2.  Every halving is
-    exact, since F_i and L_i have the same parity (L_i = F_i + 2 F_{i-1}),
-    so ``// 2`` halves an int and a ``decimal.Decimal`` alike.
+    The package's one fast-doubling loop.  It carries (F_k, F_{k-1}) for
+    the prefix k of j's bits read so far, and each bit costs two squares,
+    a = F_k^2 and b = F_{k-1}^2:
+
+    * F_{2k-1} = a + b,
+    * F_{2k+1} = 4a - b + 2(-1)^k, where k's parity is the bit read last,
+
+    and F_{2k} is their difference, so a clear bit steps to (F_{2k},
+    F_{2k-1}) and a set bit to (F_{2k+1}, F_{2k}).  Both come from M^k =
+    [[F_{k-1}, F_k], [F_k, F_{k+1}]], M the step matrix: M^{2k} = (M^k)^2
+    gives F_{2k-1} = F_{k-1}^2 + F_k^2 and F_{2k+1} = F_k^2 + F_{k+1}^2 =
+    2a + b + 2 F_k F_{k-1}, and Cassini's identity F_{k+1} F_{k-1} - F_k^2
+    = (-1)^k, with F_{k+1} = F_k + F_{k-1}, reads F_k F_{k-1} = a - b +
+    (-1)^k, so F_{2k+1} = 2a + b + 2(a - b + (-1)^k).
 
     The loop is generic over the number type: it starts from the caller's
     zero, and the terms come back in that type.  ``zero=Decimal(0)``, in
@@ -87,29 +93,24 @@ def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     the CLI does so for the terms and the even-k GCD values it prints.  A
     modulus with another zero is a ValueError: Decimal ``%`` keeps signs.
 
-    Given m, each doubling is reduced mod 2m, where halving stays exact.
-    The loop keeps f = F_i and l = L_i (mod m), and f + l = F_i + L_i
-    (mod 2m), so f + l is even.  A doubling keeps this, since f l + l^2
-    - L_i (F_i + L_i) = (l - L_i)(f + l) + L_i (f + l - F_i - L_i) is a
-    multiple of 2m.  So does a set bit: f + l and 5 f + l = 4 f + (f + l)
-    equal F_{2i} + L_{2i} and 5 F_{2i} + L_{2i} mod 2m, so both are even,
-    and an even x = X (mod 2m) has x/2 = X/2 (mod m); the new f + l,
-    which is 3 f + l, is right mod 2m, as 2 f is.  The pair is reduced
-    mod m at the end.
+    Every step is a ring operation, so given m the squares are reduced mod
+    m, which keeps the operands the size of m, and the pair at the end.
     """
-    mod = None if m is None else 2 * m
-    if mod is not None and not isinstance(zero, int):
+    if m is not None and not isinstance(zero, int):
         raise ValueError("a modulus needs the int zero")
-    f, l = zero, zero + 2  # (F_i, L_i), starting at i = 0
-    odd = 0      # i mod 2
+    f, g = zero, zero + 1  # (F_k, F_{k-1}), starting at k = 0
+    odd = 0  # k mod 2
     for bit in range(j.bit_length() - 1, -1, -1):
-        f, l = f * l, l * l + (2 if odd else -2)
-        if mod is not None:
-            f, l = f % mod, l % mod
+        a, b = f * f, g * g
+        if m is not None:
+            a, b = a % m, b % m
+        f, g = 4 * a - b + (-2 if odd else 2), a + b  # (F_{2k+1}, F_{2k-1})
         odd = j >> bit & 1
         if odd:
-            f, l = (f + l) // 2, (5 * f + l) // 2
-    f_next = (f + l) // 2
+            g = f - g  # F_{2k}
+        else:
+            f -= g
+    f_next = f + g
     return (f, f_next) if m is None else (f % m, f_next % m)
 
 
@@ -138,7 +139,7 @@ def gib_pair(seed: Seed, n: int, m: int | None = None) -> tuple[int, int]:
     (F_j, F_{j+1}) with j = |n| by fast doubling, and ``gib_from_fib``
     turns it into the seed's pair at n.  A single term costs less through
     ``gib_term``, whose chain stops one doubling earlier.  Given a modulus
-    m >= 1, every doubling step is reduced mod 2m, so the operands stay
+    m >= 1, every doubling step is reduced mod m, so the operands stay
     the size of m, and the pair comes back reduced to [0, m).
     """
     if m is not None and m < 1:
@@ -161,9 +162,9 @@ def _term(seed: Seed, n: int, zero: Any) -> Any:
     Each halved factor is even, since L_i = F_i + 2 F_{i-1} has F_i's
     parity: G_0 (L_i - F_i) and G_1 (F_i + L_i) are even, and so are the
     factors, which differ from them by even multiples.  So ``// 2`` is
-    exact on an int and a ``decimal.Decimal`` alike.  The last doubling of
-    the chain would have cost a product and a square of the same size, and
-    its square only fed G_{n+1}, which no caller here reads.
+    exact on an int and a ``decimal.Decimal`` alike.  Running the chain on
+    to n would have cost two squares of that size in its last doubling,
+    where this costs one product.
 
     For n = -j < 0: (-1)^j G_{-j} obeys the recurrence, as G_{-j} =
     G_{2-j} - G_{1-j}, and starts G_0, G_0 - G_1, which are H_1, H_2 for the

@@ -45,10 +45,33 @@ def naive_gib_at(seed: Seed, indices) -> dict[int, int]:
     return found
 
 
+def fib_pair_f_l(j: int, m: int | None = None, *, zero=0) -> tuple:
+    """(F_j, F_{j+1}) by fast doubling on (F_i, L_i), one product and one
+    square a bit, reduced mod 2m after every doubling when m is given, in
+    the number type of zero: the reference for the two-square loop of
+    ``fib_pair``, which it preceded.  Every halving is exact, since F_i and
+    L_i have the same parity, and mod 2m the sum f + l stays even, so an
+    even x = X (mod 2m) halves to x/2 = X/2 (mod m)."""
+    mod = None if m is None else 2 * m
+    if mod is not None and not isinstance(zero, int):
+        raise ValueError("a modulus needs the int zero")
+    f, l = zero, zero + 2  # (F_i, L_i), starting at i = 0
+    odd = 0      # i mod 2
+    for bit in range(j.bit_length() - 1, -1, -1):
+        f, l = f * l, l * l + (2 if odd else -2)
+        if mod is not None:
+            f, l = f % mod, l % mod
+        odd = j >> bit & 1
+        if odd:
+            f, l = (f + l) // 2, (5 * f + l) // 2
+    f_next = (f + l) // 2
+    return (f, f_next) if m is None else (f % m, f_next % m)
+
+
 def gib_pair_three_products(seed: Seed, n: int, m: int | None = None) -> tuple[int, int]:
     """(G_n, G_{n+1}) by fast doubling on (F_i, F_{i+1}), one product and two
     squares a bit, reduced mod m after every step when m is given: the
-    reference for the two-product (F, L) loop of ``fib_pair``."""
+    reference for ``gib_pair`` and its two-square ``fib_pair`` loop."""
     j = abs(n)
     a, b = 0, 1  # (F_i, F_{i+1}) for the prefix i of j's bits read so far
     for bit in range(j.bit_length() - 1, -1, -1):

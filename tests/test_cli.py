@@ -707,6 +707,8 @@ ADVERSARIAL_RUNS = [
     (["gcd-sum", "--method", "all", "--k", str(2 * OUTPUT_CAP_INDEX)], 1),
     (["gcd-sum", "--method", "brute", "--k", str(gcdsum.BRUTE_FORCE_INDEX_CAP + 1)], 1),
     (["gcd-sum", "--method", "all", "--k", str(gcdsum.BRUTE_FORCE_INDEX_CAP + 2)], 1),
+    (["gcd-sum", "--method", "lcm", "--k", str(gcdsum.LCM_ROUTE_INDEX_CAP)], 0),
+    (["gcd-sum", "--method", "lcm", "--k", str(gcdsum.LCM_ROUTE_INDEX_CAP + 1)], 1),
     (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", "0"], 1),
     (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", "-1"], 1),
     (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", str(pisano.SCAN_MODULUS_CAP + 1)], 1),

@@ -22,6 +22,7 @@ from gibonacci.sequences import (
 )
 
 from conftest import (
+    fib_pair_f_l,
     gib_pair_three_products,
     naive_fib,
     naive_gib_terms,
@@ -134,13 +135,14 @@ class TestGibPairModular:
         assert gib_pair(seed, n, m) == tuple(x % m for x in gib_pair(seed, n))
 
 
-# every even modulus here tests the loop's halving mod 2m; 22 is 2|d| for (1,4)
+# every even modulus here tests the (F, L) oracle's halving mod 2m; 22 is 2|d| for (1,4)
 KERNEL_MODULI = [None, 1, 2, 3, 4, 10, 22, 10**6 + 3, 2**61 + 1]
 
 
 class TestGibPairAgainstOracles:
-    """The (F, L) doubling loop against the three-product loop it replaced
-    and the naive recurrence, plain and at every modulus of KERNEL_MODULI."""
+    """The two-square doubling loop against the (F, L) and three-product
+    loops it replaced and the naive recurrence, plain and at every modulus
+    of KERNEL_MODULI."""
 
     @staticmethod
     def check(seed, terms, n):
@@ -149,6 +151,7 @@ class TestGibPairAgainstOracles:
             if m is not None:
                 want = tuple(x % m for x in want)
             assert gib_pair(seed, n, m) == want == gib_pair_three_products(seed, n, m), (n, m)
+            assert fib_pair(abs(n), m) == fib_pair_f_l(abs(n), m), (n, m)
 
     @pytest.mark.parametrize("seed", [FIBONACCI, LUCAS, SEED_14, Seed(-3, 7)])
     def test_every_small_index(self, seed):
@@ -168,13 +171,36 @@ class TestGibPairAgainstOracles:
             ctx.prec = 200  # G_300 of these seeds has 64 digits: every step is exact
             ctx.traps[decimal.Inexact] = True
             for n in range(-300, 301):
-                pair = gib_from_fib(seed.g0, seed.g1, n,
-                                    *fib_pair(abs(n), zero=decimal.Decimal(0)))
+                f_pair = fib_pair(abs(n), zero=decimal.Decimal(0))
+                assert f_pair == fib_pair_f_l(abs(n), zero=decimal.Decimal(0))
+                pair = gib_from_fib(seed.g0, seed.g1, n, *f_pair)
                 assert all(isinstance(g, decimal.Decimal) for g in pair)
                 assert pair == (terms[n], terms[n + 1]), n
                 if 1 <= n <= 299:
                     assert window_sum(seed, n, 3, zero=decimal.Decimal(0)) == (
                         terms[n] + terms[n + 1] + terms[n + 2])
+
+
+@pytest.mark.parametrize("m", [None, 1, 22, 10**6 + 3])
+def test_each_bit_of_the_chain_costs_two_squares(m):
+    # a zero whose type logs every product of two chain values, and whether
+    # both of its operands are one value: the loop squares F_k and F_{k-1}
+    products = []
+
+    class Spy(int):
+        def __mul__(self, other):
+            if isinstance(other, Spy):
+                products.append(self is other)
+            return Spy(int.__mul__(self, other))
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__rmul__", "__mod__"):
+        setattr(Spy, name, lambda self, other, op=getattr(int, name): Spy(op(self, other)))
+    for j in [*range(40), 10**4 + 1, 2**14 - 1]:
+        products.clear()
+        pair = fib_pair(j, m, zero=Spy(0))
+        assert len(products) == 2 * j.bit_length() and all(products), j
+        want = (naive_fib(j), naive_fib(j + 1))
+        assert pair == (want if m is None else tuple(x % m for x in want)), j
 
 
 def test_gib_from_fib_steps_any_pair_as_the_recurrence_walks_it():
