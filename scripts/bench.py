@@ -135,6 +135,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
     gcd_1e6 = ["gcd-sum", "--k", str(10**6 + 2)]
     gcd_120000 = ["gcd-sum", "--k", "120000"]  # chain index 6*10^4, below cli.DECIMAL_CUTOFF
     lucas_odd = ["lucas-odd", "--j", "500001", "--format", "json"]
+    gcd_all = ["gcd-sum", "--method", "all", "--k", str(2**20), "--format", "json"]  # brute's cap
     return {
         "gcd_sum_lcm_fib_360": (
             {"seed": [0, 1], "k": 360}, lambda: partial(gcd_sum_lcm, FIBONACCI, 360)),
@@ -156,6 +157,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "max_modulus_exhaustive_65536": (
             {"k": 2**16, "exhaustive": True},
             lambda: partial(max_modulus_for_period, 2**16, exhaustive=True)),
+        "max_modulus_exhaustive_2_7e6": (  # gcdsum.LCM_ROUTE_INDEX_CAP, its largest k
+            {"k": 27 * 10**5, "exhaustive": True},
+            lambda: partial(max_modulus_for_period, 27 * 10**5, exhaustive=True)),
         "gcd_sum_fib_1e6": (
             {"seed": [0, 1], "k": 10**6}, lambda: partial(gcd_sum, FIBONACCI, 10**6)),
         "gcd_sum_fib_1e6_plus_1": (  # odd k: the value divides 2|d| = 2
@@ -249,6 +253,8 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"argv": gcd_120000}, lambda: partial(cli_quiet, gcd_120000)),
         "lucas_odd_cli_500001_json": (
             {"argv": lucas_odd}, lambda: partial(cli_quiet, lucas_odd)),
+        "gcd_sum_all_cli_1048576_json": (
+            {"argv": gcd_all}, lambda: partial(cli_quiet, gcd_all)),
         "str_fib_1e6": (
             {"call": "cli.decimal_str(fib(10**6))", "n": 10**6}, convert_fib_1e6),
     }

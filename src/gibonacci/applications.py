@@ -42,10 +42,14 @@ def prime_restriction_check(seed: Seed, k: int, prime_bound: int = 10**6) -> Pri
     """Check that no prime = 3, 7, 13, or 17 (mod 20) divides the odd-k value.
 
     Trial division only, up to prime_bound; any unfactored cofactor is
-    surfaced so the claim stays sound up to the bound.
+    surfaced so the claim stays sound up to the bound.  A bound over
+    ``pisano.TRIAL_DIVISION_BOUND`` is a ValueError, raised first.
     """
     if k % 2 == 0:
         raise ValueError("k must be odd")
+    if prime_bound > pisano.TRIAL_DIVISION_BOUND:
+        raise ValueError(f"trial division up to {_modulus_name(prime_bound, 'value')} "
+                         f"refused: over TRIAL_DIVISION_BOUND = {pisano.TRIAL_DIVISION_BOUND}")
     seed.require_coprime()
     value = gcd_sum(seed, k).value
     factors, cofactor = trial_division(value, prime_bound)
@@ -124,16 +128,15 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     candidate.  A failed check is an AssertionError, which names a
     modulus over 160 bits by its bit length.
 
-    k above ``PERIOD_TABLE_CAP`` is refused at once with a ValueError:
-    the cap stays the budget on ``classify``'s doubling chain.
+    k above ``gcdsum.LCM_ROUTE_INDEX_CAP`` is refused at once with a
+    ValueError: as on the lcm route, the order check runs mod a value of
+    about 0.35 k bits, in time about quadratic in k.
     """
     if k % 2 != 0 or k < 6:
         raise ValueError("k must be an even integer >= 6")
-    if k > pisano.PERIOD_TABLE_CAP:
-        raise ValueError(
-            f"period k = {k} exceeds PERIOD_TABLE_CAP = {pisano.PERIOD_TABLE_CAP} steps, "
-            f"the cap that stands in for a budget on classify's doubling chain"
-        )
+    if k > gcdsum.LCM_ROUTE_INDEX_CAP:
+        raise ValueError(f"max-modulus refuses k = {k}: "
+                         f"k is over LCM_ROUTE_INDEX_CAP = {gcdsum.LCM_ROUTE_INDEX_CAP}")
     c = classify(FIBONACCI, k)
     m_f = c.predicted
     form = "fib_half" if c.case_row is CaseRow.ROW_048 else "lucas_half"

@@ -75,7 +75,7 @@ def decimal_str(n: int) -> str:
 
 
 #: Chain index, the index of the largest term a command reads, from
-#: which `term` (|n|), `sum` (n + k + 1) and the closed route of `gcd-sum`,
+#: which `term` (|n|), `sum` (n + k + 1), ``gcd-sum --method closed``,
 #: `classify` and `lucas-odd` (k/2 at even k, j for `lucas-odd`) run the
 #: chain on ``decimal.Decimal`` (see ``sequences.fib_pair``) and print with
 #: ``str``, in place of ints and `decimal_str`.  In a fresh process, which
@@ -109,7 +109,9 @@ def _check_output_bits(index: int) -> None:
 def _zero(index: int, seed: Seed | None = None) -> Iterator[Any]:
     """The zero of a doubling chain at chain index |index|, refused first
     over OUTPUT_BIT_CAP: ``Decimal(0)``, inside ``exact_decimal``, from
-    DECIMAL_CUTOFF up, and otherwise 0.
+    DECIMAL_CUTOFF up, and otherwise 0.  Opened by `term`, `sum`,
+    `classify`, `lucas-odd` and ``gcd-sum --method closed``, which only
+    print the values they compute; every other command computes on ints.
 
     Given the seed of a gcd command, Decimal also needs seed entries of b
     bits with 2 b^2 <= |index|: Euclid's loop on Decimal takes about 0.6
@@ -249,10 +251,10 @@ def _gcd_sum(a: argparse.Namespace) -> Outcome:
         raise ValueError(f"--bound is read by --method lcm or all only, not {a.method}")
     # every route reads the closed value, whose chain runs at k/2 for even k;
     # odd k reads small residues, and a k the library refuses reads no term.
-    # Every route keeps the output cap; only the closed route takes the zero.
+    # Every route keeps the output cap; only --method closed takes the zero.
     index = a.k // 2 if a.k >= 1 and a.k % 2 == 0 else 0
     _check_output_bits(index)
-    with (_zero(index, a.seed) if a.method in ("closed", "all")
+    with (_zero(index, a.seed) if a.method == "closed"
           else contextlib.nullcontext(0)) as zero:
         methods = {  # brute runs first: it refuses a k over its cap before any chain
             "brute": lambda: gcdsum.gcd_sum_bruteforce(a.seed, a.k),
@@ -260,31 +262,21 @@ def _gcd_sum(a: argparse.Namespace) -> Outcome:
             "lcm": lambda: gcdsum.gcd_sum_lcm(a.seed, a.k, a.bound),
         }
         done = {name: run() for name, run in methods.items() if a.method in (name, "all")}
-        results = [done[name] for name in ("closed", "brute", "lcm") if name in done]
-        if a.method == "all":  # the routes must agree, compared in the closed value's type
-            closed, brute, lcm = results
-            c = closed.value  # an int meets a Decimal via decimal_str: int <-> Decimal is quadratic
-            b, l = (v if isinstance(c, int) else type(c)(decimal_str(v))
-                    for v in (brute.value, lcm.value))
-            if b != c or (c % l if lcm.partial else l != c):  # a partial lcm need only divide c
-                wrong = brute if b != c else lcm
-                raise AssertionError(
-                    f"gcd-sum routes disagree at k = {a.k}: closed_gcd gives {_value_name(c)}, "
-                    f"{wrong.method.value} gives {_value_name(wrong.value)}"
-                    + (", a partial value that does not divide it" if wrong.partial else ""))
+    results = [done[name] for name in ("closed", "brute", "lcm") if name in done]
+    if a.method == "all":  # the routes must agree
+        closed, brute, lcm = results
+        c = closed.value
+        if brute.value != c or (c % lcm.value if lcm.partial else lcm.value != c):
+            wrong = brute if brute.value != c else lcm  # a partial lcm need only divide c
+            raise AssertionError(
+                f"gcd-sum routes disagree at k = {a.k}: closed_gcd gives "
+                f"{pisano._modulus_name(c, 'value')}, {wrong.method.value} gives "
+                f"{pisano._modulus_name(wrong.value, 'value')}"
+                + (", a partial value that does not divide it" if wrong.partial else ""))
     return {"seed": a.seed, "k": a.k, "results": results}, lambda: "\n".join(
         f"{r.method.value}: {jsonable(r.value)}" + (" (partial)" if r.partial else "")
         for r in results
     ), 0
-
-
-def _value_name(v: Any) -> object:
-    """v in an error message, or its bit length over 160 bits, as in ``pisano._modulus_name``; a
-    Decimal, in ``exact_decimal``, counts up from 10^adjusted <= v (log2 10 > 3.321928)."""
-    bits = v.bit_length() if isinstance(v, int) else v.adjusted() * 3321928 // 10**6
-    while not isinstance(v, int) and type(v)(2) ** bits <= v:
-        bits += 1
-    return v if bits <= 160 else f"a {bits}-bit value"
 
 
 def _pisano(a: argparse.Namespace) -> Outcome:

@@ -1,10 +1,10 @@
 """Trial division, the only factoring the library does.
 
-``applications.prime_restriction_check`` strips the small primes off a
-GCD-of-sums value and reports whatever cofactor is left unfactored;
-``pisano.pisano_period`` factors m, and Wall's multiple of each of its
-primes, up to ``pisano.TRIAL_DIVISION_BOUND``; and
-``applications.max_modulus_for_period`` factors k whole.
+No caller divides past ``pisano.TRIAL_DIVISION_BOUND``.  ``pisano_period``
+factors m and Wall's multiple of each of its primes;
+``prime_restriction_check`` strips the primes up to a given bound off a
+GCD-of-sums value and reports the cofactor left; ``max_modulus_for_period``
+factors k <= 2.7*10^6 whole.
 """
 
 from __future__ import annotations

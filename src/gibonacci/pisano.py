@@ -48,6 +48,8 @@ from .sequences import Seed, fib_pair, gib_from_fib
 # factored, and so is each W(p)/2 <= p + 1 of its primes; above that, m
 # must be B-smooth but for one prime below 2^42.  At the bound's worst,
 # a prime m near 2^42, the division takes about 0.15 s (Python 3.11.7).
+# It is also the largest bound ``prime_restriction_check`` takes: there a
+# 28.6k-bit value (4300-digit seed entries) is divided up to it in 8.6 s.
 TRIAL_DIVISION_BOUND = 2**21
 
 # The longest m, in bits, that ``pisano_period`` takes; a longer one is
@@ -56,10 +58,8 @@ TRIAL_DIVISION_BOUND = 2**21
 # (Python 3.11.7).
 MODULUS_BIT_CAP = 512
 
-# The longest period ``pisano_period`` probes for (512 baby and giant steps),
-# the most baby-step pairs a shift search stores (about 30 MB, so 2^36), and
-# the largest k ``max_modulus_for_period`` takes, as a stand-in for a budget
-# on ``classify``'s doubling chain.
+# The longest period ``pisano_period`` probes for (512 baby and giant steps)
+# and the most baby-step pairs a shift search stores (about 30 MB, so 2^36).
 PERIOD_TABLE_CAP = 2**18
 
 # The largest m_max a scan covers: parity scans and the lcm route's bounded
@@ -82,9 +82,9 @@ def _require_scan_bound(m_max: int) -> None:
                          f"over SCAN_MODULUS_CAP = {SCAN_MODULUS_CAP}")
 
 
-def _modulus_name(m: int) -> object:
-    """m itself in an error message, or its bit length when m is long."""
-    return m if m.bit_length() <= 160 else f"a {m.bit_length()}-bit modulus"
+def _modulus_name(m: int, noun: str = "modulus") -> object:
+    """m itself in an error message, or over 160 bits its bit length, as "a b-bit <noun>"."""
+    return m if m.bit_length() <= 160 else f"a {m.bit_length()}-bit {noun}"
 
 
 def _shift_steps(start: tuple[int, int], target: tuple[int, int], m: int,

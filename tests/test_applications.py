@@ -1,4 +1,5 @@
 import pytest
+import sympy
 
 from gibonacci import applications, gcdsum, pisano, sequences
 from gibonacci.applications import (
@@ -37,6 +38,35 @@ class TestPrimeRestriction:
     def test_rejects_even_k(self):
         with pytest.raises(ValueError):
             prime_restriction_check(FIBONACCI, 4)
+
+    def test_a_63_bit_prime_value_is_left_whole_at_the_bound_cap(self):
+        # the value is d = r^2 - r - 1 at r = 2147483724, a prime over the
+        # square of the cap, so the division runs to the cap and leaves it whole
+        seed, bound = Seed(1, 2147483724), pisano.TRIAL_DIVISION_BOUND
+        d = seed.cassini
+        assert d == 4611686342697424451 and sympy.isprime(d) and d > bound**2
+        report = prime_restriction_check(seed, 2305843171348712225, bound)
+        assert (report.value, report.unfactored_cofactor) == (d, d) and report.clean
+
+    def test_a_bound_over_the_cap_is_refused_before_the_value(self, monkeypatch):
+        # the k = 45 value of seed (1, 81) is 2 * 11 * 19 * 31: with the cap
+        # patched to 11, the division at the cap leaves 19 * 31
+        monkeypatch.setattr(pisano, "TRIAL_DIVISION_BOUND", 11)
+        seed = Seed(1, 81)
+        report = prime_restriction_check(seed, 45, 11)
+        assert (report.value, report.unfactored_cofactor) == (12958, 589) and report.clean
+
+        def no_call(*args):
+            raise AssertionError(f"called with {args}")
+
+        chains = record_doubling_loop(monkeypatch)
+        monkeypatch.setattr(applications, "gcd_sum", no_call)
+        monkeypatch.setattr(applications, "trial_division", no_call)
+        for bound, name in ((12, "12"), (2**200, "a 201-bit value")):
+            with pytest.raises(ValueError, match=(
+                    f"^trial division up to {name} refused: over TRIAL_DIVISION_BOUND = 11$")):
+                prime_restriction_check(seed, 45, bound)
+        assert chains == []
 
 
 class TestFibLucasModuliPeriods:
@@ -102,9 +132,9 @@ class TestMaxModulus:
         assert (result.verified_period, result.predicted_form) == (2**18, "fib_half")
         assert result.m_f == fib(2**17)
 
-    def test_refused_above_the_period_table_cap_before_any_term(self, monkeypatch):
+    def test_refused_above_the_lcm_route_cap_before_any_term(self, monkeypatch):
         # F_32 = 2178309 has period 64 = the cap, checked by order finding
-        monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
+        monkeypatch.setattr(gcdsum, "LCM_ROUTE_INDEX_CAP", 64)
 
         def no_walk(*args):
             raise AssertionError("searched a period")
@@ -113,13 +143,20 @@ class TestMaxModulus:
             raise AssertionError(f"computed a term at {args}")
 
         assert max_modulus_for_period(64).m_f == fib(32)
+        chains = record_doubling_loop(monkeypatch)
         monkeypatch.setattr(pisano, "_shift_steps", no_walk)
         monkeypatch.setattr(applications, "classify", no_term)
         monkeypatch.setattr(sequences, "gib_pair", no_term)
         with pytest.raises(ValueError, match=(
-                r"^period k = 66 exceeds PERIOD_TABLE_CAP = 64 steps, the cap that stands in "
-                r"for a budget on classify's doubling chain$")):
+                r"^max-modulus refuses k = 66: k is over LCM_ROUTE_INDEX_CAP = 64$")):
             max_modulus_for_period(66)
+        assert chains == []
+
+    def test_takes_k_past_the_period_table_cap(self, monkeypatch):
+        # PERIOD_TABLE_CAP bounds the probe and the shift search, not k here
+        monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
+        result = max_modulus_for_period(66, exhaustive=True)
+        assert (result.m_f, result.verified_period) == (lucas(33), 66)
 
     def test_rejects_odd_and_small_k(self):
         with pytest.raises(ValueError):

@@ -99,7 +99,7 @@ def test_gcd_sum_all_exits_2_when_its_routes_disagree(capsys, monkeypatch, argv,
 
 
 def test_gcd_sum_all_names_long_disagreeing_values_by_bit_length(monkeypatch):
-    # the closed route runs on Decimal at k/2 = DECIMAL_CUTOFF, brute on ints
+    # k/2 = DECIMAL_CUTOFF, where --method closed alone runs on Decimal
     k = 2 * cli.DECIMAL_CUTOFF
     bits = sequences.fib(k // 2).bit_length()  # the value is F_{k/2} at k = 0 (mod 4)
     plant(monkeypatch, "gcd_sum_bruteforce", 2)
@@ -561,7 +561,7 @@ def test_sum_window_errors_keep_their_text_past_the_cap(capsys, monkeypatch, n, 
 BIG_SEED = f"{2**200 + 1},3"  # past the seed guard below k = 4 * 201^2
 GUARD_K = 4 * 201**2
 
-# (seed, k, whether the closed route runs on Decimal): j = k/2 of both
+# (seed, k, whether gcd-sum and classify run on Decimal): j = k/2 of both
 # parities on both sides of the cutoff, odd k, negative entries, a seed on
 # both sides of the guard, and (2,1), whose difference (2 G_1 - G_0) F_j is
 # 0 at even j
@@ -582,11 +582,11 @@ GCD_CASES = [
 @pytest.mark.parametrize("command", [["gcd-sum"], ["gcd-sum", "--method", "all"], ["classify"]])
 def test_gcd_values_on_decimal_print_what_the_int_path_prints(capsys, monkeypatch, command,
                                                               seed, k, on_decimal, fmt):
-    # only the closed route runs on Decimal; in --method all, brute and lcm keep ints
+    # only the closed route, alone, runs on Decimal: --method all checks on ints
     argv = [*command, f"--seed={seed}", "--k", str(k), "--format", fmt]
     got, ran_on, want = both_paths(capsys, monkeypatch, argv)
     assert got == want and want[0] == 0
-    assert ("Decimal" in ran_on) == on_decimal
+    assert ran_on == {"int"} if "all" in command else ("Decimal" in ran_on) == on_decimal
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -731,7 +731,7 @@ ADVERSARIAL_RUNS = [
     (["max-modulus", "--k", "-6"], 1),
     (["max-modulus", "--k", DIGITS_4301], 1),
     (["max-modulus", "--seed", "0,0", "--k", "6"], 1),  # reads no seed
-    (["max-modulus", "--k", str(pisano.PERIOD_TABLE_CAP + 2)], 1),  # the first even k past it
+    (["max-modulus", "--k", str(gcdsum.LCM_ROUTE_INDEX_CAP + 2)], 1),  # the first even k past it
     (["lucas-odd", "--j", "0"], 1),
     (["lucas-odd", "--j", "-3"], 1),
     (["lucas-odd", "--j", DIGITS_4301], 1),
@@ -743,6 +743,8 @@ ADVERSARIAL_RUNS = [
     (["primes-check", "--seed", "0,0", "--k", "3"], 1),
     (["primes-check", "--k", "3", "--bound", "0"], 0),  # reports what it leaves unfactored
     (["primes-check", "--k", "3", "--bound", "-5"], 0),
+    (["primes-check", "--k", "3", "--bound", str(pisano.TRIAL_DIVISION_BOUND)], 0),
+    (["primes-check", "--k", "3", "--bound", str(pisano.TRIAL_DIVISION_BOUND + 1)], 1),
     (["squares", "--k", "0"], 0),
     (["squares", "--k", "-1"], 1),
     (["squares", "--k", DIGITS_4301], 1),
