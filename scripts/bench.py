@@ -131,6 +131,7 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
     addition = {"m": (1, 200), "n": (1, 200)}
     term_argv = ["term", "--n", str(10**6), "--format"]
     term_1e5, term_1e7 = ["term", "--n", str(10**5)], ["term", "--n", str(10**7)]
+    term_minus_1e6 = ["term", "--n", str(-10**6)]
     sum_1e7 = ["sum", "--n", str(5 * 10**6), "--k", str(5 * 10**6)]  # G_{10^7+1} - G_{5*10^6+1}
     gcd_1e6 = ["gcd-sum", "--k", str(10**6 + 2)]
     gcd_120000 = ["gcd-sum", "--k", "120000"]  # chain index 6*10^4, below cli.DECIMAL_CUTOFF
@@ -182,6 +183,9 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "fib_1e7": ({"n": 10**7}, lambda: partial(fib, 10**7)),
         "gib_term_1_4_1e6": (
             {"seed": [1, 4], "n": 10**6}, lambda: partial(gib_term, Seed(1, 4), 10**6)),
+        "gib_term_1_4_minus_1e6_minus_1": (  # an odd negative index
+            {"seed": [1, 4], "n": -10**6 - 1},
+            lambda: partial(gib_term, Seed(1, 4), -10**6 - 1)),
         "window_sum_1_4_1_1e6": (  # G_{10^6+2} - G_2
             {"seed": [1, 4], "n": 1, "k": 10**6},
             lambda: partial(window_sum, Seed(1, 4), 1, 10**6)),
@@ -246,6 +250,8 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "term_cli_1e5_text": (  # above cli.DECIMAL_CUTOFF = 7*10^4
             {"argv": term_1e5}, lambda: partial(cli_quiet, term_1e5)),
         "term_cli_1e7_text": ({"argv": term_1e7}, lambda: partial(cli_quiet, term_1e7)),
+        "term_cli_minus_1e6_text": (  # a negative index, on Decimal
+            {"argv": term_minus_1e6}, lambda: partial(cli_quiet, term_minus_1e6)),
         "sum_cli_1e7_text": ({"argv": sum_1e7}, lambda: partial(cli_quiet, sum_1e7)),
         "gcd_sum_cli_1e6_plus_2_text": (
             {"argv": gcd_1e6}, lambda: partial(cli_quiet, gcd_1e6)),

@@ -125,9 +125,10 @@ def gib_from_fib(g0: Any, g1: Any, n: int, f: Any, f_next: Any,
     """
     if n >= 0:
         f_prev = f_next - f
+    elif n & 1:  # j odd: F_{-j} = F_j
+        f_prev, f, f_next = -f_next, f, f - f_next
     else:
-        sign = -1 if n & 1 else 1  # (-1)^j
-        f_prev, f, f_next = sign * f_next, -sign * f, sign * (f_next - f)
+        f_prev, f, f_next = f_next, -f, f_next - f
     g, g_next = g0 * f_prev + g1 * f, g0 * f + g1 * f_next
     return (g, g_next) if m is None else (g % m, g_next % m)
 
@@ -138,9 +139,11 @@ def gib_pair(seed: Seed, n: int, m: int | None = None) -> tuple[int, int]:
     The kernel for callers that read both terms: ``fib_pair`` gives
     (F_j, F_{j+1}) with j = |n| by fast doubling, and ``gib_from_fib``
     turns it into the seed's pair at n.  A single term costs less through
-    ``gib_term``, whose chain stops one doubling earlier.  Given a modulus
-    m >= 1, every doubling step is reduced mod m, so the operands stay
-    the size of m, and the pair comes back reduced to [0, m).
+    ``gib_term``, whose chain stops one doubling earlier, at i = n >> 1:
+    G_n = L_i G_{i+e} - (-1)^i G_e with e = n & 1, as G_{m+j} + (-1)^j
+    G_{m-j} = L_j G_m obeys the recurrence in m and holds at m = 0 and 1.
+    Given a modulus m >= 1, every doubling step is reduced mod m, so the
+    operands stay the size of m, and the pair comes back reduced to [0, m).
     """
     if m is not None and m < 1:
         raise ValueError("modulus m must be >= 1")
@@ -152,35 +155,20 @@ def _term(seed: Seed, n: int, zero: Any) -> Any:
     one doubling short of n, and one product.  ``gib_term`` and the CLI's
     ``term`` both call this.
 
-    For n = 2i or 2i + 1 >= 0 the chain gives (F_i, F_{i+1}), and L_i =
-    2 F_{i+1} - F_i.  From G_n = G_0 F_{n-1} + G_1 F_n, F_{2i} = F_i L_i,
-    L_{2i} = L_i^2 - 2(-1)^i and F_{2i-1}, F_{2i+1} = (L_{2i} -+ F_{2i})/2:
-
-    * G_{2i} = L_i (G_0 L_i + (2 G_1 - G_0) F_i)/2 - (-1)^i G_0,
-    * G_{2i+1} = L_i ((2 G_0 + G_1) F_i + G_1 L_i)/2 - (-1)^i G_1.
-
-    Each halved factor is even, since L_i = F_i + 2 F_{i-1} has F_i's
-    parity: G_0 (L_i - F_i) and G_1 (F_i + L_i) are even, and so are the
-    factors, which differ from them by even multiples.  So ``// 2`` is
-    exact on an int and a ``decimal.Decimal`` alike.  Running the chain on
-    to n would have cost two squares of that size in its last doubling,
-    where this costs one product.
-
-    For n = -j < 0: (-1)^j G_{-j} obeys the recurrence, as G_{-j} =
-    G_{2-j} - G_{1-j}, and starts G_0, G_0 - G_1, which are H_1, H_2 for the
-    seed H = (-G_1, G_0).  So G_{-j} is the term at j + 1 of the seed
-    (-1)^j H, read as above from the chain at (j + 1) // 2.
+    With i = n >> 1 and e = n & 1, the chain at |i| gives G_{i+e} and L_i
+    (the seed (2, 1)) through ``gib_from_fib``, and G_n = L_i G_{i+e} -
+    (-1)^i G_e, by G_{m+j} + (-1)^j G_{m-j} = L_j G_m at m = i + e, j = i:
+    both sides obey the recurrence in m and read L_j G_0 and L_j G_1 at
+    m = 0 and 1, by G_n = G_0 F_{n-1} + G_1 F_n, F_{-j} = (-1)^{j+1} F_j and
+    L_j = F_{j-1} + F_{j+1}.  Running the chain on to n would have cost two
+    squares of that size in its last doubling, where this costs one product.
     """
-    g0, g1 = seed.g0, seed.g1
-    if n < 0:  # the seed (-1)^j H, with j = -n
-        g0, g1, n = (g1, -g0, 1 - n) if n & 1 else (-g1, g0, 1 - n)
-    i = n >> 1
-    f, f_next = fib_pair(i, zero=zero)
-    l = 2 * f_next - f  # L_i
-    sign = -1 if i & 1 else 1  # (-1)^i
-    if n & 1:
-        return l * (((2 * g0 + g1) * f + g1 * l) // 2) - sign * g1
-    return l * ((g0 * l + (2 * g1 - g0) * f) // 2) - sign * g0
+    i, e = n >> 1, n & 1
+    f, f_next = fib_pair(abs(i), zero=zero)
+    g = gib_from_fib(seed.g0, seed.g1, i, f, f_next)[e]  # G_{i+e}
+    l = gib_from_fib(2, 1, i, f, f_next)[0]  # L_i
+    g_e = seed.g1 if e else seed.g0
+    return l * g + (g_e if i & 1 else -g_e)  # adding an int turns a Decimal -0 into 0
 
 
 def fib(n: int) -> int:

@@ -82,8 +82,10 @@ def check_table_conformance() -> tuple[bool, str]:
 
 def check_method_agreement() -> tuple[bool, str]:
     bad = []
-    # closed vs brute force (10 windows, summed directly) on the full grid
+    # closed vs brute force (10 windows, summed directly) on the full grid;
+    # on three seeds, the library's closed and brute routes against both
     for seed in _grid():
+        library = seed in (FIBONACCI, LUCAS, SEED_14)
         g = _seed_tables(seed, 132)
         prefix = [0]
         for t in g[1:]:
@@ -95,6 +97,10 @@ def check_method_agreement() -> tuple[bool, str]:
             closed = math.gcd(g[k + 1] - g[1], g[k + 2] - g[2])
             if brute != closed:
                 bad.append(("brute", seed, k, brute, closed))
+            if library:
+                routes = gcdsum.gcd_sum(seed, k).value, gcdsum.gcd_sum_bruteforce(seed, k).value
+                if routes != (closed, closed):
+                    bad.append(("routes", seed, k, *routes, closed))
     # closed vs lcm-over-moduli bounded scan with bound >= candidate
     for seed in (FIBONACCI, LUCAS, SEED_14):
         for k in range(1, 25):

@@ -75,11 +75,12 @@ class TestGibTerm:
     def test_recurrence_over_grid(self, grid25, on_decimal):
         with exact_decimal() as Decimal:
             zero = Decimal(0) if on_decimal else 0
-            for seed in grid25:
+            for seed in [*grid25, Seed(0, 0)]:  # (0, 0): every term a zero, printed 0
                 want = naive_gib_terms(seed, -300, 301)
                 for n in range(-300, 301):
                     got = gib_term(seed, n, zero=zero)
                     assert type(got) is type(zero) and got == want[n], (seed, n)
+                    assert str(got) == str(want[n]), (seed, n)  # a Decimal -0 prints "-0"
                     pair = gib_from_fib(seed.g0, seed.g1, n, *fib_pair(abs(n), zero=zero))
                     assert pair == (want[n], want[n + 1]), (seed, n)
 
@@ -87,10 +88,16 @@ class TestGibTerm:
     def test_random_large_indices_of_both_signs(self, random_large_terms_1_4, on_decimal):
         indices, terms = random_large_terms_1_4
         assert min(indices) < -10**5 and max(indices) > 10**5
+        # H = a (1, 4) + b (4, 5), entries of 100 digits and both signs: its
+        # terms are H_n = a G_n + b G_{n+1}, as (G_1, G_2) = (4, 5)
+        a, b = -3 * 10**99 - 12345678901, 10**99 + 98765432123
+        big = Seed(a + 4 * b, 4 * a + 5 * b)
+        assert big.g0 > 10**98 and big.g1 < -10**99
         with exact_decimal() as Decimal:
             zero = Decimal(0) if on_decimal else 0
             for n in indices:
                 assert gib_term(SEED_14, n, zero=zero) == terms[n], n
+                assert gib_term(big, n, zero=zero) == a * terms[n] + b * terms[n + 1], n
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 10**5, 10**5 + 1,
                                    -1, -2, -3, -4, -5, -10**5, -10**5 - 1])
@@ -99,8 +106,8 @@ class TestGibTerm:
         gib_term(SEED_14, n)
         fib(n)
         lucas(n)
-        # G_{2i} and G_{2i+1} read the chain at i; G_{-j} reads it at (j + 1) // 2
-        assert chains == 3 * [(n >> 1 if n >= 0 else (1 - n) >> 1, None)]
+        # G_n reads the chain at |n >> 1|, for n of either sign
+        assert chains == 3 * [(abs(n >> 1), None)]
 
     def test_window_sum_reads_two_shortened_chains(self, monkeypatch):
         chains = record_doubling_loop(monkeypatch)
