@@ -12,7 +12,10 @@ interpreter and on each one named, and compares:
   the running interpreter's.  They run on three grid seeds at indices
   on both sides of ``cli.DECIMAL_CUTOFF``, where the value changes from an
   int to a ``decimal.Decimal``.  ``term`` reads each index with both signs,
-  and ``sum`` a window whose telescoped form G_{n+k+1} - G_{n+1} reads it.
+  and ``sum`` a window whose telescoped form G_{n+k+1} - G_{n+1} reads it;
+* the exit code and number of stderr lines of every row of
+  ``tests/adversarial_runs.py``, with the row's exit code and one line
+  for a refusal, none otherwise, as ``tests/test_cli.py`` asserts.
 
 Prints one line per interpreter and check, and exits 1 on any difference.
 Needs nothing beyond the standard library, on any interpreter.
@@ -28,6 +31,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+from adversarial_runs import ADVERSARIAL_RUNS  # noqa: E402  (needs the paths above)
+
 SEEDS = ("0,1", "1,4", "-3,7")
 INDICES = (7 * 10**4 - 1, 7 * 10**4, 10**5 + 1)  # cli.DECIMAL_CUTOFF = 7*10^4
 
@@ -45,21 +51,32 @@ def value_commands() -> list[list[str]]:
     return commands
 
 
-def run(python: str, args: list[str]) -> bytes:
-    """The exit code and stdout of ``python args``, run in the repository
-    root, as ``[exit N]`` and a newline before the output."""
+def run(python: str, args: list[str]) -> subprocess.CompletedProcess:
+    """``python args``, run in the repository root, its output captured."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([python, *args], cwd=ROOT, env=env, stdout=subprocess.PIPE, check=False)
+    return subprocess.run([python, *args], cwd=ROOT, env=env, capture_output=True, check=False)
+
+
+def exit_and_stdout(done: subprocess.CompletedProcess) -> bytes:
+    """``[exit N]`` and a newline before the run's stdout."""
     return f"[exit {done.returncode}]\n".encode() + done.stdout
+
+
+def exit_and_stderr_lines(code: int, lines: int) -> bytes:
+    return f"[exit {code}] {lines} stderr lines".encode()
 
 
 def outputs(python: str) -> dict[str, list[bytes]]:
     """Check name -> what is compared, on one interpreter."""
-    verify = run(python, ["-m", "gibonacci.cli", "verify", "--format", "json"])
+    verify = exit_and_stdout(run(python, ["-m", "gibonacci.cli", "verify", "--format", "json"]))
+    adversarial = [run(python, ["-m", "gibonacci.cli", *argv]) for argv, _ in ADVERSARIAL_RUNS]
     return {
-        "readme transcript": [run(python, ["tests/test_readme_cli.py"])],
+        "readme transcript": [exit_and_stdout(run(python, ["tests/test_readme_cli.py"]))],
         "verify json sha256": [hashlib.sha256(verify).hexdigest().encode()],
-        "term and sum": [run(python, ["-m", "gibonacci.cli", *argv]) for argv in value_commands()],
+        "term and sum": [exit_and_stdout(run(python, ["-m", "gibonacci.cli", *argv]))
+                         for argv in value_commands()],
+        "adversarial runs": [exit_and_stderr_lines(done.returncode, done.stderr.count(b"\n"))
+                             for done in adversarial],
     }
 
 
@@ -68,7 +85,9 @@ def main() -> int:
     parser.add_argument("python", nargs="+", help="interpreter to compare with this one")
     results = {python: outputs(python) for python in [sys.executable, *parser.parse_args().python]}
     want = {**results[sys.executable],
-            "readme transcript": [b"[exit 0]\n" + (ROOT / "tests" / "readme_cli.txt").read_bytes()]}
+            "readme transcript": [b"[exit 0]\n" + (ROOT / "tests" / "readme_cli.txt").read_bytes()],
+            "adversarial runs": [exit_and_stderr_lines(code, 1 if code else 0)
+                                 for _, code in ADVERSARIAL_RUNS]}
     failed = False
     for python, got in results.items():
         version = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],

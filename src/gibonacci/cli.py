@@ -287,7 +287,7 @@ def _pisano(a: argparse.Namespace) -> Outcome:
 def _classify(a: argparse.Namespace) -> Outcome:
     with _zero(a.k // 2 if a.k >= 1 and a.k % 2 == 0 else 0, a.seed) as zero:  # as gcd-sum
         c = gcdsum.classify(a.seed, a.k, zero=zero)
-    pred = c.predicted if c.table_applies else "table-inapplicable"
+    pred = "table-inapplicable" if c.predicted is None else c.predicted
     payload = {"seed": c.seed, "k": c.k, "residue_mod_12": c.residue_mod_12,
                "case_row": c.case_row.value, "predicted": pred,
                "footnote": c.footnote.value, "actual": c.actual}

@@ -227,9 +227,9 @@ class Footnote(Enum):
 class Classification:
     """Predicted vs. actual GCD of k-window sums, by residue of k mod 12.
 
-    ``predicted`` is None when the summary table makes no claim for the
-    (seed, k) pair: odd k with non-unit Cassini constant.  At even k both
-    values are in the number type of ``classify``'s zero.
+    ``predicted`` is None exactly in the table's gap, odd k with a
+    non-unit Cassini constant, where the summary table makes no claim.
+    At even k both values are in the number type of ``classify``'s zero.
     """
 
     seed: Seed
@@ -240,46 +240,40 @@ class Classification:
     footnote: Footnote
     actual: Any
 
-    @property
-    def table_applies(self) -> bool:
-        return self.predicted is not None
-
 
 def classify(seed: Seed, k: int, *, zero: Any = 0) -> Classification:
-    """Classify (seed, k) per the k mod 12 case split.
+    """Classify (seed, k) per the k mod 12 case split, split once on k's parity.
 
-    Requires a coprime seed; for any other, divide out d = gcd(g0, g1)
-    first (the value then scales by d).  At even k one doubling chain,
-    ``fib_pair(k // 2)`` on ``zero``'s number type, feeds both the
-    prediction, delta F_{k/2} or L_{k/2} = 2 F_{k/2+1} - F_{k/2}, and the
-    actual value, read as in ``gcd_sum``.
+    Requires a coprime seed; for any other, divide out gcd(g0, g1) first
+    (the value then scales by it).  Odd k reads ``actual`` from ``gcd_sum``.
+    Where |d| = 1 (d the Cassini constant) it predicts gcd(2, F_k): 2 in
+    row 3, 9 (3 divides k), 1 in row 1, 5, 7, 11; a value for every seed
+    would change this branch alone.  Where |d| != 1 the prediction is
+    None, the table's gap.  Even k runs one chain, ``fib_pair(k // 2)`` on
+    ``zero``'s number type, read for ``actual`` as in ``gcd_sum`` and for
+    the prediction: delta F_{k/2} in row 0, 4, 8 (4 divides k), else
+    L_{k/2} = 2 F_{k/2+1} - F_{k/2} in row 2, 6, 10.
     """
     _check_args(seed, k)
     seed.require_coprime()
     if k % 2:
         actual = gcd_sum(seed, k).value
+        row = CaseRow.ROW_39 if k % 3 == 0 else CaseRow.ROW_15711
+        if abs(seed.cassini) == 1:
+            predicted = 2 if row is CaseRow.ROW_39 else 1  # gcd(2, F_k)
+            footnote = Footnote.D_IS_UNIT
+        else:
+            predicted = None
+            footnote = Footnote.D_NOT_UNIT
     else:
         f, f_next = fib_pair(k // 2, zero=zero)
         actual = _balanced_gcd(seed, k // 2, f, f_next)
-    r = k % 12
-    if r in (0, 4, 8):
-        row = CaseRow.ROW_048
-        predicted = seed.delta * f
-        footnote = Footnote.DELTA_IS_1 if seed.delta == 1 else Footnote.DELTA_IS_5
-    elif r in (2, 6, 10):
-        row = CaseRow.ROW_2610
-        predicted = 2 * f_next - f  # L_{k/2}
-        footnote = Footnote.NONE
-    elif r in (3, 9):
-        row = CaseRow.ROW_39
-        if abs(seed.cassini) == 1:
-            predicted, footnote = 2, Footnote.D_IS_UNIT
+        if k % 4 == 0:
+            row = CaseRow.ROW_048
+            predicted = seed.delta * f
+            footnote = Footnote.DELTA_IS_1 if seed.delta == 1 else Footnote.DELTA_IS_5
         else:
-            predicted, footnote = None, Footnote.D_NOT_UNIT
-    else:
-        row = CaseRow.ROW_15711
-        if abs(seed.cassini) == 1:
-            predicted, footnote = 1, Footnote.D_IS_UNIT
-        else:
-            predicted, footnote = None, Footnote.D_NOT_UNIT
-    return Classification(seed, k, r, row, predicted, footnote, actual)
+            row = CaseRow.ROW_2610
+            predicted = 2 * f_next - f  # L_{k/2}
+            footnote = Footnote.NONE
+    return Classification(seed, k, k % 12, row, predicted, footnote, actual)

@@ -218,7 +218,7 @@ class TestLargeIndex:
     def test_classify_predictions_hold(self, seed):
         for k in range(20_000, 20_012):
             c = classify(seed, k)
-            if c.table_applies:
+            if c.predicted is not None:
                 assert c.predicted == c.actual, k
 
 
@@ -397,7 +397,7 @@ class TestClassify:
     def test_seed_1_4_k5_table_inapplicable(self):
         c = classify(SEED_14, 5)
         assert c.case_row is CaseRow.ROW_15711
-        assert not c.table_applies
+        assert c.predicted is None
         assert c.footnote is Footnote.D_NOT_UNIT
         assert c.actual == 11
 
@@ -414,7 +414,7 @@ class TestClassify:
         for seed in grid25:
             for k in range(1, 61):
                 c = classify(seed, k)
-                if c.table_applies:
+                if c.predicted is not None:
                     assert c.predicted == c.actual, (seed, k)
 
     def test_row_048_dichotomy(self, grid25):

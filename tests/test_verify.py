@@ -40,6 +40,12 @@ def test_table_conformance_reports_a_mismatch(monkeypatch):
     assert failed_detail(4).endswith("mismatches=[(Seed(g0=2, g1=1), 8, 15, 16)]")
 
 
+def test_table_conformance_reports_a_missing_prediction(monkeypatch):
+    plant(monkeypatch, gcdsum, "classify", lambda c, seed, k: dataclasses.replace(
+        c, predicted=None) if (seed, k) == (LUCAS, 8) else c)
+    assert failed_detail(4).endswith("mismatches=[(Seed(g0=2, g1=1), 8, None, 15)]")
+
+
 def test_table_conformance_asks_classify_only_where_the_table_applies(monkeypatch):
     grid = coprime_seed_grid(10)
     monkeypatch.setattr(verify, "_grid", lambda: grid)
@@ -50,7 +56,8 @@ def test_table_conformance_asks_classify_only_where_the_table_applies(monkeypatc
     # the skipped calls, made here: the table must make no claim at exactly those pairs
     for seed in grid:
         for k in range(1, 121):
-            assert gcdsum.classify(seed, k).table_applies == ((seed, k) in asked), (seed, k)
+            predicts = gcdsum.classify(seed, k).predicted is not None
+            assert predicts == ((seed, k) in asked), (seed, k)
 
 
 def test_method_agreement_reports_a_brute_mismatch(monkeypatch):
