@@ -152,6 +152,12 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
         "gcd_sum_lcm_fib_2_7e6": (  # gcdsum.LCM_ROUTE_INDEX_CAP, the largest k taken unbounded
             {"seed": [0, 1], "k": 27 * 10**5},
             lambda: partial(gcd_sum_lcm, FIBONACCI, 27 * 10**5)),
+        "gcd_sum_lcm_1_4_bound_30_2_7e6": (  # the partial flag reads the closed value
+            {"seed": [1, 4], "k": 27 * 10**5, "bound": 30},
+            lambda: partial(gcd_sum_lcm, Seed(1, 4), 27 * 10**5, bound=30)),
+        "gcd_sum_lcm_1_4_bound_30_2_7e6_plus_2": (  # over LCM_ROUTE_INDEX_CAP, bounded too
+            {"seed": [1, 4], "k": 27 * 10**5 + 2, "bound": 30},
+            lambda: partial(gcd_sum_lcm, Seed(1, 4), 27 * 10**5 + 2, bound=30)),
         "max_modulus_exhaustive_300": (
             {"k": 300, "exhaustive": True},
             lambda: partial(max_modulus_for_period, 300, exhaustive=True)),

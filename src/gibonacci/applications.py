@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from . import gcdsum, pisano
@@ -32,10 +32,6 @@ class PrimeRestrictionReport:
     offending_primes: tuple[int, ...]
     unfactored_cofactor: int  # 1 when the value factored completely
     bound: int
-
-    @property
-    def clean(self) -> bool:
-        return not self.offending_primes
 
 
 def prime_restriction_check(seed: Seed, k: int, prime_bound: int = 10**6) -> PrimeRestrictionReport:
@@ -67,22 +63,8 @@ class FibLucasPeriodEntry:
     predicted: int
     computed: int
 
-    @property
-    def matches(self) -> bool:
-        return self.predicted == self.computed
 
-
-@dataclass
-class FibLucasPeriodReport:
-    i_max: int
-    entries: list[FibLucasPeriodEntry] = field(default_factory=list)
-
-    @property
-    def all_match(self) -> bool:
-        return all(e.matches for e in self.entries)
-
-
-def pisano_of_fib_lucas_moduli(i_max: int) -> FibLucasPeriodReport:
+def pisano_of_fib_lucas_moduli(i_max: int) -> list[FibLucasPeriodEntry]:
     """Fibonacci periods at Fibonacci and Lucas moduli vs. their closed forms.
 
     Predictions: period at modulus F_i is 2i for even i >= 4 and 4i for
@@ -92,14 +74,14 @@ def pisano_of_fib_lucas_moduli(i_max: int) -> FibLucasPeriodReport:
     """
     if i_max < 5:
         raise ValueError("i_max must be >= 5")
-    report = FibLucasPeriodReport(i_max)
+    entries = []
     # (kind, term, first index, period factor at even and odd i)
     for kind, term, first, factor in (("F", fib, 4, (2, 4)), ("L", lucas, 2, (4, 2))):
         for i in range(first, i_max + 1):
             m = term(i)
-            report.entries.append(FibLucasPeriodEntry(kind, i, m, factor[i % 2] * i,
-                                                      pisano_period(FIBONACCI, m)))
-    return report
+            entries.append(FibLucasPeriodEntry(kind, i, m, factor[i % 2] * i,
+                                               pisano_period(FIBONACCI, m)))
+    return entries
 
 
 @dataclass(frozen=True)

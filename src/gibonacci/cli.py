@@ -298,8 +298,8 @@ def _classify(a: argparse.Namespace) -> Outcome:
 
 def _parity_scan(a: argparse.Namespace) -> Outcome:
     r = pisano.parity_scan(a.seed, a.m_max)
-    return {"report": r}, lambda: "none" if r.empty else " ".join(
-        f"({m},{p})" for m, p in r.odd_period_moduli), 0
+    return {"report": r}, lambda: " ".join(
+        f"({m},{p})" for m, p in r.odd_period_moduli) or "none", 0
 
 
 def _max_modulus(a: argparse.Namespace) -> Outcome:
@@ -337,8 +337,9 @@ def _identities(a: argparse.Namespace) -> Outcome:
         for r in reports
     ]}
     return payload, lambda: "\n".join(
-        f"{r.identity.value}: {'ok' if r.ok else 'FAIL'} ({r.checked} points)" for r in reports
-    ), 0 if all(r.ok for r in reports) else 2
+        f"{r.identity.value}: {'FAIL' if r.failures else 'ok'} ({r.checked} points)"
+        for r in reports
+    ), 2 if any(r.failures for r in reports) else 0
 
 
 def _verify(a: argparse.Namespace) -> Outcome:

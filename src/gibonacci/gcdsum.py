@@ -135,7 +135,7 @@ def _balanced_gcd(seed: Seed, j: int, f: Any, f_next: Any) -> Any:
 #: squares 2.7 to 3.5 s (Python 3.11.7, 2 vCPUs).
 BRUTE_FORCE_INDEX_CAP = 2**20
 
-#: The largest k that ``gcd_sum_lcm`` takes without a bound.  At even k its
+#: The largest k that ``gcd_sum_lcm`` takes, bounded or not.  At even k its
 #: one check runs a chain of log2 k doublings mod the value, of about 0.35 k
 #: bits, and CPython's int division, which reduces each square, is
 #: quadratic in the size, so the time grows with about the square of k.  As
@@ -179,8 +179,7 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     period divides k exactly when M^k u = u mod v, with M the step
     matrix and u the seed: one modular chain (``period_from_multiple``
     with no primes to strip), with no walk and no factoring, whose
-    failure is ``pisano._order``'s AssertionError.  k above
-    ``LCM_ROUTE_INDEX_CAP`` is a ValueError, raised before any chain.
+    failure is ``pisano._order``'s AssertionError.
 
     With a bound: lcm over all m <= bound with period dividing k; any
     nondegenerate seed is allowed.  The periods come from one
@@ -189,13 +188,16 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     so it always counts.  A bound above ``SCAN_MODULUS_CAP`` is refused
     before the table is built.  This is a genuinely independent route
     but only a lower bound when bound < v, in which case the result is
-    flagged partial.
+    flagged partial (v is read from ``gcd_sum``).
+
+    Bounded or not, k above ``LCM_ROUTE_INDEX_CAP`` is a ValueError,
+    raised before any table or chain.
     """
     _check_args(seed, k)
+    if k > LCM_ROUTE_INDEX_CAP:
+        raise ValueError(f"lcm route refuses k = {k}: "
+                         f"k is over LCM_ROUTE_INDEX_CAP = {LCM_ROUTE_INDEX_CAP}")
     if bound is None:
-        if k > LCM_ROUTE_INDEX_CAP:
-            raise ValueError(f"lcm route refuses k = {k} without a bound: "
-                             f"k is over LCM_ROUTE_INDEX_CAP = {LCM_ROUTE_INDEX_CAP}")
         seed.require_coprime()
         candidate = gcd_sum(seed, k).value
         period_from_multiple(seed, candidate, k)  # raises unless the period divides k

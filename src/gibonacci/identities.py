@@ -247,10 +247,6 @@ class IdentityReport:
     checked: int
     failures: list[tuple[Seed, tuple[int, ...], int, int]] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 #: The most grid points, seeds included, that one `verify_identity` call
 #: checks; a larger request is refused before any term is tabulated.

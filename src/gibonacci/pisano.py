@@ -340,10 +340,6 @@ class ParityScanReport:
     odd_period_moduli: list[tuple[int, int]] = field(default_factory=list)
     skipped_degenerate: list[int] = field(default_factory=list)
 
-    @property
-    def empty(self) -> bool:
-        return not self.odd_period_moduli
-
 
 def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
     """Scan m in (2, m_max] and report every modulus with an odd period.

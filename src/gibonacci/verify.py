@@ -125,7 +125,7 @@ def check_divisibility_biconditional() -> tuple[bool, str]:
 
 def check_identity_suite() -> tuple[bool, str]:
     reports = identities.run_families(identities.Identity)
-    failing = [(r.identity.value, r.failures[:2]) for r in reports if not r.ok]
+    failing = [(r.identity.value, r.failures[:2]) for r in reports if r.failures]
     return not failing, f"points={sum(r.checked for r in reports)} failing_families={failing}"
 
 
@@ -149,9 +149,9 @@ def check_parity_scan() -> tuple[bool, str]:
 
 
 def check_fib_lucas_moduli_periods() -> tuple[bool, str]:
-    report = applications.pisano_of_fib_lucas_moduli(20)
-    bad = [e for e in report.entries if not e.matches]
-    return not bad, f"entries={len(report.entries)} mismatches={bad[:3]}"
+    entries = applications.pisano_of_fib_lucas_moduli(20)
+    bad = [e for e in entries if e.predicted != e.computed]
+    return not bad, f"entries={len(entries)} mismatches={bad[:3]}"
 
 
 def check_max_modulus_exhaustive() -> tuple[bool, str]:
@@ -180,7 +180,7 @@ def check_odd_k_prime_restriction() -> tuple[bool, str]:
     for seed in _grid():
         for k in range(1, 40, 2):
             report = applications.prime_restriction_check(seed, k)
-            if not report.clean or report.unfactored_cofactor != 1:
+            if report.offending_primes or report.unfactored_cofactor != 1:
                 bad.append((seed, k, report.offending_primes, report.unfactored_cofactor))
     return not bad, f"violations={bad[:3]}"
 

@@ -39,6 +39,9 @@ ADVERSARIAL_RUNS = [
     (["gcd-sum", "--method", "all", "--k", str(gcdsum.BRUTE_FORCE_INDEX_CAP + 2)], 1),
     (["gcd-sum", "--method", "lcm", "--k", str(gcdsum.LCM_ROUTE_INDEX_CAP)], 0),
     (["gcd-sum", "--method", "lcm", "--k", str(gcdsum.LCM_ROUTE_INDEX_CAP + 1)], 1),
+    (["gcd-sum", "--method", "lcm", "--bound", "30", "--k", str(gcdsum.LCM_ROUTE_INDEX_CAP)], 0),
+    (["gcd-sum", "--method", "lcm", "--bound", "10",
+      "--k", str(gcdsum.LCM_ROUTE_INDEX_CAP + 2)], 1),  # the bounded scan takes the cap too
     (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", "0"], 1),
     (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", "-1"], 1),
     (["gcd-sum", "--method", "lcm", "--k", "12", "--bound", str(pisano.SCAN_MODULUS_CAP + 1)], 1),

@@ -22,17 +22,17 @@ SQUARES_SEEDS = coprime_seed_grid(6) + [Seed(2, 4), Seed(3, 9), Seed(6, -4), See
 class TestPrimeRestriction:
     def test_seed_1_4_k5(self):
         report = prime_restriction_check(Seed(1, 4), 5)
-        assert report.value == 11 and report.clean  # 11 = 11 (mod 20), allowed
+        assert report.value == 11 and not report.offending_primes  # 11 = 11 (mod 20), allowed
 
     def test_fibonacci_k9(self):
         report = prime_restriction_check(FIBONACCI, 9)
-        assert report.value == 2 and report.clean
+        assert report.value == 2 and not report.offending_primes
 
     def test_seed_1_24_odd_scan(self):
         # 29 = 9 (mod 20) is allowed to appear
         for k in range(1, 16, 2):
             report = prime_restriction_check(Seed(1, 24), k)
-            assert report.clean, (k, report.offending_primes)
+            assert not report.offending_primes, (k, report.offending_primes)
             assert report.unfactored_cofactor == 1
 
     def test_rejects_even_k(self):
@@ -46,7 +46,8 @@ class TestPrimeRestriction:
         d = seed.cassini
         assert d == 4611686342697424451 and sympy.isprime(d) and d > bound**2
         report = prime_restriction_check(seed, 2305843171348712225, bound)
-        assert (report.value, report.unfactored_cofactor) == (d, d) and report.clean
+        assert (report.value, report.unfactored_cofactor) == (d, d)
+        assert not report.offending_primes
 
     def test_a_bound_over_the_cap_is_refused_before_the_value(self, monkeypatch):
         # the k = 45 value of seed (1, 81) is 2 * 11 * 19 * 31: with the cap
@@ -54,7 +55,8 @@ class TestPrimeRestriction:
         monkeypatch.setattr(pisano, "TRIAL_DIVISION_BOUND", 11)
         seed = Seed(1, 81)
         report = prime_restriction_check(seed, 45, 11)
-        assert (report.value, report.unfactored_cofactor) == (12958, 589) and report.clean
+        assert (report.value, report.unfactored_cofactor) == (12958, 589)
+        assert not report.offending_primes
 
         def no_call(*args):
             raise AssertionError(f"called with {args}")
@@ -76,9 +78,9 @@ class TestFibLucasModuliPeriods:
         assert pisano_period(FIBONACCI, lucas(3)) == 6   # 2i, i = 3 odd
 
     def test_all_match_up_to_20(self):
-        report = pisano_of_fib_lucas_moduli(20)
-        assert report.all_match
-        kinds = {(e.kind, e.i) for e in report.entries}
+        entries = pisano_of_fib_lucas_moduli(20)
+        assert all(e.predicted == e.computed for e in entries)
+        kinds = {(e.kind, e.i) for e in entries}
         assert ("F", 4) in kinds and ("L", 2) in kinds
 
     def test_rejects_small_range(self):
@@ -87,7 +89,7 @@ class TestFibLucasModuliPeriods:
 
     def test_moduli_that_trial_division_leaves_unfactored(self):
         # F_73 = 9375829 * 86020717 is the first with two primes above 2^21
-        assert pisano_of_fib_lucas_moduli(100).all_match
+        assert all(e.predicted == e.computed for e in pisano_of_fib_lucas_moduli(100))
 
     def test_the_range_ends_at_the_modulus_bit_cap(self):
         # L_737 has 512 bits, L_738 one more

@@ -350,15 +350,26 @@ class TestLcmCharacterization:
 
         record_doubling_loop(monkeypatch, guard=no_chain)
         k = gcdsum.LCM_ROUTE_INDEX_CAP + 2  # even: the CLI's row steps one past, to odd k
-        with pytest.raises(ValueError, match=f"^lcm route refuses k = {k} without a bound: "
+        with pytest.raises(ValueError, match=f"^lcm route refuses k = {k}: "
                                              "k is over LCM_ROUTE_INDEX_CAP = 2700000$"):
             gcd_sum_lcm(FIBONACCI, k)
         with pytest.raises(ValueError, match="over LCM_ROUTE_INDEX_CAP"):
             gcd_sum_lcm(Seed(2, 4), k)  # before the coprimality check too
 
-    def test_a_bounded_scan_takes_k_past_the_unbounded_cap(self):
-        k = gcdsum.LCM_ROUTE_INDEX_CAP + 1
-        assert gcd_sum_lcm(SEED_14, k, bound=30).value == lcm_scan_direct(SEED_14, k, 30)
+    def test_a_bounded_scan_refuses_k_past_the_cap_before_any_table_or_chain(self, monkeypatch):
+        # the partial flag reads the closed value, a full-size chain at k/2 for even k
+        def no_chain(j, m):
+            raise AssertionError(f"a refused k started a chain at {j}")
+
+        def no_table(*args):
+            raise AssertionError("a refused k built a period table")
+
+        record_doubling_loop(monkeypatch, guard=no_chain)
+        monkeypatch.setattr(gcdsum, "period_table", no_table)
+        for k in (gcdsum.LCM_ROUTE_INDEX_CAP + 1, gcdsum.LCM_ROUTE_INDEX_CAP + 2):
+            with pytest.raises(ValueError, match=f"^lcm route refuses k = {k}: "
+                                                 "k is over LCM_ROUTE_INDEX_CAP = 2700000$"):
+                gcd_sum_lcm(SEED_14, k, bound=30)
 
     def test_k1000_equals_the_closed_value(self):
         # 209 digits: the route must not factor the value

@@ -51,13 +51,13 @@ def shifted_ranges(ident: Identity):
 class TestVerifyIdentity:
     def test_cassini_fibonacci_clean(self):
         report = verify_identity(Identity.CASSINI, {"n": (0, 100)}, [FIBONACCI])
-        assert report.ok and report.checked == 101
+        assert not report.failures and report.checked == 101
 
     def test_shift_family_two_sided(self):
         report = verify_identity(
             Identity.FIB_SHIFT_FAMILY, {"r": (-10, 10), "j": (-10, 10)}
         )
-        assert report.ok and report.checked == 441
+        assert not report.failures and report.checked == 441
 
     def test_perturbed_fixture_fails_everywhere(self, monkeypatch):
         monkeypatch.setattr(Identity.LUCAS_FROM_FIB, "sides", PERTURBED)
@@ -101,20 +101,20 @@ class TestVerifyIdentity:
     def test_shift_family_off_the_suite_ranges(self, ranges):
         report = verify_identity(Identity.FIB_SHIFT_FAMILY, ranges)
         size = ranges["r"][1] - ranges["r"][0] + 1
-        assert report.ok and report.checked == size * size, report.failures[:3]
+        assert not report.failures and report.checked == size * size, report.failures[:3]
 
     def test_every_family_clean_on_shifted_ranges(self):
         seeds = [FIBONACCI, Seed(-3, 7)]
         for ident in Identity:
             for ranges in shifted_ranges(ident):
                 report = verify_identity(ident, ranges, seeds)
-                assert report.ok, (ident, ranges, report.failures[:3])
+                assert not report.failures, (ident, ranges, report.failures[:3])
 
     def test_all_families_clean_on_suite_ranges(self, grid25):
         for ident in Identity:
             ranges = default_identity_ranges(ident, 0, 40)
             report = verify_identity(ident, ranges, grid25)
-            assert report.ok, (ident, report.failures[:3])
+            assert not report.failures, (ident, report.failures[:3])
 
     def test_domain_floor_enforced(self):
         with pytest.raises(ValueError):

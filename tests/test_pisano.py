@@ -460,8 +460,8 @@ class TestParityScan:
                 assert r % 2 == 0 or (d if r == 1 else 2 * d) % m == 0, (seed, m, r)
 
     def test_fibonacci_and_lucas_have_no_odd_periods(self):
-        assert parity_scan(FIBONACCI, 500).empty
-        assert parity_scan(LUCAS, 500).empty
+        assert not parity_scan(FIBONACCI, 500).odd_period_moduli
+        assert not parity_scan(LUCAS, 500).odd_period_moduli
 
     def test_seed_1_4_has_odd_period_at_11(self):
         report = parity_scan(SEED_14, 500)
