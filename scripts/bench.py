@@ -103,6 +103,25 @@ def pisano_fib_every_m_to_1000() -> Callable[[], list[int]]:
     return lambda: [pisano_period(FIBONACCI, m) for m in range(2, 1001)]
 
 
+def period_tables_grid_60() -> Callable[[], list[list[int]]]:
+    """``period_table(seed, 60)`` on each of the 256 seeds of verify's grid,
+    as its divisibility check (check 6) builds them: every period there
+    comes from modular chains at indices below a few hundred."""
+    from gibonacci import coprime_seed_grid, pisano
+
+    grid = coprime_seed_grid(10)
+    return lambda: [pisano.period_table(seed, 60) for seed in grid]
+
+
+def gib_pair_small_mod_1000_3000() -> Callable[[], list[tuple[int, int]]]:
+    """``gib_pair(FIBONACCI, isqrt(6m) + 1, m)`` at every m in [1000, 3000]:
+    the giant step M^s of a baby-step giant-step search for a period of at
+    most 6m, one short modular chain per call."""
+    from gibonacci import FIBONACCI, gib_pair
+
+    return lambda: [gib_pair(FIBONACCI, math.isqrt(6 * m) + 1, m) for m in range(1000, 3001)]
+
+
 def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]:
     """Name -> (params, setup), on the gibonacci found first on the path.
     setup() builds the case's inputs and returns the zero-argument call
@@ -215,6 +234,11 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
             {"seed": [0, 1], "m": 10**6}, lambda: partial(pisano_period, FIBONACCI, 10**6)),
         "pisano_fib_every_m_to_1000": (
             {"seed": [0, 1], "m": [2, 1000]}, pisano_fib_every_m_to_1000),
+        "period_tables_grid_60": ({"seeds": "coprime_seed_grid(10)", "m_max": 60},
+                                  period_tables_grid_60),
+        "gib_pair_small_mod_1000_3000": (
+            {"seed": [0, 1], "n": "isqrt(6m) + 1", "m": [1000, 3000]},
+            gib_pair_small_mod_1000_3000),
         "pisano_1_4_2e20_3e5": (  # a smooth m whose primes share Wall's multiples
             {"seed": [1, 4], "m": "2^20 3^5"},
             lambda: partial(pisano_period, Seed(1, 4), 2**20 * 3**5)),

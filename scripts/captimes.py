@@ -8,9 +8,12 @@ code and wall-clock seconds of each run to the JSON path given.  An
 argument of more than 20 characters is written as ``<N chars>``.  The
 slowest of the first seven rows is "the slowest capped command" that a
 new budget is held to; ``primes-check``, the eighth, is slower than
-those.  The last two rows, 4300-digit seed entries with a large k, have
-no budget yet and run for a minute or more each.  Needs nothing beyond
-the standard library.
+those.  The next seven rows take the other commands to their largest
+admitted input, ``verify`` to its one run; ``identities`` caps each
+family but not a run of all of them.  After a refused row, the last
+two rows, 4300-digit seed entries with a large k, have no budget yet
+and run for a minute or more each.  Needs nothing beyond the standard
+library.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ BIG_SEED = f"{10**4299 + 7},{3 * 10**4299 + 1}"
 #: -L_{2m+3}.  So at k = 2m+3, odd, its value is the whole 28,568-bit |d|,
 #: and trial division up to the cap divides a value of that size.
 LUCAS_SEED = f"{fib(20576)},{fib(20573)}"
+#: The largest prime below 2^42, just under (B + 1)^2 for B =
+#: TRIAL_DIVISION_BOUND: as the one odd prime of a 512-bit m, it makes the
+#: division of m run all the way to B before the cofactor left is prime.
+P42 = 2**42 - 11
 
 ROWS = [
     ["term", "--n", "96670793"],  # the last index under OUTPUT_BIT_CAP
@@ -44,6 +51,13 @@ ROWS = [
     ["squares", "--k", "1048576"],  # BRUTE_FORCE_INDEX_CAP
     ["gcd-sum", "--method", "brute", "--k", "1048576"],
     ["primes-check", "--seed", LUCAS_SEED, "--k", "41149", "--bound", "2097152"],  # the bound cap
+    ["pisano", "--m", str(P42 << 470)],  # MODULUS_BIT_CAP, B-smooth but for one prime near 2^42
+    ["parity-scan", "--seed", BIG_SEED, "--m-max", "131072"],  # SCAN_MODULUS_CAP
+    ["lucas-odd", "--j", "96670793"],  # the last odd j under OUTPUT_BIT_CAP
+    ["sum", "--n", "48335396", "--k", "48335396"],  # n + k + 1, the same
+    ["verify"],
+    ["identities", "--id", "gib_addition", "--hi", "632"],  # 9,985,600 points, IDENTITY_POINT_CAP
+    ["identities", "--hi", "632"],  # every family, each under its own cap
     ["gcd-sum", "--method", "lcm", "--bound", "10", "--k", "193341584"],  # refused
     ["gcd-sum", "--seed", BIG_SEED, "--k", "9" * 4300],  # odd k, chain mod 2|d|
     ["gcd-sum", "--seed", BIG_SEED, "--k", "193341584"],  # even k, on ints

@@ -100,6 +100,15 @@ def gcd_sum(seed: Seed, k: int, *, zero: Any = 0) -> GcdSumResult:
     Valid for any nondegenerate seed, coprime or not.  Every term, hence
     every difference, is linear in the seed, so for d >= 1 the value for
     d (G_0, G_1) is d times the value for (G_0, G_1).
+
+    Corollary: the value W(k) is a strong divisibility sequence,
+    W(gcd(k, k')) = gcd(W(k), W(k')), for any nondegenerate seed.  m
+    divides W(k) exactly when it divides every D_n, that is when the
+    sequence mod m repeats after k steps, so exactly when its period mod m
+    divides k.  Hence m divides W(gcd(k, k')) exactly when that period
+    divides both k and k', exactly when m divides both W(k) and W(k'):
+    the two sides have the same divisors.  At even k and odd k' this ties
+    the balanced chain to the chain mod 2|d|.
     """
     _check_args(seed, k)
     if k % 2:

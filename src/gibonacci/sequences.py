@@ -67,12 +67,25 @@ def exact_decimal() -> Iterator[Any]:
         yield decimal.Decimal
 
 
+_terms = [1, 0]
+while len(_terms) < 258:
+    _terms.append(_terms[-2] + _terms[-1])
+#: F_{-1}, F_0, F_1, ..., F_256 by the recurrence: entry k + 1 is F_k.
+FIB_TABLE = tuple(_terms)
+del _terms
+
+
 def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     """(F_j, F_{j+1}) for j >= 0, reduced to [0, m) given a modulus m >= 1.
 
     The package's one fast-doubling loop.  It carries (F_k, F_{k-1}) for
-    the prefix k of j's bits read so far, and each bit costs two squares,
-    a = F_k^2 and b = F_{k-1}^2:
+    the prefix k of j's bits read so far, starting from j's top 8 bits,
+    read from ``FIB_TABLE``.  So j < 256 runs no doubling, and a longer
+    chain skips the 8 doublings on the smallest operands, where the
+    interpreter's per-bit work costs more than the products; ``verify``
+    makes tens of thousands of such chains.  A 10- or 12-bit table gained
+    nothing more there, and a 12-bit one would hold 0.7 MB.  Each bit
+    below the top 8 costs two squares, a = F_k^2 and b = F_{k-1}^2:
 
     * F_{2k-1} = a + b,
     * F_{2k+1} = 4a - b + 2(-1)^k, where k's parity is the bit read last,
@@ -98,9 +111,11 @@ def fib_pair(j: int, m: int | None = None, *, zero: Any = 0) -> tuple[Any, Any]:
     """
     if m is not None and not isinstance(zero, int):
         raise ValueError("a modulus needs the int zero")
-    f, g = zero, zero + 1  # (F_k, F_{k-1}), starting at k = 0
-    odd = 0  # k mod 2
-    for bit in range(j.bit_length() - 1, -1, -1):
+    s = max(j.bit_length() - 8, 0)
+    k = j >> s
+    f, g = zero + FIB_TABLE[k + 1], zero + FIB_TABLE[k]  # (F_k, F_{k-1})
+    odd = k & 1
+    for bit in range(s - 1, -1, -1):
         a, b = f * f, g * g
         if m is not None:
             a, b = a % m, b % m

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibonacci.sequences import (
+    FIB_TABLE,
     FIBONACCI,
     LUCAS,
     Seed,
@@ -188,10 +189,16 @@ class TestGibPairAgainstOracles:
                         terms[n] + terms[n + 1] + terms[n + 2])
 
 
+def test_the_table_holds_f_minus_1_to_f_256_by_the_recurrence():
+    assert isinstance(FIB_TABLE, tuple)
+    assert FIB_TABLE == tuple(naive_fib(n) for n in range(-1, 257))
+
+
 @pytest.mark.parametrize("m", [None, 1, 22, 10**6 + 3])
-def test_each_bit_of_the_chain_costs_two_squares(m):
+def test_each_bit_below_the_tables_top_8_costs_two_squares(m):
     # a zero whose type logs every product of two chain values, and whether
-    # both of its operands are one value: the loop squares F_k and F_{k-1}
+    # both of its operands are one value: the loop squares F_k and F_{k-1},
+    # for each bit of j below the top 8, which FIB_TABLE gives
     products = []
 
     class Spy(int):
@@ -202,10 +209,10 @@ def test_each_bit_of_the_chain_costs_two_squares(m):
 
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__rmul__", "__mod__"):
         setattr(Spy, name, lambda self, other, op=getattr(int, name): Spy(op(self, other)))
-    for j in [*range(40), 10**4 + 1, 2**14 - 1]:
+    for j in [*range(40), 255, 256, 257, 10**4 + 1, 2**14 - 1, 2**16 + 1]:
         products.clear()
         pair = fib_pair(j, m, zero=Spy(0))
-        assert len(products) == 2 * j.bit_length() and all(products), j
+        assert len(products) == 2 * max(j.bit_length() - 8, 0) and all(products), j
         want = (naive_fib(j), naive_fib(j + 1))
         assert pair == (want if m is None else tuple(x % m for x in want)), j
 
