@@ -57,6 +57,19 @@ CHILD = ("import json, runpy, sys; sys.path.insert(0, sys.argv[1]); "
          "print(json.dumps(runpy.run_path(sys.argv[2])['time_once'](sys.argv[3])))")
 
 
+def import_cli_verify() -> Callable[[], None]:
+    """``import gibonacci, gibonacci.cli, gibonacci.verify``, perfbench's
+    set-up code.  ``time_once`` builds this case without calling ``cases()``,
+    which imports gibonacci, so the first call in the fresh child is the
+    import itself, on top of the standard modules this script has loaded
+    (argparse, json, re and the like); later calls find the modules loaded."""
+    def load() -> None:
+        import gibonacci.cli  # noqa: F401  (imports the package too)
+        import gibonacci.verify  # noqa: F401
+
+    return load
+
+
 def cli_quiet(argv: list[str]) -> None:
     """`gibonacci <argv>` in-process, its stdout discarded."""
     from gibonacci import cli
@@ -157,6 +170,8 @@ def cases() -> dict[str, tuple[dict[str, Any], Callable[[], Callable[[], Any]]]]
     lucas_odd = ["lucas-odd", "--j", "500001", "--format", "json"]
     gcd_all = ["gcd-sum", "--method", "all", "--k", str(2**20), "--format", "json"]  # brute's cap
     return {
+        "import_cli_verify": (
+            {"call": "import gibonacci, gibonacci.cli, gibonacci.verify"}, import_cli_verify),
         "gcd_sum_lcm_fib_360": (
             {"seed": [0, 1], "k": 360}, lambda: partial(gcd_sum_lcm, FIBONACCI, 360)),
         "gcd_sum_lcm_fib_840": (
@@ -300,7 +315,7 @@ def time_once(name: str) -> dict[str, float] | None:
     """Milliseconds of the named case in this process: its first call
     (``first_ms``) and the median of the further calls (``warm_ms``).  None
     when the call is refused with a ValueError."""
-    call = cases()[name][1]()
+    call = import_cli_verify() if name == "import_cli_verify" else cases()[name][1]()
     times: list[float] = []
     warm = 0.0  # the milliseconds of every call after the first
     while len(times) < 2 or warm < BATCH_MS:

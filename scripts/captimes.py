@@ -9,11 +9,11 @@ argument of more than 20 characters is written as ``<N chars>``.  The
 slowest of the first seven rows is "the slowest capped command" that a
 new budget is held to; ``primes-check``, the eighth, is slower than
 those.  The next seven rows take the other commands to their largest
-admitted input, ``verify`` to its one run; ``identities`` caps each
-family but not a run of all of them.  After a refused row, the last
-two rows, 4300-digit seed entries with a large k, have no budget yet
-and run for a minute or more each.  Needs nothing beyond the standard
-library.
+admitted input, ``verify`` to its one run and ``identities`` without
+``--id`` to the most points a run of every family may hold.  After a
+refused row, the last two rows, 4300-digit seed entries with a large k,
+have no budget yet and run for a minute or more each.  Needs nothing
+beyond the standard library.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ ROWS = [
     ["sum", "--n", "48335396", "--k", "48335396"],  # n + k + 1, the same
     ["verify"],
     ["identities", "--id", "gib_addition", "--hi", "632"],  # 9,985,600 points, IDENTITY_POINT_CAP
-    ["identities", "--hi", "632"],  # every family, each under its own cap
+    ["identities", "--hi", "615"],  # every family: 9,973,706 points in all, IDENTITY_POINT_CAP
     ["gcd-sum", "--method", "lcm", "--bound", "10", "--k", "193341584"],  # refused
     ["gcd-sum", "--seed", BIG_SEED, "--k", "9" * 4300],  # odd k, chain mod 2|d|
     ["gcd-sum", "--seed", BIG_SEED, "--k", "193341584"],  # even k, on ints

@@ -11,8 +11,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import gcdsum, pisano
 from .factor import trial_division
@@ -24,8 +23,7 @@ from .sequences import FIBONACCI, Seed, fib, gib_pair, lucas
 FORBIDDEN_PRIME_RESIDUES = (3, 7, 13, 17)
 
 
-@dataclass(frozen=True)
-class PrimeRestrictionReport:
+class PrimeRestrictionReport(NamedTuple):
     seed: Seed
     k: int
     value: int
@@ -55,8 +53,7 @@ def prime_restriction_check(seed: Seed, k: int, prime_bound: int = 10**6) -> Pri
     return PrimeRestrictionReport(seed, k, value, offending, cofactor, prime_bound)
 
 
-@dataclass(frozen=True)
-class FibLucasPeriodEntry:
+class FibLucasPeriodEntry(NamedTuple):
     kind: str       # "F" or "L"
     i: int
     modulus: int
@@ -84,8 +81,7 @@ def pisano_of_fib_lucas_moduli(i_max: int) -> list[FibLucasPeriodEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class MaxModulusResult:
+class MaxModulusResult(NamedTuple):
     """Largest modulus whose Fibonacci period equals the even number k."""
 
     k: int
@@ -144,8 +140,7 @@ def lucas_from_gcd(seed: Seed, j: int, *, zero: Any = 0) -> Any:
     return gcd_sum(seed, 2 * j, zero=zero).value
 
 
-@dataclass(frozen=True)
-class SquaresGcdRecord:
+class SquaresGcdRecord(NamedTuple):
     """GCD of all sums of k consecutive squared terms (``squares_gcd``).
 
     ``value`` is exact.  ``predicted`` is F_k for the Fibonacci seed at

@@ -140,14 +140,14 @@ def jsonable(value: Any) -> Any:
         return value
     if isinstance(value, Seed):
         return [decimal_str(value.g0), decimal_str(value.g1)]
+    if hasattr(value, "_fields"):  # a result record, a NamedTuple
+        return {f: jsonable(v) for f, v in zip(value._fields, value)}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, enum.Enum):
         return value.value
-    if hasattr(value, "__dataclass_fields__"):
-        return {f: jsonable(getattr(value, f)) for f in value.__dataclass_fields__}
     decimal = sys.modules.get("decimal")  # a Decimal exists only once it is loaded
     if decimal is not None and isinstance(value, decimal.Decimal):
         return str(value)  # exact: every Decimal here is an integer

@@ -20,9 +20,8 @@ and always carries the closed-formula value alongside for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from .pisano import period_from_multiple, period_table
 from .sequences import Seed, fib_pair, gib_from_fib, gib_pair, window_sum
@@ -34,8 +33,7 @@ class Method(Enum):
     LCM_PERIODS = "lcm_periods"
 
 
-@dataclass(frozen=True)
-class GcdSumResult:
+class GcdSumResult(NamedTuple):
     seed: Seed
     k: int
     value: Any  # an int, or zero's number type at even k (``gcd_sum``)
@@ -234,8 +232,7 @@ class Footnote(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Predicted vs. actual GCD of k-window sums, by residue of k mod 12.
 
     ``predicted`` is None exactly in the table's gap, odd k with a

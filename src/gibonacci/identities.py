@@ -5,9 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .sequences import FIBONACCI, Seed, gib_pair
 
@@ -237,19 +236,19 @@ class Identity(Enum):
         lambda t, s, n: (t.G(4 * n + 4) - t.G(2), t.L(2 * n + 1) * t.G(2 * n + 3)))
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of checking one identity family over a parameter grid."""
 
     identity: Identity
     ranges: dict[str, tuple[int, int]]
     seeds: tuple[Seed, ...]
     checked: int
-    failures: list[tuple[Seed, tuple[int, ...], int, int]] = field(default_factory=list)
+    failures: list[tuple[Seed, tuple[int, ...], int, int]]
 
 
 #: The most grid points, seeds included, that one `verify_identity` call
-#: checks; a larger request is refused before any term is tabulated.
+#: checks, and that one `run_families` run checks over all its families; a
+#: larger request or run is refused before any term is tabulated.
 IDENTITY_POINT_CAP = 10**7
 
 #: The most bits that one `verify_identity` call's term tables hold, F's
@@ -271,13 +270,14 @@ def check_identity_request(
     identity: Identity,
     ranges: dict[str, tuple[int, int]],
     seeds: Iterable[Seed] = SMALL_SEED_GRID,
-) -> tuple[_IndexRecorder, tuple[Seed, ...], list[range]]:
+) -> tuple[_IndexRecorder, tuple[Seed, ...], list[range], int]:
     """Check a `verify_identity` request without building any table.
 
-    Returns the indices its sides read, the seeds it runs and each
-    parameter's axis.  A missing, empty or out-of-domain range, or a
-    request over IDENTITY_POINT_CAP points (seeds times grid points) or
-    over IDENTITY_TABLE_BIT_CAP bits of term tables, is a ValueError.
+    Returns the indices its sides read, the seeds it runs, each
+    parameter's axis and its points (seeds times grid points).  A
+    missing, empty or out-of-domain range, or a request over
+    IDENTITY_POINT_CAP points or over IDENTITY_TABLE_BIT_CAP bits of term
+    tables, is a ValueError.
     `run_families` calls this for every family first, so a run of several
     families is refused before any of them builds a table.
     """
@@ -313,7 +313,7 @@ def check_identity_request(
     if (bits := _table_bits(reads.f) + _table_bits(reads.g)) > IDENTITY_TABLE_BIT_CAP:
         raise ValueError(f"identity {identity.value} asks for term tables of about {bits} "
                          f"bits, over the cap of {IDENTITY_TABLE_BIT_CAP}")
-    return reads, seed_tuple, axes
+    return reads, seed_tuple, axes, points
 
 
 def verify_identity(
@@ -337,13 +337,12 @@ def verify_identity(
     point, so every failing point is still recorded as (seed, point, lhs,
     rhs), in seed order and then grid order.
     """
-    reads, seed_tuple, axes = check_identity_request(identity, ranges, seeds)
-    per_seed = math.prod(map(len, axes))
+    reads, seed_tuple, axes, points = check_identity_request(identity, ranges, seeds)
     f = _tabulate(FIBONACCI, reads.f)
 
     *outer_axes, last_axis = axes
     last = _Progression(last_axis)
-    report = IdentityReport(identity, dict(ranges), seed_tuple, checked=0)
+    failures = []
     for seed in seed_tuple:
         table = _TermTable(f, _tabulate(seed, reads.g))
         for pt in itertools.product(*outer_axes):
@@ -351,9 +350,8 @@ def verify_identity(
             if lhs != rhs:
                 for n, a, b in zip(last, lhs, rhs, strict=True):
                     if a != b:
-                        report.failures.append((seed, (*pt, n), a, b))
-        report.checked += per_seed
-    return report
+                        failures.append((seed, (*pt, n), a, b))
+    return IdentityReport(identity, dict(ranges), seed_tuple, points, failures)
 
 
 def default_identity_ranges(
@@ -372,9 +370,12 @@ def default_identity_ranges(
 def run_families(families: Iterable[Identity], lo: int | None = None,
                  hi: int | None = None) -> list[IdentityReport]:
     """`verify_identity` of each family over its `default_identity_ranges`.
-    Every request is checked first, so no family builds a table before
-    every request has passed."""
+    Every request is checked first, and so is the run: its families'
+    points, summed, must not be over IDENTITY_POINT_CAP.  So no family
+    builds a table before the whole run has passed."""
     requests = [(i, default_identity_ranges(i, lo, hi)) for i in families]
-    for i, ranges in requests:
-        check_identity_request(i, ranges)
+    points = sum(check_identity_request(i, ranges)[3] for i, ranges in requests)
+    if points > IDENTITY_POINT_CAP:
+        raise ValueError(f"the {len(requests)} identity families ask for {points} points "
+                         f"in all, over the cap of {IDENTITY_POINT_CAP}")
     return [verify_identity(i, ranges) for i, ranges in requests]

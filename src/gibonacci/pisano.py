@@ -36,8 +36,7 @@ The period is also the least window length whose sums m always divides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .factor import trial_division
 from .sequences import Seed, fib_pair, gib_from_fib
@@ -331,14 +330,13 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
     return periods
 
 
-@dataclass
-class ParityScanReport:
+class ParityScanReport(NamedTuple):
     """Moduli in (2, m_max] whose period is odd, for one seed."""
 
     seed: Seed
     m_max: int
-    odd_period_moduli: list[tuple[int, int]] = field(default_factory=list)
-    skipped_degenerate: list[int] = field(default_factory=list)
+    odd_period_moduli: list[tuple[int, int]]
+    skipped_degenerate: list[int]
 
 
 def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
@@ -365,7 +363,7 @@ def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
     _require_scan_bound(m_max)
     twice_d = 2 * abs(seed.cassini)  # not 0: 5 is no square, so d = 0 only at (0, 0)
     top = min(m_max, twice_d)
-    report = ParityScanReport(seed, m_max)
+    odd, skipped = [], []
     # 2|d| is reduced once for each block of 64 moduli, by their product,
     # so a long d is not read whole at every m
     for lo in range(3, top + 1, 64):
@@ -375,10 +373,10 @@ def parity_scan(seed: Seed, m_max: int) -> ParityScanReport:
             if rest % m:
                 continue
             if seed.g0 % m == 0 and seed.g1 % m == 0:
-                report.skipped_degenerate.append(m)
+                skipped.append(m)
             elif (r := pisano_period(seed, m)) % 2 == 1:
-                report.odd_period_moduli.append((m, r))
-    return report
+                odd.append((m, r))
+    return ParityScanReport(seed, m_max, odd, skipped)
 
 
 def equivalent_up_to_shift(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, int | None]:

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple):
     """Initial pair (g0, g1) of a Gibonacci sequence."""
 
     g0: int

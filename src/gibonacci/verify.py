@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import applications, gcdsum, identities, pisano, sequences
 from .sequences import FIBONACCI, LUCAS, Seed
@@ -18,8 +17,7 @@ from .sequences import FIBONACCI, LUCAS, Seed
 SEED_14 = Seed(1, 4)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: int
     name: str
     passed: bool

@@ -90,6 +90,7 @@ ADVERSARIAL_RUNS = [
     (["identities", "--hi", DIGITS_4301], 1),
     (["identities", "--seed", "0,0"], 1),  # reads no seed
     (["identities", "--id", "lucas_from_fib", "--hi", str(identities.IDENTITY_POINT_CAP)], 1),
+    (["identities", "--hi", "616"], 1),  # each family under its cap, the run over it
     (["identities", "--id", "gib_partial_sum", "--hi", "41575"], 1),  # table bits
     (["verify", "--seed", "0,0"], 1),  # reads no seed and no value
     (["verify", "--k", "0"], 1),

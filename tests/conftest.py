@@ -183,16 +183,16 @@ def verify_identity_pointwise(identity: Identity, ranges: dict[str, tuple[int, i
     probe = NaiveTable(FIBONACCI)
     for pt in itertools.product(*axes):
         sides_at(probe, FIBONACCI, pt)
-    report = IdentityReport(identity, dict(ranges),
-                            tuple(seeds) if probe.read_g else (FIBONACCI,), checked=0)
-    for seed in report.seeds:
+    seed_tuple = tuple(seeds) if probe.read_g else (FIBONACCI,)
+    failures, checked = [], 0
+    for seed in seed_tuple:
         table = NaiveTable(seed)
         for pt in itertools.product(*axes):
             lhs, rhs = sides_at(table, seed, pt)
             if lhs != rhs:
-                report.failures.append((seed, pt, lhs, rhs))
-            report.checked += 1
-    return report
+                failures.append((seed, pt, lhs, rhs))
+            checked += 1
+    return IdentityReport(identity, dict(ranges), seed_tuple, checked, failures)
 
 
 def residue_period_walk(a: int, b: int, m: int) -> int:
@@ -290,13 +290,13 @@ def parity_scan_direct(seed: Seed, m_max: int) -> ParityScanReport:
     that does not divide both seed entries: the reference, blind to the
     Cassini lemma, for ``parity_scan``, which finds periods only at the
     divisors of 2|d|."""
-    report = ParityScanReport(seed, m_max)
+    odd, skipped = [], []
     for m in range(3, m_max + 1):
         if seed.g0 % m == 0 and seed.g1 % m == 0:
-            report.skipped_degenerate.append(m)
+            skipped.append(m)
         elif (p := period_direct(seed, m)) % 2 == 1:
-            report.odd_period_moduli.append((m, p))
-    return report
+            odd.append((m, p))
+    return ParityScanReport(seed, m_max, odd, skipped)
 
 
 def table_odd_periods(seed: Seed, m_max: int) -> list[tuple[int, int]]:

@@ -195,7 +195,7 @@ class TestSquaresGcd:
         assert squares_gcd(FIBONACCI, k).value == expected
 
     def test_record_has_four_fields(self):
-        assert list(SquaresGcdRecord.__dataclass_fields__) == ["seed", "k", "value", "predicted"]
+        assert list(SquaresGcdRecord._fields) == ["seed", "k", "value", "predicted"]
 
     def test_prediction_is_the_value_at_even_k(self):
         for k in range(0, 201, 2):

@@ -11,6 +11,7 @@ from gibonacci.identities import (
     _Progression,
     _Row,
     default_identity_ranges,
+    run_families,
     verify_identity,
 )
 from gibonacci.sequences import FIBONACCI, Seed, fib
@@ -136,6 +137,18 @@ class TestVerifyIdentity:
         # refused at once, however large: the corner scan reads no range in full
         with pytest.raises(ValueError, match="identity gib_partial_sum asks for 25000000000000 points"):
             verify_identity(Identity.GIB_PARTIAL_SUM, {"n": (1, 10**12)})
+
+    def test_run_point_cap_refuses_before_any_table(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a term table was built")
+
+        monkeypatch.setattr(identities, "_tabulate", no_tables)
+        # at hi = 616 every family is under its own cap, but not the run
+        for i in Identity:
+            identities.check_identity_request(i, default_identity_ranges(i, hi=616))
+        with pytest.raises(ValueError, match=f"^the 15 identity families ask for 10005939 "
+                                             f"points in all, over the cap of {IDENTITY_POINT_CAP}$"):
+            run_families(Identity, hi=616)
 
     def test_table_bit_cap_refuses_before_any_table(self, monkeypatch):
         def no_tables(*args):

@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +58,14 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_importing_the_package_leaves_dataclasses_and_inspect_unloaded():
+    # the result records are NamedTuples: `import dataclasses` pulls in
+    # inspect, ast, dis and tokenize, about half of the package's import time
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "import gibonacci, gibonacci.cli, gibonacci.verify; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", script, str(LIBRARY.parent)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -5,8 +5,6 @@ Every test plants one fault by monkeypatching a name the check reads, and
 shrinks the seed grid so the check stays fast.
 """
 
-import dataclasses
-
 import pytest
 
 from gibonacci import applications, gcdsum, identities, pisano, sequences, verify
@@ -35,14 +33,14 @@ def failed_detail(criterion: int) -> str:
 
 
 def test_table_conformance_reports_a_mismatch(monkeypatch):
-    plant(monkeypatch, gcdsum, "classify", lambda c, seed, k: dataclasses.replace(
-        c, actual=c.actual + 1) if (seed, k) == (LUCAS, 8) else c)
+    plant(monkeypatch, gcdsum, "classify", lambda c, seed, k: c._replace(
+        actual=c.actual + 1) if (seed, k) == (LUCAS, 8) else c)
     assert failed_detail(4).endswith("mismatches=[(Seed(g0=2, g1=1), 8, 15, 16)]")
 
 
 def test_table_conformance_reports_a_missing_prediction(monkeypatch):
-    plant(monkeypatch, gcdsum, "classify", lambda c, seed, k: dataclasses.replace(
-        c, predicted=None) if (seed, k) == (LUCAS, 8) else c)
+    plant(monkeypatch, gcdsum, "classify", lambda c, seed, k: c._replace(
+        predicted=None) if (seed, k) == (LUCAS, 8) else c)
     assert failed_detail(4).endswith("mismatches=[(Seed(g0=2, g1=1), 8, None, 15)]")
 
 
@@ -73,8 +71,8 @@ def test_method_agreement_reports_a_brute_mismatch(monkeypatch):
 
 
 def test_method_agreement_reports_an_lcm_mismatch(monkeypatch):
-    plant(monkeypatch, gcdsum, "gcd_sum_lcm", lambda r, seed, k, bound: dataclasses.replace(
-        r, value=2 * r.value) if (seed, k) == (SEED_14, 5) else r)
+    plant(monkeypatch, gcdsum, "gcd_sum_lcm", lambda r, seed, k, bound: r._replace(
+        value=2 * r.value) if (seed, k) == (SEED_14, 5) else r)
     assert failed_detail(5) == "mismatches=[('lcm', Seed(g0=1, g1=4), 5, 22, 11)]"
 
 
@@ -101,16 +99,16 @@ def test_identity_suite_reports_a_failing_family(monkeypatch):
 
 
 def test_parity_scan_reports_an_odd_period(monkeypatch):
-    plant(monkeypatch, pisano, "parity_scan", lambda r, seed, m_max: dataclasses.replace(
-        r, odd_period_moduli=[(7, 15)]) if seed == LUCAS else r)
+    plant(monkeypatch, pisano, "parity_scan", lambda r, seed, m_max: r._replace(
+        odd_period_moduli=[(7, 15)]) if seed == LUCAS else r)
     assert failed_detail(8) == ("even_period_seeds=2 bad=[(Seed(g0=2, g1=1), [(7, 15)])] "
                                 "seed_1_4_has_(11,5)=True")
 
 
 def test_parity_scan_reports_a_difference_from_the_table(monkeypatch):
     # the scan of (1, 4) loses (22, 15) but keeps (11, 5)
-    plant(monkeypatch, pisano, "parity_scan", lambda r, seed, m_max: dataclasses.replace(
-        r, odd_period_moduli=r.odd_period_moduli[:1]) if seed == SEED_14 else r)
+    plant(monkeypatch, pisano, "parity_scan", lambda r, seed, m_max: r._replace(
+        odd_period_moduli=r.odd_period_moduli[:1]) if seed == SEED_14 else r)
     assert failed_detail(8) == ("even_period_seeds=2 bad=[(Seed(g0=1, g1=4), [(11, 5)])] "
                                 "seed_1_4_has_(11,5)=True")
 
@@ -147,19 +145,19 @@ def test_lucas_from_gcd_reads_each_lucas_number_once(monkeypatch):
 
 def test_prime_restriction_reports_a_forbidden_prime(monkeypatch):
     plant(monkeypatch, applications, "gcd_sum",
-          lambda r, seed, k: dataclasses.replace(r, value=3 * r.value))
+          lambda r, seed, k: r._replace(value=3 * r.value))
     assert failed_detail(12).startswith("violations=[(Seed(g0=0, g1=1), 1, (3,), 1), ")
 
 
 def test_squares_tables_report_a_table_mismatch(monkeypatch):
-    plant(monkeypatch, applications, "squares_gcd", lambda r, seed, k: dataclasses.replace(
-        r, value=r.value + 1) if k == 5 else r)
+    plant(monkeypatch, applications, "squares_gcd", lambda r, seed, k: r._replace(
+        value=r.value + 1) if k == 5 else r)
     assert failed_detail(13) == "table_mismatches=[(5, 2, 1)] prediction_mismatches=[]"
 
 
 def test_squares_tables_report_a_prediction_mismatch(monkeypatch):
-    plant(monkeypatch, applications, "squares_gcd", lambda r, seed, k: dataclasses.replace(
-        r, predicted=r.predicted + 1) if k == 10 else r)
+    plant(monkeypatch, applications, "squares_gcd", lambda r, seed, k: r._replace(
+        predicted=r.predicted + 1) if k == 10 else r)
     assert failed_detail(13) == "table_mismatches=[] prediction_mismatches=[(10, 55, 56)]"
 
 
