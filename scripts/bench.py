@@ -31,16 +31,10 @@ suite reads this file.
 
 from __future__ import annotations
 
-import argparse
-import compileall
 import contextlib
 import io
-import json
 import math
 import os
-import platform
-import statistics
-import subprocess
 import sys
 import time
 from functools import partial
@@ -52,17 +46,22 @@ REPEAT = 7  # runs per case and side; the median is kept
 BATCH_MS = 50.0  # the warm calls after the first are timed until they fill this much
 
 # A run: put the side's src first on the path, load this script without
-# running main, and print the named case's times as JSON.
-CHILD = ("import json, runpy, sys; sys.path.insert(0, sys.argv[1]); "
-         "print(json.dumps(runpy.run_path(sys.argv[2])['time_once'](sys.argv[3])))")
+# running main, and print the named case's times as JSON.  The script's
+# top level imports only modules that the interpreter loads at start-up,
+# and json is imported after the case, so a case's first call pays every
+# import that a fresh process would; the parent-side functions (``main``,
+# ``run_in``, ``spread``) import the rest.
+CHILD = ("import runpy, sys; sys.path.insert(0, sys.argv[1]); "
+         "times = runpy.run_path(sys.argv[2])['time_once'](sys.argv[3]); "
+         "import json; print(json.dumps(times))")
 
 
 def import_cli_verify() -> Callable[[], None]:
     """``import gibonacci, gibonacci.cli, gibonacci.verify``, perfbench's
     set-up code.  ``time_once`` builds this case without calling ``cases()``,
     which imports gibonacci, so the first call in the fresh child is the
-    import itself, on top of the standard modules this script has loaded
-    (argparse, json, re and the like); later calls find the modules loaded."""
+    import itself, as in a fresh process; later calls find the modules
+    loaded."""
     def load() -> None:
         import gibonacci.cli  # noqa: F401  (imports the package too)
         import gibonacci.verify  # noqa: F401
@@ -326,7 +325,9 @@ def time_once(name: str) -> dict[str, float] | None:
             return None
         times.append((time.perf_counter() - start) * 1e3)
         warm += times[-1] if len(times) > 1 else 0.0
-    return {"first_ms": times[0], "warm_ms": statistics.median(times[1:])}
+    warm_times = sorted(times[1:])  # their median, without loading statistics
+    mid = len(warm_times) // 2
+    return {"first_ms": times[0], "warm_ms": (warm_times[mid] + warm_times[~mid]) / 2}
 
 
 FIELDS = ("first_ms", "warm_ms")
@@ -336,6 +337,8 @@ def spread(field: str, values: list[float] | None) -> dict[str, float | None]:
     """The median and the first and third quartiles of one side's runs of
     a field, under the field's name and the name with ``_q1`` and ``_q3``;
     all None when the side refused the case."""
+    import statistics
+
     if values is None:
         return {field: None, f"{field}_q1": None, f"{field}_q3": None}
     q1, median, q3 = statistics.quantiles(values, n=4)
@@ -345,12 +348,20 @@ def spread(field: str, values: list[float] | None) -> dict[str, float | None]:
 def run_in(src: Path, name: str) -> dict[str, float] | None:
     """One run of the named case in a fresh process importing gibonacci from
     src; None when it is refused."""
+    import json
+    import subprocess
+
     out = subprocess.run([sys.executable, "-c", CHILD, str(src), __file__, name],
                          stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(out.stdout)
 
 
 def main() -> None:
+    import argparse
+    import compileall
+    import json
+    import platform
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, required=True,
                         help="checkout whose src/ is timed as runs.before")

@@ -13,9 +13,10 @@ interpreter and on each one named, and compares:
   on both sides of ``cli.DECIMAL_CUTOFF``, where the value changes from an
   int to a ``decimal.Decimal``.  ``term`` reads each index with both signs,
   and ``sum`` a window whose telescoped form G_{n+k+1} - G_{n+1} reads it;
-* the exit code and number of stderr lines of every row of
-  ``tests/adversarial_runs.py``, with the row's exit code and one line
-  for a refusal, none otherwise, as ``tests/test_cli.py`` asserts.
+* the exit code, number of stderr lines and number of stderr lines over
+  200 bytes of every row of ``tests/adversarial_runs.py``, with the row's
+  exit code, one line for a refusal, none otherwise, and none over 200
+  bytes, as ``tests/test_cli.py`` asserts.
 
 Prints one line per interpreter and check, and exits 1 on any difference.
 Needs nothing beyond the standard library, on any interpreter.
@@ -62,8 +63,8 @@ def exit_and_stdout(done: subprocess.CompletedProcess) -> bytes:
     return f"[exit {done.returncode}]\n".encode() + done.stdout
 
 
-def exit_and_stderr_lines(code: int, lines: int) -> bytes:
-    return f"[exit {code}] {lines} stderr lines".encode()
+def exit_and_stderr_lines(code: int, lines: int, long_lines: int = 0) -> bytes:
+    return f"[exit {code}] {lines} stderr lines, {long_lines} over 200 bytes".encode()
 
 
 def outputs(python: str) -> dict[str, list[bytes]]:
@@ -75,7 +76,9 @@ def outputs(python: str) -> dict[str, list[bytes]]:
         "verify json sha256": [hashlib.sha256(verify).hexdigest().encode()],
         "term and sum": [exit_and_stdout(run(python, ["-m", "gibonacci.cli", *argv]))
                          for argv in value_commands()],
-        "adversarial runs": [exit_and_stderr_lines(done.returncode, done.stderr.count(b"\n"))
+        "adversarial runs": [exit_and_stderr_lines(done.returncode, done.stderr.count(b"\n"),
+                                                   sum(len(line) > 200 for line
+                                                       in done.stderr.splitlines(keepends=True)))
                              for done in adversarial],
     }
 

@@ -154,11 +154,17 @@ def jsonable(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _print_error(message: object) -> None:
+    """One stderr line for a refused or failed run.  A rejected value is
+    quoted whole by argparse and by many library errors; a digit run of over
+    50 digits says nothing there, so it is shown as its length."""
+    message = re.sub(r"\d{51,}", lambda m: f"<{len(m[0])} digits>", str(message))
+    print(f"error: {message}", file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # usage problems are domain errors
-        # argparse quotes a rejected value whole; a digit run that long says nothing
-        message = re.sub(r"\d{51,}", lambda m: f"<{len(m[0])} digits>", message)
-        print(f"error: {message}", file=sys.stderr)
+        _print_error(message)
         raise SystemExit(1)
 
 
@@ -393,10 +399,10 @@ def main() -> None:
     try:
         raise SystemExit(run())
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         raise SystemExit(1)
     except AssertionError as exc:  # an internal consistency check failed
-        print(f"error: verification failed: {exc}", file=sys.stderr)
+        _print_error(f"verification failed: {exc}")
         raise SystemExit(2)
 
 

@@ -1,10 +1,12 @@
 """Trial division, the only factoring the library does.
 
-No caller divides past ``pisano.TRIAL_DIVISION_BOUND``.  ``pisano_period``
-factors m and Wall's multiple of each of its primes;
-``prime_restriction_check`` strips the primes up to a given bound off a
-GCD-of-sums value and reports the cofactor left; ``max_modulus_for_period``
-factors k <= 2.7*10^6 whole.
+No caller divides past ``pisano.TRIAL_DIVISION_BOUND`` = B.  ``pisano_period``
+factors m up to B; ``pisano._wall_multiple`` factors Wall's multiple W(p)
+of a prime p whole, for ``pisano_period`` and ``period_table``, and stops
+below B too, since every such p is below (B + 1)^2 and W(p) is at most
+2(p + 1); ``prime_restriction_check`` strips the primes up to a given
+bound, at most B, off a GCD-of-sums value and reports the cofactor left;
+``max_modulus_for_period`` factors k <= 2.7*10^6 whole.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import operator
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .pisano import _modulus_name
 from .sequences import FIBONACCI, Seed, gib_pair
 
 #: A fixed 25-seed subgrid used by the identity suites.  Covers both
@@ -270,14 +271,14 @@ def check_identity_request(
     identity: Identity,
     ranges: dict[str, tuple[int, int]],
     seeds: Iterable[Seed] = SMALL_SEED_GRID,
-) -> tuple[_IndexRecorder, tuple[Seed, ...], list[range], int]:
+) -> tuple[_IndexRecorder, tuple[Seed, ...], int]:
     """Check a `verify_identity` request without building any table.
 
-    Returns the indices its sides read, the seeds it runs, each
-    parameter's axis and its points (seeds times grid points).  A
-    missing, empty or out-of-domain range, or a request over
-    IDENTITY_POINT_CAP points or over IDENTITY_TABLE_BIT_CAP bits of term
-    tables, is a ValueError.
+    Returns the indices its sides read, the seeds it runs and its points
+    (seeds times grid points), counted from the ranges' bounds alone, so
+    a range of any length is sized at once.  A missing, empty or
+    out-of-domain range, or a request over IDENTITY_POINT_CAP points or
+    over IDENTITY_TABLE_BIT_CAP bits of term tables, is a ValueError.
     `run_families` calls this for every family first, so a run of several
     families is refused before any of them builds a table.
     """
@@ -305,15 +306,15 @@ def check_identity_request(
     for *corner, n in itertools.product(*box):
         identity.sides(reads, FIBONACCI, *corner, _Progression(range(n, n + 1)))
     seed_tuple = tuple(seeds) if reads.g else (FIBONACCI,)
-    axes = [range(lo, hi + 1) for lo, hi in box]
-    points = len(seed_tuple) * math.prod(map(len, axes))
+    points = len(seed_tuple) * math.prod(hi - lo + 1 for lo, hi in box)
     if points > IDENTITY_POINT_CAP:
-        raise ValueError(f"identity {identity.value} asks for {points} points, "
+        raise ValueError(f"identity {identity.value} asks for "
+                         f"{_modulus_name(points, 'number of')} points, "
                          f"over the cap of {IDENTITY_POINT_CAP}")
     if (bits := _table_bits(reads.f) + _table_bits(reads.g)) > IDENTITY_TABLE_BIT_CAP:
         raise ValueError(f"identity {identity.value} asks for term tables of about {bits} "
                          f"bits, over the cap of {IDENTITY_TABLE_BIT_CAP}")
-    return reads, seed_tuple, axes, points
+    return reads, seed_tuple, points
 
 
 def verify_identity(
@@ -337,10 +338,11 @@ def verify_identity(
     point, so every failing point is still recorded as (seed, point, lhs,
     rhs), in seed order and then grid order.
     """
-    reads, seed_tuple, axes, points = check_identity_request(identity, ranges, seeds)
+    reads, seed_tuple, points = check_identity_request(identity, ranges, seeds)
     f = _tabulate(FIBONACCI, reads.f)
 
-    *outer_axes, last_axis = axes
+    box = [ranges[p] for p in identity.params]
+    *outer_axes, last_axis = [range(lo, hi + 1) for lo, hi in box]
     last = _Progression(last_axis)
     failures = []
     for seed in seed_tuple:
@@ -374,7 +376,7 @@ def run_families(families: Iterable[Identity], lo: int | None = None,
     points, summed, must not be over IDENTITY_POINT_CAP.  So no family
     builds a table before the whole run has passed."""
     requests = [(i, default_identity_ranges(i, lo, hi)) for i in families]
-    points = sum(check_identity_request(i, ranges)[3] for i, ranges in requests)
+    points = sum(check_identity_request(i, ranges)[2] for i, ranges in requests)
     if points > IDENTITY_POINT_CAP:
         raise ValueError(f"the {len(requests)} identity families ask for {points} points "
                          f"in all, over the cap of {IDENTITY_POINT_CAP}")

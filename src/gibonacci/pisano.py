@@ -17,9 +17,10 @@ A failed check is an AssertionError, raised there alone.  The lcm route and
 (``period_from_multiple``).  ``pisano_period`` factors m by trial
 division up to ``TRIAL_DIVISION_BOUND`` and finds the order once, on m,
 from the lcm of Wall's multiples p^(e-1) W(p); ``period_table`` finds it
-at each prime power, with primes read from a sieve, and joins the parts
-by the CRT (both lemmas are in ``period_table``).  An m that the
-division may leave unfactored (m >= (B + 1)^2) is first probed for a
+at each prime power and joins the parts by the CRT (both lemmas are in
+``period_table``).  Both read each W(p) with its primes from
+``_wall_multiple``, which factors W(p) by the same trial division.  An m
+that the division may leave unfactored (m >= (B + 1)^2) is first probed for a
 period of at most ``PERIOD_TABLE_CAP`` steps: such m often have short
 periods (F_n and L_n, divisors of GCD-of-sums values), which the probe
 finds whether or not m factors.  ``parity_scan`` builds no table: only a
@@ -41,11 +42,12 @@ from typing import Iterable, NamedTuple
 from .factor import trial_division
 from .sequences import Seed, fib_pair, gib_from_fib
 
-# The budget of ``pisano_period``: m, and Wall's multiple of each of its
-# primes, are factored by trial division up to this bound.  A cofactor
-# below (B + 1)^2 left by the division is prime, so every m below 2^42 is
-# factored, and so is each W(p)/2 <= p + 1 of its primes; above that, m
-# must be B-smooth but for one prime below 2^42.  At the bound's worst,
+# The budget of ``pisano_period``: m is factored by trial division up to
+# this bound.  A cofactor below (B + 1)^2 left by the division is prime,
+# so every m below 2^42 is factored; above that, m must be B-smooth but
+# for one prime below 2^42.  So each prime p of m is below 2^42, and
+# ``_wall_multiple`` factors its W(p), with W(p)/2 <= p + 1, whole by
+# divisions up to about B too.  At the bound's worst,
 # a prime m near 2^42, the division takes about 0.15 s (Python 3.11.7).
 # It is also the largest bound ``prime_restriction_check`` takes: there a
 # 28.6k-bit value (4300-digit seed entries) is divided up to it in 8.6 s.
@@ -132,33 +134,20 @@ def _residues(seed: Seed, m: int) -> tuple[int, int]:
     return a, b
 
 
-def _factored(n: int, m: int, what: str) -> dict[int, int]:
-    """The primes of n, with their exponents, by trial division up to
-    ``TRIAL_DIVISION_BOUND``; a ValueError on the period mod m, naming
-    what n is, when a cofactor is left, which by the lemma there happens
-    only for m >= (B + 1)^2, after the probe."""
-    factors, cofactor = trial_division(n, TRIAL_DIVISION_BOUND)
-    if cofactor > 1:
-        raise ValueError(f"period mod {_modulus_name(m)} refused: trial division up to "
-                         f"TRIAL_DIVISION_BOUND = {TRIAL_DIVISION_BOUND} does not factor {what}, "
-                         f"and the period exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps")
-    return factors
-
-
 def pisano_period(seed: Seed, m: int) -> int:
     """Period of the seed's Gibonacci sequence modulo m, by order finding.
 
-    m, and Wall's multiple W(p) of each prime p of m, are factored by
-    trial division up to ``TRIAL_DIVISION_BOUND`` = B.  By the lemmas at
-    ``period_table``, the period mod m is the lcm of those mod the p^e
-    exactly dividing m (1 where the seed is (0, 0) mod p^e), each a
-    divisor of p^(e-1) W(p); so one ``_order`` on m, from their lcm N
-    and the primes of every p W(p), returns it, the return times mod m
-    being its multiples.  An m >= (B + 1)^2, which may not factor, is
+    m is factored by trial division up to ``TRIAL_DIVISION_BOUND`` = B,
+    and Wall's multiple W(p) of each prime p of m comes with its primes
+    from ``_wall_multiple``.  By the lemmas at ``period_table``, the
+    period mod m is the lcm of those mod the p^e exactly dividing m (1
+    where the seed is (0, 0) mod p^e), each a divisor of p^(e-1) W(p); so
+    one ``_order`` on m, from their lcm N and the primes of every p W(p),
+    returns it, the return times mod m being its multiples.  An m >= (B + 1)^2, which may not factor, is
     first probed by ``_shift_steps`` for a period of at most
-    ``PERIOD_TABLE_CAP``.  An m or W(p) that the division then leaves
-    with a cofactor is refused, naming B and the cap, before any order
-    finding, and an m over ``MODULUS_BIT_CAP`` bits at once (ValueError).
+    ``PERIOD_TABLE_CAP``.  An m that the division then leaves with a
+    cofactor is refused, naming B and the cap, before any order finding,
+    and an m over ``MODULUS_BIT_CAP`` bits at once (ValueError).
 
     m = 1 returns 1 by convention.  Errors on the seed (0, 0), and if
     the seed reduces to (0, 0) mod m: the constant-zero residue sequence
@@ -178,11 +167,16 @@ def pisano_period(seed: Seed, m: int) -> int:
     if (m >= (TRIAL_DIVISION_BOUND + 1) ** 2
             and (r := _shift_steps((a, b), (a, b), m, PERIOD_TABLE_CAP)) is not None):
         return r
-    n, primes = 1, set()  # N, and the primes of every p W(p), all factored first
-    for p, e in _factored(m, m, "it").items():
-        w = _wall_multiple(p)
+    factors, cofactor = trial_division(m, TRIAL_DIVISION_BOUND)
+    if cofactor > 1:
+        raise ValueError(f"period mod {_modulus_name(m)} refused: trial division up to "
+                         f"TRIAL_DIVISION_BOUND = {TRIAL_DIVISION_BOUND} does not factor it, "
+                         f"and the period exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps")
+    n, primes = 1, set()  # N, and the primes of every p W(p)
+    for p, e in factors.items():
+        w, wall_primes = _wall_multiple(p)
         n = math.lcm(n, p ** (e - 1) * w)
-        primes |= {p, *_factored(w, m, f"Wall's multiple {w} of its prime {p}")}
+        primes |= wall_primes
     return _order(a, b, m, n, primes)
 
 
@@ -244,13 +238,12 @@ def period_from_multiple(seed: Seed, m: int, n: int, primes: Iterable[int] = ())
     return _order(a, b, m, n, primes)
 
 
-def _wall_multiple(p: int) -> int:
-    """A multiple of the Fibonacci period mod the prime p (Wall 1960)."""
-    if p == 2:
-        return 3
-    if p == 5:
-        return 20
-    return p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+def _wall_multiple(p: int) -> tuple[int, set[int]]:
+    """W(p), a multiple of the Fibonacci period mod the prime p (Wall 1960),
+    and the primes of p W(p).  W(p) is factored whole by trial division,
+    in at most about sqrt(p) divisions, since W(p)/2 <= p + 1."""
+    w = 3 if p == 2 else 20 if p == 5 else p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+    return w, {p, *trial_division(w, w)[0]}
 
 
 def period_table(seed: Seed, m_max: int) -> list[int]:
@@ -262,11 +255,10 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
     from the multiple p^(e-1) W(p), with W(p)
     Wall's multiple of the Fibonacci period mod p: 3 at p = 2, 20 at
     p = 5, p - 1 when p = +-1 (mod 5) and 2(p + 1) when p = +-2 (mod 5).
-    The primes of that multiple are read from the table's own
-    smallest-prime-factor sieve.  Every other entry is the lcm of two
-    earlier ones.  An m_max above ``SCAN_MODULUS_CAP`` is a ValueError,
-    raised before any table is built, and a period that does not divide
-    its multiple is an AssertionError.
+    ``_wall_multiple`` gives its primes.  Every other entry is the lcm
+    of two earlier ones.  An m_max above ``SCAN_MODULUS_CAP`` is a
+    ValueError, raised before any table is built, and a period that does
+    not divide its multiple is an AssertionError.
 
     Lemma (Wall's multiple).  Every seed's period mod p^e divides
     p^(e-1) W(p).  Proof.  M^r u = u for every u once M^r = I, so the
@@ -300,23 +292,12 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
     entry m is 1 exactly where the seed reduces as (0, 0) mod m.
     """
     _require_scan_bound(m_max)
-    # smallest prime factor up to m_max + 1, which covers p - 1 and p + 1:
-    # a composite m keeps its least divisor d >= 2, which is prime, from
-    # the last d with d * d <= m written over it
-    top = m_max + 1
-    spf = list(range(top + 1))
-    for d in range(math.isqrt(top), 1, -1):
-        spf[d * d::d] = [d] * len(range(d * d, top + 1, d))
-
-    def primes_of(n: int) -> set[int]:  # n even or at most top
-        primes = set()
-        while n > 1:
-            q = 2 if n % 2 == 0 else spf[n]
-            primes.add(q)
-            while n % q == 0:
-                n //= q
-        return primes
-
+    # smallest prime factor of each m <= m_max: a composite m keeps its
+    # least divisor d >= 2, which is prime, from the last d with d * d <= m
+    # written over it
+    spf = list(range(m_max + 1))
+    for d in range(math.isqrt(m_max), 1, -1):
+        spf[d * d::d] = [d] * len(range(d * d, m_max + 1, d))
     periods = [0, 1] + [0] * (m_max - 1)
     for m in range(2, m_max + 1):
         p = q = spf[m]
@@ -325,8 +306,8 @@ def period_table(seed: Seed, m_max: int) -> list[int]:
         if q < m:
             periods[m] = math.lcm(periods[q], periods[m // q])
         else:
-            a, b, w = seed.g0 % m, seed.g1 % m, _wall_multiple(p)
-            periods[m] = _order(a, b, m, m // p * w, primes_of(w) | {p}) if a or b else 1
+            a, b, (w, primes) = seed.g0 % m, seed.g1 % m, _wall_multiple(p)
+            periods[m] = _order(a, b, m, m // p * w, primes) if a or b else 1
     return periods
 
 

@@ -704,6 +704,7 @@ def test_adversarial_inputs_exit_cleanly_and_refusals_start_no_chain(capsys, mon
     if code:
         assert captured.out == "" and chains == []
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 200
     else:
         assert captured.err == ""
 
@@ -757,7 +758,9 @@ def test_must_hold_failures_raise_assertion_error_under_the_digit_limit(capsys, 
                                              r"expected 60000$"):
         applications.max_modulus_for_period(60000, exhaustive=True)
     monkeypatch.setattr(applications, "period_from_multiple", real)
-    monkeypatch.setattr(pisano, "_wall_multiple", lambda p: p - 1)  # Wall's only at p = +-1 mod 5
+    # p - 1 is Wall's multiple only at p = +-1 (mod 5)
+    monkeypatch.setattr(pisano, "_wall_multiple",
+                        lambda p: (p - 1, {p, *sympy.primefactors(p - 1)}))
     with pytest.raises(AssertionError, match=r"^period of residue pair \(1, 0\) mod 2 does not"):
         pisano.period_table(Seed(1, 4), 10)
     monkeypatch.undo()

@@ -138,6 +138,20 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError, match="identity gib_partial_sum asks for 25000000000000 points"):
             verify_identity(Identity.GIB_PARTIAL_SUM, {"n": (1, 10**12)})
 
+    def test_point_cap_sizes_a_range_longer_than_len_can_count(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a term table was built")
+
+        monkeypatch.setattr(identities, "_tabulate", no_tables)
+        # len() of a range over more than 2^63 - 1 items is an OverflowError
+        with pytest.raises(ValueError, match=f"^identity cassini asks for {25 * (2**63 + 1)} "
+                                             f"points, over the cap of {IDENTITY_POINT_CAP}$"):
+            verify_identity(Identity.CASSINI, {"n": (0, 2**63)})
+        # a count over 160 bits is named by its length, under any int/str digit limit
+        with pytest.raises(ValueError, match=f"^identity cassini asks for a 16615-bit number "
+                                             f"of points, over the cap of {IDENTITY_POINT_CAP}$"):
+            verify_identity(Identity.CASSINI, {"n": (0, 10**5000)})
+
     def test_run_point_cap_refuses_before_any_table(self, monkeypatch):
         def no_tables(*args):
             raise AssertionError("a term table was built")

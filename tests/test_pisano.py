@@ -227,20 +227,17 @@ class TestFactoredPeriod:
         assert len(chains) == 4  # the multiple, then at most two for each of 2 and 3
         assert period_from_multiple(Seed(0, 2**199), 2**200, 3 * 2**199 * 5**40, [2, 3, 5]) == 3
 
-    def test_an_unfactored_wall_multiple_is_refused_before_any_order_finding(self, monkeypatch):
-        # A real W(p) always factors, since W(p)/2 <= p + 1 < (B + 1)^2 for
-        # any p the division finds; a planted one, 101 * 103, does not at B = 100.
-        # m = 19946 is not below (B + 1)^2, so it is probed first, here up to 64 steps.
-        monkeypatch.setattr(pisano, "TRIAL_DIVISION_BOUND", 100)
-        monkeypatch.setattr(pisano, "PERIOD_TABLE_CAP", 64)
-        monkeypatch.setattr(pisano, "_wall_multiple", lambda p: 101 * 103 if p > 100 else 3)
-        chains = probe_only(monkeypatch)
-        with pytest.raises(ValueError, match=(
-                r"^period mod 19946 refused: trial division up to TRIAL_DIVISION_BOUND = 100 "
-                r"does not factor Wall's multiple 10403 of its prime 9973, and the period "
-                r"exceeds PERIOD_TABLE_CAP = 64 steps$")):
-            pisano_period(FIBONACCI, 2 * 9973)
-        assert chains == [(math.isqrt(64 - 1) + 1, 2 * 9973)]  # the probe's M^s
+    def test_wall_multiple_comes_with_the_primes_of_p_times_it(self):
+        # every prime below 10^4, and the largest primes pisano_period can
+        # meet: a cofactor that the division leaves is prime only below (B + 1)^2
+        top = (pisano.TRIAL_DIVISION_BOUND + 1) ** 2
+        large = [sympy.prevprime(top)]
+        while len(large) < 4:
+            large.append(sympy.prevprime(large[-1]))
+        for p in [*sympy.primerange(2, 10**4), *large]:
+            w, primes = pisano._wall_multiple(p)
+            rule = {2: 3, 5: 20}.get(p, p - 1 if p % 5 in (1, 4) else 2 * (p + 1))
+            assert (w, primes) == (rule, set(sympy.primefactors(p * w))), p
 
     def test_a_huge_modulus_is_named_by_its_bit_length(self):
         m = 2**200 * sympy.nextprime(2**50) ** 2
@@ -367,7 +364,8 @@ class TestPeriodTable:
 
     def test_a_wrong_multiple_raises(self, monkeypatch):
         # p - 1 is Wall's multiple only at p = +-1 (mod 5); the period mod 3 is 8
-        monkeypatch.setattr(pisano, "_wall_multiple", lambda p: 3 if p == 2 else p - 1)
+        monkeypatch.setattr(pisano, "_wall_multiple",
+                            lambda p: (w := 3 if p == 2 else p - 1, {p, *sympy.primefactors(w)}))
         with pytest.raises(AssertionError,
                            match=r"^period of residue pair \(1, 1\) mod 3 does not divide the multiple 2$"):
             period_table(SEED_14, 10)
