@@ -16,8 +16,8 @@ from typing import Any, NamedTuple
 from . import gcdsum, pisano
 from .factor import trial_division
 from .gcdsum import CaseRow, classify, gcd_sum
-from .pisano import _modulus_name, period_from_multiple, pisano_period
-from .sequences import FIBONACCI, Seed, fib, gib_pair, lucas
+from .pisano import period_from_multiple, pisano_period
+from .sequences import FIBONACCI, Seed, _number_name, fib, gib_pair, lucas
 
 #: Residues mod 20 of primes that can never divide an odd-k value.
 FORBIDDEN_PRIME_RESIDUES = (3, 7, 13, 17)
@@ -42,7 +42,7 @@ def prime_restriction_check(seed: Seed, k: int, prime_bound: int = 10**6) -> Pri
     if k % 2 == 0:
         raise ValueError("k must be odd")
     if prime_bound > pisano.TRIAL_DIVISION_BOUND:
-        raise ValueError(f"trial division up to {_modulus_name(prime_bound, 'value')} "
+        raise ValueError(f"trial division up to {_number_name(prime_bound, 'value')} "
                          f"refused: over TRIAL_DIVISION_BOUND = {pisano.TRIAL_DIVISION_BOUND}")
     seed.require_coprime()
     value = gcd_sum(seed, k).value
@@ -113,17 +113,17 @@ def max_modulus_for_period(k: int, exhaustive: bool = False) -> MaxModulusResult
     if k % 2 != 0 or k < 6:
         raise ValueError("k must be an even integer >= 6")
     if k > gcdsum.LCM_ROUTE_INDEX_CAP:
-        raise ValueError(f"max-modulus refuses k = {k}: "
+        raise ValueError(f"max-modulus refuses k = {_number_name(k, 'value')}: "
                          f"k is over LCM_ROUTE_INDEX_CAP = {gcdsum.LCM_ROUTE_INDEX_CAP}")
     c = classify(FIBONACCI, k)
     m_f = c.predicted
     form = "fib_half" if c.case_row is CaseRow.ROW_048 else "lucas_half"
     period = period_from_multiple(FIBONACCI, m_f, k, trial_division(k, k)[0])
     if period != k:
-        raise AssertionError(f"period of modulus {_modulus_name(m_f)} is {period}, expected {k}")
+        raise AssertionError(f"period of modulus {_number_name(m_f)} is {period}, expected {k}")
     if exhaustive and c.actual != m_f:
         raise AssertionError(f"every modulus with period dividing {k} divides "
-                             f"{_modulus_name(c.actual)}, expected {_modulus_name(m_f)}")
+                             f"{_number_name(c.actual)}, expected {_number_name(m_f)}")
     return MaxModulusResult(k, m_f, form, period, exhaustive)
 
 
@@ -186,7 +186,7 @@ def squares_gcd(seed: Seed, k: int) -> SquaresGcdRecord:
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > gcdsum.BRUTE_FORCE_INDEX_CAP:
-        raise ValueError(f"squares refuses k = {k}: "
+        raise ValueError(f"squares refuses k = {_number_name(k, 'value')}: "
                          f"k is over BRUTE_FORCE_INDEX_CAP = {gcdsum.BRUTE_FORCE_INDEX_CAP}")
     g0, g1 = seed.g0, seed.g1
     g2, g3 = g0 + g1, g0 + 2 * g1

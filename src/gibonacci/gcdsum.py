@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Any, NamedTuple
 
 from .pisano import period_from_multiple, period_table
-from .sequences import Seed, fib_pair, gib_from_fib, gib_pair, window_sum
+from .sequences import Seed, _number_name, fib_pair, gib_from_fib, gib_pair, window_sum
 
 
 class Method(Enum):
@@ -165,7 +165,7 @@ def gcd_sum_bruteforce(seed: Seed, k: int) -> GcdSumResult:
     """
     _check_args(seed, k)
     if k > BRUTE_FORCE_INDEX_CAP:
-        raise ValueError(f"brute-force route refuses k = {k}: "
+        raise ValueError(f"brute-force route refuses k = {_number_name(k, 'value')}: "
                          f"k is over BRUTE_FORCE_INDEX_CAP = {BRUTE_FORCE_INDEX_CAP}")
     value = math.gcd(window_sum(seed, 1, k), window_sum(seed, 2, k))
     return GcdSumResult(seed, k, value, Method.BRUTE_FORCE)
@@ -202,7 +202,7 @@ def gcd_sum_lcm(seed: Seed, k: int, bound: int | None = None) -> GcdSumResult:
     """
     _check_args(seed, k)
     if k > LCM_ROUTE_INDEX_CAP:
-        raise ValueError(f"lcm route refuses k = {k}: "
+        raise ValueError(f"lcm route refuses k = {_number_name(k, 'value')}: "
                          f"k is over LCM_ROUTE_INDEX_CAP = {LCM_ROUTE_INDEX_CAP}")
     if bound is None:
         seed.require_coprime()

@@ -8,8 +8,7 @@ import operator
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .pisano import _modulus_name
-from .sequences import FIBONACCI, Seed, gib_pair
+from .sequences import FIBONACCI, Seed, _number_name, gib_pair
 
 #: A fixed 25-seed subgrid used by the identity suites.  Covers both
 #: delta classes (1 and 5), both signs of the Cassini constant, and the
@@ -290,7 +289,8 @@ def check_identity_request(
         lo, hi = ranges[p]
         if lo > hi:
             raise ValueError(
-                f"identity {identity.value} has an empty range for {p!r}: [{lo}, {hi}]")
+                f"identity {identity.value} has an empty range for {p!r}: "
+                f"[{_number_name(lo, 'value')}, {_number_name(hi, 'value')}]")
         if floor is not None and lo < floor:
             raise ValueError(f"identity {identity.value} requires {p} >= {floor}")
 
@@ -309,11 +309,11 @@ def check_identity_request(
     points = len(seed_tuple) * math.prod(hi - lo + 1 for lo, hi in box)
     if points > IDENTITY_POINT_CAP:
         raise ValueError(f"identity {identity.value} asks for "
-                         f"{_modulus_name(points, 'number of')} points, "
+                         f"{_number_name(points, 'number of')} points, "
                          f"over the cap of {IDENTITY_POINT_CAP}")
     if (bits := _table_bits(reads.f) + _table_bits(reads.g)) > IDENTITY_TABLE_BIT_CAP:
-        raise ValueError(f"identity {identity.value} asks for term tables of about {bits} "
-                         f"bits, over the cap of {IDENTITY_TABLE_BIT_CAP}")
+        raise ValueError(f"identity {identity.value} asks for term tables of about "
+                         f"{_number_name(bits, 'number of')} bits, over the cap of {IDENTITY_TABLE_BIT_CAP}")
     return reads, seed_tuple, points
 
 

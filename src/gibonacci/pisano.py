@@ -40,7 +40,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .factor import trial_division
-from .sequences import Seed, fib_pair, gib_from_fib
+from .sequences import Seed, _number_name, fib_pair, gib_from_fib
 
 # The budget of ``pisano_period``: m is factored by trial division up to
 # this bound.  A cofactor below (B + 1)^2 left by the division is prime,
@@ -79,13 +79,8 @@ def clear_period_cache() -> None:
 def _require_scan_bound(m_max: int) -> None:
     """A ValueError when m_max is over ``SCAN_MODULUS_CAP``."""
     if m_max > SCAN_MODULUS_CAP:
-        raise ValueError(f"scan of every modulus up to {m_max} refused: "
+        raise ValueError(f"scan of every modulus up to {_number_name(m_max, 'value')} refused: "
                          f"over SCAN_MODULUS_CAP = {SCAN_MODULUS_CAP}")
-
-
-def _modulus_name(m: int, noun: str = "modulus") -> object:
-    """m itself in an error message, or over 160 bits its bit length, as "a b-bit <noun>"."""
-    return m if m.bit_length() <= 160 else f"a {m.bit_length()}-bit {noun}"
 
 
 def _shift_steps(start: tuple[int, int], target: tuple[int, int], m: int,
@@ -105,7 +100,7 @@ def _shift_steps(start: tuple[int, int], target: tuple[int, int], m: int,
     """
     s = math.isqrt(bound - 1) + 1
     if s > PERIOD_TABLE_CAP:
-        raise ValueError(f"period mod {_modulus_name(m)} exceeds PERIOD_TABLE_CAP = "
+        raise ValueError(f"period mod {_number_name(m)} exceeds PERIOD_TABLE_CAP = "
                          f"{PERIOD_TABLE_CAP} squared, and a shift search over it needs a "
                          f"table of isqrt(period - 1) + 1 pairs, over the cap")
     baby: dict[int, int] = {}
@@ -130,7 +125,8 @@ def _residues(seed: Seed, m: int) -> tuple[int, int]:
         raise ValueError("modulus m must be >= 1")
     a, b = seed.g0 % m, seed.g1 % m
     if m > 1 and a == 0 and b == 0:
-        raise ValueError(f"seed {seed} is congruent to (0, 0) mod {m}; period undefined")
+        raise ValueError(f"seed {seed} is congruent to (0, 0) mod {_number_name(m)}; "
+                         "period undefined")
     return a, b
 
 
@@ -162,14 +158,14 @@ def pisano_period(seed: Seed, m: int) -> int:
     """
     a, b = _residues(seed, m)
     if m.bit_length() > MODULUS_BIT_CAP:
-        raise ValueError(f"period mod {_modulus_name(m)} refused: over "
+        raise ValueError(f"period mod {_number_name(m)} refused: over "
                          f"MODULUS_BIT_CAP = {MODULUS_BIT_CAP} bits")
     if (m >= (TRIAL_DIVISION_BOUND + 1) ** 2
             and (r := _shift_steps((a, b), (a, b), m, PERIOD_TABLE_CAP)) is not None):
         return r
     factors, cofactor = trial_division(m, TRIAL_DIVISION_BOUND)
     if cofactor > 1:
-        raise ValueError(f"period mod {_modulus_name(m)} refused: trial division up to "
+        raise ValueError(f"period mod {_number_name(m)} refused: trial division up to "
                          f"TRIAL_DIVISION_BOUND = {TRIAL_DIVISION_BOUND} does not factor it, "
                          f"and the period exceeds PERIOD_TABLE_CAP = {PERIOD_TABLE_CAP} steps")
     n, primes = 1, set()  # N, and the primes of every p W(p)
@@ -197,7 +193,7 @@ def _order(a: int, b: int, m: int, n: int, primes: Iterable[int]) -> int:
     """
     if gib_from_fib(a, b, n, *fib_pair(n, m), m) != (a, b):
         pair = f"residue pair ({a}, {b})" if m.bit_length() <= 160 else "a residue pair"
-        raise AssertionError(f"period of {pair} mod {_modulus_name(m)} does not divide "
+        raise AssertionError(f"period of {pair} mod {_number_name(m)} does not divide "
                              f"the multiple {n}")
     for q in primes:
         if n % q or gib_from_fib(a, b, n // q, *fib_pair(n // q, m), m) != (a, b):
@@ -375,7 +371,7 @@ def equivalent_up_to_shift(seed_a: Seed, seed_b: Seed, m: int) -> tuple[bool, in
         raise ValueError("modulus m must be >= 2")
     for s in (seed_a, seed_b):
         if s.g0 % m == 0 and s.g1 % m == 0:
-            raise ValueError(f"seed {s} is degenerate mod {m}")
+            raise ValueError(f"seed {s} is degenerate mod {_number_name(m)}")
     start = (seed_a.g0 % m, seed_a.g1 % m)
     target = (seed_b.g0 % m, seed_b.g1 % m)
     if start == target:

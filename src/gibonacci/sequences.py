@@ -13,6 +13,12 @@ import math
 from typing import Any, Iterator, NamedTuple
 
 
+def _number_name(n: int, noun: str = "modulus") -> object:
+    """n itself in an error message, or over 160 bits its bit length, as "a b-bit <noun>":
+    str of an int over 4300 digits raises under CPython's default int/str limit."""
+    return n if n.bit_length() <= 160 else f"a {n.bit_length()}-bit {noun}"
+
+
 class Seed(NamedTuple):
     """Initial pair (g0, g1) of a Gibonacci sequence."""
 
@@ -35,10 +41,11 @@ class Seed(NamedTuple):
 
     def require_coprime(self) -> None:
         if math.gcd(self.g0, self.g1) != 1:
-            raise ValueError(f"seed {(self.g0, self.g1)} must have coprime entries")
+            raise ValueError(f"seed ({_number_name(self.g0, 'entry')}, "
+                             f"{_number_name(self.g1, 'entry')}) must have coprime entries")
 
     def __str__(self) -> str:
-        return f"({self.g0},{self.g1})"
+        return f"({_number_name(self.g0, 'entry')},{_number_name(self.g1, 'entry')})"
 
 
 FIBONACCI = Seed(0, 1)

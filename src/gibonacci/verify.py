@@ -2,12 +2,18 @@
 
 Every check reproduces a published value or an exhaustively checkable
 claim at desk scale.  Checks report counterexamples verbatim; nothing is
-sampled where an exact finite check is stated.
+sampled where an exact finite check is stated.  The checks share no state:
+`run_check` runs one in this process, and `run_all` runs each in its own
+forked child, as many at a time as there are usable CPUs.  That runner is
+the one place the library starts processes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 import time
 from typing import Callable, NamedTuple
 
@@ -243,4 +249,79 @@ def run_check(criterion: int) -> CheckResult:
 
 
 def run_all() -> list[CheckResult]:
-    return [_timed(*check) for check in CHECKS]
+    """Every check's result, in criterion order, each check run through
+    `run_check`'s `_timed` in its own forked child.
+
+    The checks share no state, so up to min(len(CHECKS), usable CPUs)
+    children run at a time, the next check in criterion order starting
+    as one ends.  Each child writes its pickled `CheckResult`, or the
+    exception its check raised, to a pipe and leaves by ``os._exit``, so
+    no atexit handler or buffered output of the parent runs twice.  The
+    parent reads the pipes with ``select`` and reaps every child before
+    it returns or raises.  A raised exception comes back whole, and the
+    first in criterion order is raised here, as in one process; a child
+    that ends without a complete result is an AssertionError.
+
+    The checks run in this process, one after another, where there is no
+    ``os.fork``, where only one CPU is usable, or where other threads are
+    alive: a fork copies only the calling thread, and Python 3.12 warns
+    of it.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    slots = min(len(CHECKS), cpus or 1)
+    if not hasattr(os, "fork") or slots < 2 or threading.active_count() > 1:
+        return [_timed(*check) for check in CHECKS]
+    import pickle
+    import select
+    import signal
+
+    outcomes: list[CheckResult | BaseException | None] = [None] * len(CHECKS)
+    running: dict[int, tuple[int, int, list[bytes]]] = {}  # read end -> (index, pid, chunks)
+    queue = iter(enumerate(CHECKS))
+    try:
+        while True:
+            for index, check in itertools.islice(queue, slots - len(running)):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the child: one check, one write, and out
+                    code = 1
+                    try:
+                        os.close(read)
+                        try:
+                            outcome: CheckResult | Exception = _timed(*check)
+                        except Exception as exc:
+                            outcome = exc
+                        with open(write, "wb") as pipe:
+                            pipe.write(pickle.dumps(outcome))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write)
+                running[read] = index, pid, []
+            if not running:
+                break
+            for read in select.select(list(running), [], [])[0]:
+                index, pid, chunks = running[read]
+                chunk = os.read(read, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                del running[read]
+                os.close(read)
+                status = os.waitpid(pid, 0)[1]
+                try:
+                    outcomes[index] = pickle.loads(b"".join(chunks))
+                except Exception:  # cut short, or an exception that will not rebuild
+                    criterion, name, _ = CHECKS[index]
+                    outcomes[index] = AssertionError(
+                        f"check {criterion} ({name}) ended without a complete result, "
+                        f"exit status {os.waitstatus_to_exitcode(status)}")
+    finally:
+        for read, (_, pid, _) in running.items():  # only when the parent itself raised
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes  # every entry a CheckResult

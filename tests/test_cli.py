@@ -709,6 +709,53 @@ def test_adversarial_inputs_exit_cleanly_and_refusals_start_no_chain(capsys, mon
         assert captured.err == ""
 
 
+N_5000 = 10**5000  # 16,610 bits, past CPython's default int/str limit of 4300 digits
+F = Seed(0, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gcdsum.gcd_sum_bruteforce(F, N_5000),
+     "brute-force route refuses k = a 16610-bit value: k is over BRUTE_FORCE_INDEX_CAP"),
+    (lambda: gcdsum.gcd_sum_lcm(F, N_5000),
+     "lcm route refuses k = a 16610-bit value: k is over LCM_ROUTE_INDEX_CAP"),
+    (lambda: applications.max_modulus_for_period(2 * N_5000),
+     "max-modulus refuses k = a 16611-bit value: k is over LCM_ROUTE_INDEX_CAP"),
+    (lambda: applications.squares_gcd(F, N_5000),
+     "squares refuses k = a 16610-bit value: k is over BRUTE_FORCE_INDEX_CAP"),
+    (lambda: pisano.parity_scan(Seed(1, 4), N_5000),
+     "scan of every modulus up to a 16610-bit value refused: over SCAN_MODULUS_CAP"),
+    (lambda: pisano.period_table(Seed(1, 4), N_5000),
+     "scan of every modulus up to a 16610-bit value refused: over SCAN_MODULUS_CAP"),
+    (lambda: gcdsum.gcd_sum_lcm(F, 12, bound=N_5000),
+     "scan of every modulus up to a 16610-bit value refused: over SCAN_MODULUS_CAP"),
+    (lambda: pisano.pisano_period(Seed(N_5000, N_5000), N_5000),
+     "seed (a 16610-bit entry,a 16610-bit entry) is congruent to (0, 0) mod a 16610-bit "
+     "modulus; period undefined"),
+    (lambda: pisano.equivalent_up_to_shift(Seed(N_5000, N_5000), F, N_5000),
+     "seed (a 16610-bit entry,a 16610-bit entry) is degenerate mod a 16610-bit modulus"),
+    (lambda: gcdsum.classify(Seed(2 * N_5000, 4 * N_5000), 12),
+     "seed (a 16611-bit entry, a 16612-bit entry) must have coprime entries"),
+    (lambda: identities.verify_identity(identities.Identity.CASSINI, {"n": (N_5000, 3)}),
+     "identity cassini has an empty range for 'n': [a 16610-bit value, 3]"),
+    (lambda: identities.verify_identity(identities.Identity.CASSINI,
+                                        {"n": (10**4300, 10**4300 + 5)}),
+     "identity cassini asks for term tables of about a 14287-bit number of bits, over the cap"),
+], ids=["brute", "lcm", "max-modulus", "squares", "parity-scan", "period-table", "lcm-bound",
+        "pisano", "shift", "classify", "empty-range", "table-bits"])
+def test_library_refusals_name_huge_numbers_by_bit_length(call, message):
+    # the library runs under the caller's digit limit, not the CLI's lifted one
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as exc:
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    text = str(exc.value)
+    assert text.startswith(message)
+    assert "\n" not in text and len(text.encode()) <= 200
+
+
 def test_oversized_argument_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["term", "--n", "9" * 5000])
@@ -838,6 +885,18 @@ def test_verify_json_counts_and_exit_codes(capsys, two_checks):
     code, out = invoke(capsys, "verify", "--format", "json")
     assert code == 0
     assert json.loads(out)["passed"] == "1" and json.loads(out)["failed"] == "0"
+
+
+def test_verify_text_total_is_the_wall_time_of_the_run(capsys, monkeypatch):
+    # the checks overlap in forked children, so their times sum to more than the run's
+    monkeypatch.setattr(verify, "run_all", lambda: [
+        verify.CheckResult(1, "first", True, "fine", 5.0),
+        verify.CheckResult(2, "second", True, "fine", 5.0)])
+    clock = iter([100.0, 102.5])
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    code, out = invoke(capsys, "verify")
+    assert code == 0
+    assert out.splitlines()[-1] == "2/2 checks passed in 2.5s"
 
 
 def test_usage_error_exit_code(capsys):

@@ -62,10 +62,13 @@ def test_library_has_no_assert_statements():
 
 def test_importing_the_package_leaves_dataclasses_and_inspect_unloaded():
     # the result records are NamedTuples: `import dataclasses` pulls in
-    # inspect, ast, dis and tokenize, about half of the package's import time
+    # inspect, ast, dis and tokenize, about half of the package's import time;
+    # verify.run_all imports its fork runner's pickle and select when it runs,
+    # and needs no pool from multiprocessing or concurrent.futures
     script = ("import sys; sys.path.insert(0, sys.argv[1]); "
               "import gibonacci, gibonacci.cli, gibonacci.verify; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+              "print(sorted({'dataclasses', 'inspect', 'pickle', 'select', 'multiprocessing', "
+              "'concurrent.futures'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-c", script, str(LIBRARY.parent)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[]"

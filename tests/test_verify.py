@@ -5,9 +5,17 @@ Every test plants one fault by monkeypatching a name the check reads, and
 shrinks the seed grid so the check stays fast.
 """
 
+import contextlib
+import functools
+import os
+import sys
+import threading
+import time
+
 import pytest
 
 from gibonacci import applications, gcdsum, identities, pisano, sequences, verify
+from gibonacci.cli import main
 from gibonacci.identities import Identity, verify_identity
 from gibonacci.sequences import FIBONACCI, LUCAS, coprime_seed_grid
 
@@ -169,3 +177,131 @@ def test_run_check_rejects_an_unknown_number():
 def test_verify_identity_rejects_a_name():
     with pytest.raises(ValueError, match="unknown identity 'fib_double'"):
         verify_identity("fib_double", {"n": (0, 8)})
+
+
+# run_all: the checks in forked children, one per usable CPU
+
+def without_elapsed(results):
+    return [r._replace(elapsed=0.0) for r in results]
+
+
+@functools.cache  # every test here runs on the small grid
+def in_process_results():
+    return without_elapsed([verify.run_check(c) for c, _, _ in verify.CHECKS])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs, whatever the machine has, and the list of os.fork calls."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(os.getpid()) or real())
+    return calls
+
+
+def run_main(monkeypatch, capsys):
+    """``gibonacci verify`` through main(): (exit code, stdout, stderr)."""
+    monkeypatch.setattr(sys, "argv", ["gibonacci", "verify"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_run_all_equals_run_check_on_every_field_but_elapsed(forks):
+    assert without_elapsed(verify.run_all()) == in_process_results()
+    assert len(forks) == len(verify.CHECKS)
+    assert_no_child_left()
+
+
+def test_run_all_keeps_criterion_order_when_checks_finish_out_of_order(monkeypatch, forks):
+    def check(delay):
+        def finish():
+            time.sleep(delay)
+            return True, repr(time.monotonic())  # one clock for every process
+        return finish
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        (n, f"sleeps-{delay}", check(delay)) for n, delay in enumerate((0.3, 0.0, 0.1, 0.0), 1)])
+    results = verify.run_all()
+    assert [r.criterion for r in results] == [1, 2, 3, 4]
+    finished = [float(r.detail) for r in results]
+    assert finished[0] > max(finished[1:])  # check 1 ran beside the other three
+    assert len(forks) == 4
+    assert_no_child_left()
+
+
+def planted(monkeypatch, check):
+    monkeypatch.setattr(verify, "CHECKS", [
+        (1, "passes", lambda: (True, "fine")), (2, "planted", check), (3, "fails", lambda: (False, "no"))])
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (AssertionError, 2, "error: verification failed: planted at check 2\n"),
+    (ValueError, 1, "error: planted at check 2\n"),
+], ids=["assertion", "value"])
+def test_a_raised_check_comes_back_with_its_type_and_message(monkeypatch, capsys, forks,
+                                                            error, code, line):
+    def raises():
+        raise error("planted at check 2")
+
+    planted(monkeypatch, raises)
+    with pytest.raises(error) as exc:
+        verify.run_all()
+    assert str(exc.value) == "planted at check 2" and type(exc.value) is error
+    assert_no_child_left()
+    assert run_main(monkeypatch, capsys) == (code, "", line)
+    assert_no_child_left()
+    assert len(forks) == 6
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_main(monkeypatch, capsys) == (code, "", line)  # as in one process
+    assert len(forks) == 6
+
+
+def test_a_child_that_exits_without_a_result_is_one_line_and_exit_2(monkeypatch, capsys, forks):
+    parent = os.getpid()
+    planted(monkeypatch, lambda: os._exit(3) if os.getpid() != parent else pytest.fail("no fork"))
+    assert run_main(monkeypatch, capsys) == (2, "", "error: verification failed: check 2 "
+                                             "(planted) ended without a complete result, "
+                                             "exit status 3\n")
+    assert_no_child_left()
+
+
+@contextlib.contextmanager
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    yield
+
+
+@contextlib.contextmanager
+def live_thread(monkeypatch):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@contextlib.contextmanager
+def no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    yield
+
+
+@pytest.mark.parametrize("fallback", [one_cpu, live_thread, no_fork])
+def test_run_all_falls_back_to_one_process(monkeypatch, forks, fallback):
+    with fallback(monkeypatch):
+        results = verify.run_all()
+    assert without_elapsed(results) == in_process_results()
+    assert forks == []
